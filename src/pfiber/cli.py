@@ -328,7 +328,6 @@ def _cmd_second(resolved: dict, out_dir: Path) -> int:
     second = solve_mountain_pass(
         problem, ground, tol_res=mp_opts["tol_res"],
         path_points=mp_opts["path_points"], max_iters=mp_opts["max_iters"],
-        seed=opts["seed"],
     )
     dump_json({"epsilon": problem.epsilon, "report": second.to_json_dict()},
               out_dir / "second_solution.json")

@@ -33,8 +33,12 @@ class InteriorSolver:
         self._idx = idx
 
     def apply(self, nodal: np.ndarray) -> np.ndarray:
-        """Solve the interior system; boundary entries of the result are 0."""
-        out = np.zeros(self.mesh.n_nodes)
+        """Solve the interior system for a nodal vector or an (n_nodes, k) stack.
+
+        Each column of a stack is one right-hand side, all solved in one call;
+        boundary entries of the result are 0.
+        """
+        out = np.zeros((self.mesh.n_nodes,) + np.shape(nodal)[1:])
         out[self._idx] = self._lu.solve(nodal[self._idx])
         if not np.all(np.isfinite(out)):
             raise NumericalError("preconditioner solve produced non-finite values")

@@ -12,8 +12,11 @@ Everything downstream works on continuous piecewise-linear interpolants over
 uniform meshes: intervals in 1D, rectangle cells split into two triangles in
 2D.  Each mesh precomputes its quadrature cloud (3-point Gauss per interval,
 3-point mid-edge rule per triangle) together with basis values and constant
-per-element basis gradients, so functionals and weak forms reduce to a few
-vectorized array contractions.
+per-element basis gradients.  On first use it also assembles them into sparse
+operators (nodes to quadrature values, nodes to element gradients, element
+contributions to nodes), so functionals and weak forms reduce to a few
+sparse products and vectorized array contractions (Rahman & Valdman, Appl.
+Math. Comput. 2013).
 """
 
 import json
@@ -173,6 +176,10 @@ class Mesh:
       qp_weights     (n_elements, n_qp) quadrature weights
       basis_at_qp    (n_qp, dim + 1) reference basis values
       grad_basis     (n_elements, dim + 1, dim) constant basis gradients
+
+    The sparse operators ``qp_operator``, ``gradient_operator`` and
+    ``scatter_operator`` are built on first use and cached like
+    ``stiffness``.
     """
 
     def __init__(self, bounds, resolution):
@@ -271,11 +278,12 @@ class Mesh:
 
     def values_at_qp(self, nodal: np.ndarray) -> np.ndarray:
         """Interpolant values on the quadrature cloud, shape (n_el, n_qp)."""
-        return np.einsum("ev,qv->eq", nodal[self.elements], self.basis_at_qp)
+        return (self.qp_operator @ nodal).reshape(self.qp_weights.shape)
 
     def gradients(self, nodal: np.ndarray) -> np.ndarray:
         """Constant per-element interpolant gradients, shape (n_el, dim)."""
-        return np.einsum("ev,evd->ed", nodal[self.elements], self.grad_basis)
+        return (self.gradient_operator @ nodal).reshape(self.el_measures.size,
+                                                        self.dimension)
 
     def integrate(self, qp_values: np.ndarray) -> float:
         return float(np.sum(self.qp_weights * qp_values))
@@ -283,16 +291,52 @@ class Mesh:
     def assemble_point_term(self, qp_density: np.ndarray) -> np.ndarray:
         """Nodal vector with entries sum_qp w * density * basis_i."""
         contrib = np.einsum("eq,qv->ev", self.qp_weights * qp_density, self.basis_at_qp)
-        return np.bincount(self.elements.ravel(), weights=contrib.ravel(),
-                           minlength=self.n_nodes)
+        return self.scatter_operator @ contrib.ravel()
 
     def assemble_flux_term(self, el_flux: np.ndarray) -> np.ndarray:
         """Nodal vector with entries sum_el measure * flux . grad basis_i."""
         contrib = self.el_measures[:, None] * np.einsum(
             "ed,evd->ev", el_flux, self.grad_basis
         )
-        return np.bincount(self.elements.ravel(), weights=contrib.ravel(),
-                           minlength=self.n_nodes)
+        return self.scatter_operator @ contrib.ravel()
+
+    # The operators keep each row's entries in element-vertex order, and the
+    # scatter visits elements in the order np.bincount does; nothing asks
+    # scipy to sort them.  Each product then adds the same terms in the same
+    # order as the einsum gather and bincount scatter they replace, so the
+    # kernels above return the same bits.
+
+    @cached_property
+    def qp_operator(self) -> sp.csr_matrix:
+        """B: nodal values to quadrature values, one row per (element, qp)."""
+        n_el, n_v = self.elements.shape
+        n_qp = self.basis_at_qp.shape[0]
+        return _rows_operator(
+            np.broadcast_to(self.basis_at_qp, (n_el, n_qp, n_v)),
+            np.broadcast_to(self.elements[:, None, :], (n_el, n_qp, n_v)),
+            self.n_nodes,
+        )
+
+    @cached_property
+    def gradient_operator(self) -> sp.csr_matrix:
+        """G: nodal values to element gradients, one row per (element, axis)."""
+        n_el, n_v = self.elements.shape
+        return _rows_operator(
+            self.grad_basis.transpose(0, 2, 1),
+            np.broadcast_to(self.elements[:, None, :], (n_el, self.dimension, n_v)),
+            self.n_nodes,
+        )
+
+    @cached_property
+    def scatter_operator(self) -> sp.csr_matrix:
+        """S: per-(element, vertex) contributions summed onto their nodes."""
+        flat = self.elements.ravel()
+        indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(flat, minlength=self.n_nodes), out=indptr[1:])
+        return sp.csr_matrix(
+            (np.ones(flat.size), np.argsort(flat, kind="stable"), indptr),
+            shape=(self.n_nodes, flat.size),
+        )
 
     @cached_property
     def stiffness(self) -> sp.csr_matrix:
@@ -326,6 +370,19 @@ class Mesh:
             "elements": self.elements.tolist(),
             "boundary_nodes": self.boundary_nodes.tolist(),
         }
+
+
+def _rows_operator(data: np.ndarray, cols: np.ndarray, n_cols: int) -> sp.csr_matrix:
+    """CSR matrix with one row per leading index of ``data``, entries in order.
+
+    ``data`` and ``cols`` share a shape (..., k); every row holds k entries,
+    stored unsorted exactly as given.
+    """
+    k = data.shape[-1]
+    values = np.ascontiguousarray(data, dtype=float).reshape(-1)
+    indptr = np.arange(0, values.size + 1, k)
+    return sp.csr_matrix((values, np.ascontiguousarray(cols).reshape(-1), indptr),
+                         shape=(values.size // k, n_cols))
 
 
 def build_mesh(domain, resolution) -> Mesh:

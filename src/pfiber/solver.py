@@ -27,10 +27,10 @@ from .functionals import (
     EnergyComponents,
     energy_components,
     phi,
-    phi_plus,
     weak_residual,
-    weak_residual_plus,
     DEFAULT_DELTA_REG,
+    _BLOCK,
+    _phi_plus_block,
 )
 from .linalg import InteriorSolver
 from .problem import DiscreteField, Exponents, Mesh, ProblemSpec
@@ -366,9 +366,47 @@ def _ray_peak_scale(comps: EnergyComponents, eps: float,
     return float(0.5 * (lo + hi))
 
 
+def _step_knots(knots: np.ndarray, steps: np.ndarray, energies: np.ndarray,
+                spec: ProblemSpec, pre: InteriorSolver, delta_reg: float,
+                tol_res: float) -> bool:
+    """Stop at a stationary top knot, or move every interior knot one step.
+
+    ``knots`` holds one path knot per column and ``energies`` their
+    positive-part energies.  The interior knots' residuals come from one
+    block-kernel call and their directions from one preconditioner solve.
+    When the knot carrying the path maximum is residual-stationary, nothing
+    moves and True is returned.  Otherwise every interior knot takes one
+    Armijo step down its direction, backtracking in lockstep over the knots
+    still searching; each knot's search depends only on that knot.  ``knots``
+    and ``steps`` are updated in place.
+    """
+    interior = np.arange(1, knots.shape[1] - 1)
+    _, residuals = _phi_plus_block(knots[:, interior], spec, delta_reg, residual=True)
+    k_star = int(np.argmax(energies))
+    if 0 < k_star < knots.shape[1] - 1:
+        res_norm = float(np.max(np.abs(residuals[:, k_star - 1])))
+        if res_norm <= tol_res * (1.0 + abs(energies[k_star])):
+            return True
+    directions = -pre.apply(residuals)
+    slopes = np.einsum("ik,ik->k", residuals, directions)
+    searching = np.flatnonzero(slopes < 0.0)
+    t = steps[interior[searching]]
+    for _ in range(40):
+        if searching.size == 0:
+            break
+        j = interior[searching]
+        cand = knots[:, j] + t * directions[:, searching]
+        ok = (_phi_plus_block(cand, spec)
+              <= energies[j] + ARMIJO_SLOPE * t * slopes[searching])
+        knots[:, j[ok]] = cand[:, ok]
+        steps[j[ok]] = np.minimum(2.0 * t[ok], 1e8)
+        searching, t = searching[~ok], t[~ok] * ARMIJO_FACTOR
+    return False
+
+
 def solve_mountain_pass(spec: ProblemSpec, ground_state: SolveReport,
                         tol_res: float = 1e-8, path_points: int = 21,
-                        max_iters: int = 600, seed: int = 0) -> MountainPassReport:
+                        max_iters: int = 600) -> MountainPassReport:
     """Min-max over polyline paths joining the zero field to the ground state.
 
     Initial knots cluster around the barrier peak of the ray through the
@@ -380,6 +418,10 @@ def solve_mountain_pass(spec: ProblemSpec, ground_state: SolveReport,
     residual-stationary and no sampled point exceeds it.  The returned field
     is the nodal positive part of that knot, rechecked against the plain
     residual.
+
+    A sweep evaluates its knots and segment samples as column stacks through
+    the block kernel, building the samples a block at a time; _step_knots
+    does the stationarity check and the knot steps.
 
     Raises:
         InputError: the supplied ground state is unusable as the far endpoint
@@ -401,65 +443,48 @@ def solve_mountain_pass(spec: ProblemSpec, ground_state: SolveReport,
     ridge = np.clip(t_peak * np.geomspace(0.2, 5.0, n_ridge), 1e-12, 1.0 - 1e-12)
     lin = np.linspace(0.0, 1.0, n_lin + 2)[1:-1]
     ts = np.sort(np.concatenate([[0.0, 1.0], ridge, lin]))
-    knots = ts[:, None] * end.values[None, :]
+    knots = end.values[:, None] * ts[None, :]      # one column per knot
     steps = np.ones(path_points)
 
-    def plus_energy(values: np.ndarray) -> float:
-        return phi_plus(DiscreteField(mesh, values), spec)
-
     seg_fracs = np.linspace(0.0, 1.0, 10)[1:-1]
+    n_samples = (path_points - 1) * seg_fracs.size
+
+    def samples(idx: np.ndarray) -> np.ndarray:
+        """Segment samples by flat index (segment-major), as columns."""
+        j, f = np.divmod(idx, seg_fracs.size)
+        f = seg_fracs[f]
+        return (1.0 - f) * knots[:, j] + f * knots[:, j + 1]
+
     result = None
     sweeps = 0
     for sweeps in range(1, max_iters + 1):
-        energies = np.array([plus_energy(k) for k in knots])
-        # Promote a segment-interior maximum so the ridge is always knot-resolved.
-        seg_j, seg_best, seg_val = -1, None, -np.inf
-        for j in range(knots.shape[0] - 1):
-            for f in seg_fracs:
-                cand = (1.0 - f) * knots[j] + f * knots[j + 1]
-                val = plus_energy(cand)
-                if val > seg_val:
-                    seg_j, seg_best, seg_val = j, cand, val
+        energies = _phi_plus_block(knots, spec)
+        # Promote a segment-interior maximum so the ridge is always
+        # knot-resolved; argmax keeps the first maximal sample.
+        seg_vals = np.concatenate([
+            _phi_plus_block(samples(np.arange(lo, min(lo + _BLOCK, n_samples))), spec)
+            for lo in range(0, n_samples, _BLOCK)
+        ])
+        best = int(np.argmax(seg_vals))
+        seg_j, seg_val = best // seg_fracs.size, float(seg_vals[best])
         knot_max = float(energies.max())
         if seg_val > knot_max + 1e-12 * (1.0 + abs(knot_max)):
-            knots = np.insert(knots, seg_j + 1, seg_best, axis=0)
+            knots = np.insert(knots, seg_j + 1, samples(np.array([best]))[:, 0], axis=1)
             steps = np.insert(steps, seg_j + 1, 1.0)
             energies = np.insert(energies, seg_j + 1, seg_val)
-            interior = energies[1:-1]
-            drop = 1 + int(np.argmin(interior))
-            knots = np.delete(knots, drop, axis=0)
+            drop = 1 + int(np.argmin(energies[1:-1]))
+            knots = np.delete(knots, drop, axis=1)
             steps = np.delete(steps, drop)
             energies = np.delete(energies, drop)
-        k_star = int(np.argmax(energies))
-        if 0 < k_star < path_points - 1:
-            top = DiscreteField(mesh, knots[k_star])
-            residual = weak_residual_plus(top, spec, delta_reg).values
-            res_norm = float(np.max(np.abs(residual)))
-            tol_eff = tol_res * (1.0 + abs(energies[k_star]))
-            if res_norm <= tol_eff:
-                result = (knots[k_star], float(energies[k_star]))
-                break
-        for j in range(1, path_points - 1):
-            kf = DiscreteField(mesh, knots[j])
-            r = weak_residual_plus(kf, spec, delta_reg).values
-            direction = -pre.apply(r)
-            slope = float(np.dot(r, direction))
-            if slope >= 0.0:
-                continue
-            t = steps[j]
-            energy_j = float(energies[j])
-            for _ in range(40):
-                cand = knots[j] + t * direction
-                if plus_energy(cand) <= energy_j + ARMIJO_SLOPE * t * slope:
-                    knots[j] = cand
-                    steps[j] = min(2.0 * t, 1e8)
-                    break
-                t *= ARMIJO_FACTOR
+        if _step_knots(knots, steps, energies, spec, pre, delta_reg, tol_res):
+            k_star = int(np.argmax(energies))
+            result = (knots[:, k_star], float(energies[k_star]))
+            break
 
     if result is None:
-        energies = np.array([plus_energy(k) for k in knots])
+        energies = _phi_plus_block(knots, spec)
         k_star = int(np.argmax(energies))
-        result = (knots[k_star], float(energies[k_star]))
+        result = (knots[:, k_star], float(energies[k_star]))
         converged = False
     else:
         converged = True

@@ -271,6 +271,127 @@ def test_weak_residual_plus_on_signed_fields():
     assert abs(pairing - fd) <= 1e-6 * (1.0 + abs(fd))
 
 
+# -- block kernel -------------------------------------------------------------
+
+
+def p1_plus_energy(mesh, values, eps, ex, a, b):
+    """phi_plus by per-element P1 quadrature, written out in plain numpy.
+
+    Intervals use 3-point Gauss, triangles the mid-edge rule; the positive
+    part is taken at the nodes, then interpolated.  ``a`` and ``b`` are the
+    coefficient formulas, evaluated at the quadrature points built here.
+    """
+    verts = mesh.nodes[mesh.elements]                 # (n_el, dim + 1, dim)
+    u = values[mesh.elements]
+    plus = np.maximum(u, 0.0)
+    if mesh.dimension == 1:
+        x0, x1 = verts[:, 0, 0], verts[:, 1, 0]
+        size = x1 - x0
+        grad_sq = ((u[:, 1] - u[:, 0]) / size) ** 2
+        nodes = 0.5 + 0.5 * np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
+        weights = np.array([5.0, 8.0, 5.0]) / 18.0
+        pts = (x0[:, None] + size[:, None] * nodes,)
+        vals = plus[:, :1] * (1.0 - nodes) + plus[:, 1:] * nodes
+        w = size[:, None] * weights
+    else:
+        e1, e2 = verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]
+        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        size = 0.5 * np.abs(det)
+        # Gradient from the two edge differences: J^T g = (du1, du2).
+        du1, du2 = u[:, 1] - u[:, 0], u[:, 2] - u[:, 0]
+        gx = (e2[:, 1] * du1 - e1[:, 1] * du2) / det
+        gy = (-e2[:, 0] * du1 + e1[:, 0] * du2) / det
+        grad_sq = gx**2 + gy**2
+        pairs = [(0, 1), (1, 2), (0, 2)]
+        mids = np.stack([0.5 * (verts[:, i] + verts[:, j]) for i, j in pairs], axis=1)
+        pts = (mids[..., 0], mids[..., 1])
+        vals = np.stack([0.5 * (plus[:, i] + plus[:, j]) for i, j in pairs], axis=1)
+        w = np.repeat(size[:, None] / 3.0, 3, axis=1)
+    dirichlet = np.sum(size * grad_sq ** (ex.p / 2.0))
+    gain = np.sum(w * a(*pts) * vals**ex.q)
+    loss = np.sum(w * b(*pts) * vals**ex.gamma)
+    return (eps / ex.p) * dirichlet - gain / ex.q + loss / ex.gamma
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("domain, resolution", [
+    ((0.0, 1.0), 41),
+    (((0.0, 1.0), (0.0, 2.0)), (9, 8)),
+])
+def test_block_kernel_against_p1_oracle(domain, resolution, p):
+    """Block energies and residuals of 19 signed fields, checked independently.
+
+    Energies must match the oracle's quadrature; residual columns must pair
+    with directions like central differences of the oracle energy.  Each
+    column must also match phi_plus and weak_residual_plus to 1e-13: the
+    block sums run in another order, which moves only the last bits.
+    """
+    from pfiber.functionals import _BLOCK, _phi_plus_block
+    from pfiber.problem import bump_coefficient
+
+    k = 19
+    assert k % _BLOCK, "the last block should be partial"
+    mesh = build_mesh(domain, resolution)
+    ex = Exponents(p, p + 1.0, p + 2.0)
+    eps = 0.05
+    spec = ProblemSpec(mesh, ex, eps, bump_coefficient(0.5, 1.0, domain),
+                       constant_coefficient(1.3))
+    bounds = np.atleast_2d(np.asarray(domain))
+
+    def a(*xs):
+        prof = 1.0
+        for (lo, hi), x in zip(bounds, xs):
+            prof = prof * np.sin(np.pi * (x - lo) / (hi - lo))
+        return 0.5 + prof
+
+    def b(*xs):
+        return np.full_like(xs[0], 1.3)
+
+    rng = np.random.default_rng(41)
+    # Nodal magnitudes stay >= 0.05, away from the kink of the positive part;
+    # columns mix all-positive, all-negative and signed fields.
+    signs = np.where(rng.random((mesh.n_nodes, k)) < 0.5, -1.0, 1.0)
+    signs[:, :3] = 1.0
+    signs[:, 3:6] = -1.0
+    stack = signs * rng.uniform(0.05, 1.5, (mesh.n_nodes, k))
+    stack[mesh.boundary_nodes] = 0.0
+    energies, residuals = _phi_plus_block(stack, spec, residual=True)
+    np.testing.assert_array_equal(_phi_plus_block(stack, spec), energies)
+    assert energies.shape == (k,) and residuals.shape == (mesh.n_nodes, k)
+    h = 1e-5
+    for i in range(k):
+        u = stack[:, i]
+        oracle = p1_plus_energy(mesh, u, eps, ex, a, b)
+        assert abs(energies[i] - oracle) <= 1e-12 * (1.0 + abs(oracle))
+        field = DiscreteField(mesh, u)
+        single = phi_plus(field, spec)
+        assert abs(energies[i] - single) <= 1e-13 * abs(single)
+        single = weak_residual_plus(field, spec).values
+        assert np.max(np.abs(residuals[:, i] - single)) <= 1e-13 * np.max(np.abs(single))
+        v = rng.uniform(-1.0, 1.0, mesh.n_nodes)
+        v[mesh.boundary_nodes] = 0.0
+        if np.any(u > 0.0) and np.any(u < 0.0):
+            # phi_plus sees a negative node only through its flux term, but
+            # weak_residual_plus keeps gain and loss forms there wherever a
+            # neighbour is positive; the two pair alike on directions that
+            # hold the negative nodes fixed.
+            v[u < 0.0] = 0.0
+        fd = (p1_plus_energy(mesh, u + h * v, eps, ex, a, b)
+              - p1_plus_energy(mesh, u - h * v, eps, ex, a, b)) / (2.0 * h)
+        pairing = float(np.dot(residuals[:, i], v))
+        assert abs(pairing - fd) <= 1e-7 * (1.0 + abs(fd))
+        np.testing.assert_array_equal(residuals[mesh.boundary_nodes, i], 0.0)
+
+    bad = stack.copy()
+    bad[mesh.boundary_nodes[0], 11] = 1e-6
+    with pytest.raises(ContractViolation):
+        _phi_plus_block(bad, spec)
+    bad = stack.copy()
+    bad[mesh.interior_nodes[0], 17] = np.nan
+    with pytest.raises(InputError):
+        _phi_plus_block(bad, spec, residual=True)
+
+
 # -- j_pointwise and J --------------------------------------------------------
 
 

@@ -104,6 +104,47 @@ def test_interior_boundary_partition_covers_all_nodes():
     np.testing.assert_array_equal(merged, np.arange(mesh.n_nodes))
 
 
+@pytest.mark.parametrize("domain, resolution", [
+    ((0.0, 1.0), 57),
+    (((0.0, 1.0), (0.0, 2.0)), (13, 9)),
+])
+def test_sparse_kernels_reproduce_gather_and_bincount_bits(domain, resolution):
+    """The operator-based kernels return exactly the einsum/bincount values.
+
+    Solves at tight tolerance sit at the rounding floor, so the kernels must
+    add the same terms in the same order as the element gather and the
+    bincount scatter written out here.
+    """
+    mesh = build_mesh(domain, resolution)
+    rng = np.random.default_rng(31)
+    n_el = mesh.elements.shape[0]
+    for _ in range(5):
+        # Entries spread over twelve decades, so any reordering of a sum shows.
+        nodal = rng.standard_normal(mesh.n_nodes) * 10.0 ** rng.uniform(-6, 6, mesh.n_nodes)
+        gathered = nodal[mesh.elements]
+        np.testing.assert_array_equal(
+            mesh.values_at_qp(nodal),
+            np.einsum("ev,qv->eq", gathered, mesh.basis_at_qp))
+        np.testing.assert_array_equal(
+            mesh.gradients(nodal),
+            np.einsum("ev,evd->ed", gathered, mesh.grad_basis))
+        density = rng.standard_normal(mesh.qp_weights.shape) * 10.0 ** rng.uniform(
+            -6, 6, mesh.qp_weights.shape)
+        contrib = np.einsum("eq,qv->ev", mesh.qp_weights * density, mesh.basis_at_qp)
+        np.testing.assert_array_equal(
+            mesh.assemble_point_term(density),
+            np.bincount(mesh.elements.ravel(), weights=contrib.ravel(),
+                        minlength=mesh.n_nodes))
+        flux = rng.standard_normal((n_el, mesh.dimension)) * 10.0 ** rng.uniform(
+            -6, 6, (n_el, mesh.dimension))
+        contrib = mesh.el_measures[:, None] * np.einsum("ed,evd->ev", flux,
+                                                        mesh.grad_basis)
+        np.testing.assert_array_equal(
+            mesh.assemble_flux_term(flux),
+            np.bincount(mesh.elements.ravel(), weights=contrib.ravel(),
+                        minlength=mesh.n_nodes))
+
+
 # -- make_field ---------------------------------------------------------------
 
 

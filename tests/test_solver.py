@@ -10,6 +10,7 @@ from pfiber.problem import (
     Exponents,
     ProblemSpec,
     build_mesh,
+    bump_coefficient,
     constant_coefficient,
     make_field,
 )
@@ -196,6 +197,59 @@ def test_mountain_pass_distinct_from_ground_state(model_second_solution):
     _, gs, mp = model_second_solution
     gap = np.max(np.abs(mp.field.values - gs.field.values))
     assert gap > 0.1  # different branch, not a perturbation of the minimizer
+
+
+def test_mountain_pass_2d_p3_bump():
+    """Second solution on a square with p = 3 and a bump gain coefficient.
+
+    The Nehari identity eps*D = G - L is recomputed with the mid-edge rule
+    written out here; at a field with residual r it holds up to r . u, so
+    within tol_effective * sum|u_i|.
+    """
+    domain = ((0.0, 1.0), (0.0, 1.0))
+    mesh = build_mesh(domain, (21, 21))
+    ex = Exponents(3.0, 4.0, 5.0)
+    spec = ProblemSpec(mesh, ex, 1e-3, bump_coefficient(0.5, 1.0, domain), ONE)
+    gs = solve_ground_state(spec)
+    mp = solve_mountain_pass(spec, gs)
+    assert gs.converged and mp.converged
+    assert gs.energy < 0.0 < mp.energy
+    u = mp.field.values
+    assert u.min() >= 0.0
+
+    verts = mesh.nodes[mesh.elements]
+    vals = u[mesh.elements]
+    e1, e2 = verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    du1, du2 = vals[:, 1] - vals[:, 0], vals[:, 2] - vals[:, 0]
+    gx = (e2[:, 1] * du1 - e1[:, 1] * du2) / det
+    gy = (-e2[:, 0] * du1 + e1[:, 0] * du2) / det
+    area = 0.5 * np.abs(det)
+    dirichlet = np.sum(area * (gx**2 + gy**2) ** (ex.p / 2.0))
+    gain = loss = 0.0
+    for i, j in ((0, 1), (1, 2), (0, 2)):
+        mid = 0.5 * (verts[:, i] + verts[:, j])
+        a_mid = 0.5 + np.sin(np.pi * mid[:, 0]) * np.sin(np.pi * mid[:, 1])
+        u_mid = 0.5 * (vals[:, i] + vals[:, j])
+        gain += np.sum(area / 3.0 * a_mid * u_mid**ex.q)
+        loss += np.sum(area / 3.0 * u_mid**ex.gamma)
+    nehari = spec.epsilon * dirichlet - (gain - loss)
+    assert abs(nehari) <= mp.tol_effective * np.sum(np.abs(u))
+
+
+def test_interior_solver_applies_a_stack_column_by_column():
+    from pfiber.linalg import InteriorSolver
+
+    mesh = build_mesh(((0.0, 1.0), (0.0, 1.0)), (9, 7))
+    pre = InteriorSolver(mesh, alpha=1e-2, beta=1.0)
+    rhs = np.random.default_rng(51).standard_normal((mesh.n_nodes, 5))
+    out = pre.apply(rhs)
+    assert out.shape == rhs.shape
+    for i in range(rhs.shape[1]):
+        single = pre.apply(rhs[:, i])
+        np.testing.assert_allclose(out[:, i], single, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(single)))
+    np.testing.assert_array_equal(out[mesh.boundary_nodes], 0.0)
 
 
 def test_mountain_pass_rejects_bad_endpoint(model_ground_state):
