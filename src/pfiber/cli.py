@@ -55,13 +55,64 @@ from .asymptotics import (
 __all__ = ["main", "run", "resolve_config", "load_config"]
 
 
-_TOP_KEYS = {
-    "exponents", "epsilon", "eps_list", "domain", "resolution",
-    "coefficients", "solver", "mountain_pass", "thresholds", "asymptotics",
-    "layer",
+def _number(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"config key '{path}': expected a number")
+    return float(value)
+
+
+def _integer(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"config key '{path}': expected an integer")
+    if value < 0:
+        raise ConfigurationError(f"config key '{path}': expected an integer >= 0")
+    return value
+
+
+def _numbers(value, path: str) -> list[float]:
+    if not isinstance(value, list):
+        raise ConfigurationError(f"config key '{path}': expected a list")
+    return [_number(v, path) for v in value]
+
+
+def _nonempty_numbers(value, path: str) -> list[float]:
+    if value == []:
+        raise ConfigurationError(f"config key '{path}': expected a list")
+    return _numbers(value, path)
+
+
+def _number_or_null(value, path: str) -> float | None:
+    return None if value is None else _number(value, path)
+
+
+# Each section maps key -> (checker, default).  Subcommands pass a resolved
+# section to the solvers as keyword arguments, so keys are parameter names.
+_SECTIONS = {
+    "exponents": {"p": (_number, 2.0), "q": (_number, 3.0),
+                  "gamma": (_number, 4.0)},
+    "solver": {"tol_res": (_number, 1e-8), "max_iters": (_integer, 50_000),
+               "random_restarts": (_integer, 4), "seed": (_integer, 0)},
+    "mountain_pass": {"tol_res": (_number, 1e-8), "path_points": (_integer, 21),
+                      "max_iters": (_integer, 600)},
+    "thresholds": {"restarts": (_integer, 16), "max_iters": (_integer, 400)},
+    "asymptotics": {"eta": (_number, 0.1),
+                    "r_list": (_nonempty_numbers, [1.0, 2.0])},
+    "layer": {"xi_max": (_number, 40.0), "points": (_integer, 401),
+              "compare_eps": (_number_or_null, None)},
+}
+_SCALARS = {"epsilon": (_number, 1e-3), "eps_list": (_numbers, [])}
+
+# Coefficient kind -> (parameter schema, builder(*parameters, domain, name)).
+_COEFF_KINDS = {
+    "constant": ({"value": (_number, 1.0)},
+                 lambda value, domain, name: constant_coefficient(value, name)),
+    "affine": ({"offset": (_number, 1.0), "slopes": (_nonempty_numbers, [0.0])},
+               affine_coefficient),
+    "sinusoidal-bump": ({"base": (_number, 1.0), "amplitude": (_number, 1.0)},
+                        bump_coefficient),
 }
 
-_COEFF_KINDS = ("constant", "affine", "sinusoidal-bump")
+_TOP_KEYS = {*_SECTIONS, *_SCALARS, "domain", "resolution", "coefficients"}
 
 
 def _expect_map(value, path: str) -> dict:
@@ -70,16 +121,20 @@ def _expect_map(value, path: str) -> dict:
     return value
 
 
-def _expect_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"config key '{path}': expected a number")
-    return float(value)
+def _apply_schema(raw: dict, schema: dict, prefix: str) -> dict:
+    return {key: check(raw.get(key, default), prefix + key)
+            for key, (check, default) in schema.items()}
 
 
-def _expect_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"config key '{path}': expected an integer")
-    return value
+def _resolve_section(raw: dict, name: str) -> dict:
+    section = _expect_map(raw.get(name, {}), name)
+    out = _apply_schema(section, _SECTIONS[name], f"{name}.")
+    extra = set(section) - set(out)
+    if extra:
+        raise ConfigurationError(
+            f"config key '{name}.{sorted(extra)[0]}': unknown key"
+        )
+    return out
 
 
 def load_config(path) -> dict:
@@ -96,30 +151,19 @@ def load_config(path) -> dict:
 
 def _resolve_coefficient(raw: dict, label: str) -> dict:
     path = f"coefficients.{label}"
-    entry = _expect_map(raw.get(label, {"kind": "constant", "value": 1.0}), path)
+    entry = _expect_map(raw.get(label, {}), path)
     kind = entry.get("kind", "constant")
-    if kind not in _COEFF_KINDS:
+    if not isinstance(kind, str) or kind not in _COEFF_KINDS:
         raise ConfigurationError(
             f"config key '{path}.kind': unknown kind {kind!r}; "
             f"choose one of {', '.join(_COEFF_KINDS)}"
         )
-    out = {"kind": kind}
-    if kind == "constant":
-        out["value"] = _expect_number(entry.get("value", 1.0), f"{path}.value")
-    elif kind == "affine":
-        out["offset"] = _expect_number(entry.get("offset", 1.0), f"{path}.offset")
-        slopes = entry.get("slopes", [0.0])
-        if not isinstance(slopes, list) or not slopes:
-            raise ConfigurationError(f"config key '{path}.slopes': expected a list")
-        out["slopes"] = [_expect_number(s, f"{path}.slopes") for s in slopes]
-    else:
-        out["base"] = _expect_number(entry.get("base", 1.0), f"{path}.base")
-        out["amplitude"] = _expect_number(entry.get("amplitude", 1.0),
-                                          f"{path}.amplitude")
+    out = {"kind": kind,
+           **_apply_schema(entry, _COEFF_KINDS[kind][0], f"{path}.")}
     for bound in ("lower", "upper"):
         if bound in entry:
-            out[bound] = _expect_number(entry[bound], f"{path}.{bound}")
-    extra = set(entry) - set(out) - {"kind"}
+            out[bound] = _number(entry[bound], f"{path}.{bound}")
+    extra = set(entry) - set(out)
     if extra:
         raise ConfigurationError(
             f"config key '{path}.{sorted(extra)[0]}': unknown parameter for "
@@ -129,15 +173,8 @@ def _resolve_coefficient(raw: dict, label: str) -> dict:
 
 
 def _build_coefficient(resolved: dict, domain, label: str) -> CoefficientField:
-    kind = resolved["kind"]
-    if kind == "constant":
-        coeff = constant_coefficient(resolved["value"], name=label)
-    elif kind == "affine":
-        coeff = affine_coefficient(resolved["offset"], resolved["slopes"],
-                                   domain, name=label)
-    else:
-        coeff = bump_coefficient(resolved["base"], resolved["amplitude"],
-                                 domain, name=label)
+    schema, build = _COEFF_KINDS[resolved["kind"]]
+    coeff = build(*(resolved[key] for key in schema), domain, label)
     lower = resolved.get("lower", coeff.lower)
     upper = resolved.get("upper", coeff.upper)
     return CoefficientField(coeff.evaluator, lower, upper, label)
@@ -150,12 +187,7 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigurationError(
             f"config key '{sorted(unknown)[0]}': unknown top-level key"
         )
-    exp = _expect_map(raw.get("exponents", {}), "exponents")
-    exponents = {
-        "p": _expect_number(exp.get("p", 2.0), "exponents.p"),
-        "q": _expect_number(exp.get("q", 3.0), "exponents.q"),
-        "gamma": _expect_number(exp.get("gamma", 4.0), "exponents.gamma"),
-    }
+    exponents = _resolve_section(raw, "exponents")
 
     domain = raw.get("domain", [0.0, 1.0])
     if not isinstance(domain, list):
@@ -172,12 +204,8 @@ def resolve_config(raw: dict) -> dict:
         )
 
     resolution = raw.get("resolution", default_res)
-    if isinstance(resolution, int) and not isinstance(resolution, bool):
-        pass
-    elif (isinstance(resolution, list)
-          and all(isinstance(r, int) and not isinstance(r, bool) for r in resolution)):
-        pass
-    else:
+    counts = resolution if isinstance(resolution, list) else [resolution]
+    if not all(isinstance(r, int) and not isinstance(r, bool) for r in counts):
         raise ConfigurationError(
             "config key 'resolution': expected an integer or list of integers"
         )
@@ -189,74 +217,17 @@ def resolve_config(raw: dict) -> dict:
             f"config key 'coefficients.{sorted(unknown)[0]}': only 'a' and 'b' "
             "are recognized"
         )
-    coefficients = {
-        "a": _resolve_coefficient(coeffs_raw, "a"),
-        "b": _resolve_coefficient(coeffs_raw, "b"),
-    }
+    coefficients = {label: _resolve_coefficient(coeffs_raw, label) for label in "ab"}
 
-    solver_raw = _expect_map(raw.get("solver", {}), "solver")
-    solver = {
-        "tol_res": _expect_number(solver_raw.get("tol_res", 1e-8), "solver.tol_res"),
-        "max_iters": _expect_int(solver_raw.get("max_iters", 50_000),
-                                 "solver.max_iters"),
-        "random_restarts": _expect_int(solver_raw.get("random_restarts", 4),
-                                       "solver.random_restarts"),
-        "seed": _expect_int(solver_raw.get("seed", 0), "solver.seed"),
-    }
-
-    mp_raw = _expect_map(raw.get("mountain_pass", {}), "mountain_pass")
-    mountain_pass = {
-        "tol_res": _expect_number(mp_raw.get("tol_res", 1e-8),
-                                  "mountain_pass.tol_res"),
-        "path_points": _expect_int(mp_raw.get("path_points", 21),
-                                   "mountain_pass.path_points"),
-        "max_iters": _expect_int(mp_raw.get("max_iters", 600),
-                                 "mountain_pass.max_iters"),
-    }
-
-    thr_raw = _expect_map(raw.get("thresholds", {}), "thresholds")
-    thresholds = {
-        "restarts": _expect_int(thr_raw.get("restarts", 16), "thresholds.restarts"),
-        "max_iters": _expect_int(thr_raw.get("max_iters", 400),
-                                 "thresholds.max_iters"),
-    }
-
-    asy_raw = _expect_map(raw.get("asymptotics", {}), "asymptotics")
-    r_list = asy_raw.get("r_list", [1.0, 2.0])
-    if not isinstance(r_list, list) or not r_list:
-        raise ConfigurationError("config key 'asymptotics.r_list': expected a list")
-    asymptotics = {
-        "eta": _expect_number(asy_raw.get("eta", 0.1), "asymptotics.eta"),
-        "r_list": [_expect_number(r, "asymptotics.r_list") for r in r_list],
-    }
-
-    layer_raw = _expect_map(raw.get("layer", {}), "layer")
-    layer = {
-        "xi_max": _expect_number(layer_raw.get("xi_max", 40.0), "layer.xi_max"),
-        "points": _expect_int(layer_raw.get("points", 401), "layer.points"),
-        "compare_eps": (
-            None if layer_raw.get("compare_eps") is None
-            else _expect_number(layer_raw["compare_eps"], "layer.compare_eps")
-        ),
-    }
-
-    eps_list = raw.get("eps_list", [])
-    if not isinstance(eps_list, list):
-        raise ConfigurationError("config key 'eps_list': expected a list")
-    eps_list = [_expect_number(e, "eps_list") for e in eps_list]
-
+    sections = {name: _resolve_section(raw, name) for name in _SECTIONS
+                if name != "exponents"}
     resolved = {
         "exponents": exponents,
-        "epsilon": _expect_number(raw.get("epsilon", 1e-3), "epsilon"),
-        "eps_list": eps_list,
+        **_apply_schema(raw, _SCALARS, ""),
         "domain": domain_res,
         "resolution": resolution,
         "coefficients": coefficients,
-        "solver": solver,
-        "mountain_pass": mountain_pass,
-        "thresholds": thresholds,
-        "asymptotics": asymptotics,
-        "layer": layer,
+        **sections,
     }
     # Fail fast on orderings and bound signs before any compute.
     _make_problem(resolved)
@@ -264,39 +235,27 @@ def resolve_config(raw: dict) -> dict:
 
 
 def _make_problem(resolved: dict) -> ProblemSpec:
-    exp = resolved["exponents"]
+    domain, coeffs = resolved["domain"], resolved["coefficients"]
     try:
-        exponents = Exponents(exp["p"], exp["q"], exp["gamma"])
-        mesh = build_mesh(resolved["domain"], resolved["resolution"])
-        domain = resolved["domain"]
-        a = _build_coefficient(resolved["coefficients"]["a"], domain, "a")
-        b = _build_coefficient(resolved["coefficients"]["b"], domain, "b")
+        exponents = Exponents(**resolved["exponents"])
+        mesh = build_mesh(domain, resolved["resolution"])
+        a, b = (_build_coefficient(coeffs[label], domain, label) for label in "ab")
         problem = ProblemSpec(mesh, exponents, resolved["epsilon"], a, b)
         # Resolved bounds become part of the provenance record.
-        resolved["coefficients"]["a"]["lower"] = a.lower
-        resolved["coefficients"]["a"]["upper"] = a.upper
-        resolved["coefficients"]["b"]["lower"] = b.lower
-        resolved["coefficients"]["b"]["upper"] = b.upper
+        for coeff in (a, b):
+            coeffs[coeff.name].update(lower=coeff.lower, upper=coeff.upper)
         return problem
     except (InputError, ContractViolation) as exc:
         raise ConfigurationError(str(exc)) from exc
 
 
-def _write_resolved(resolved: dict, out_dir: Path) -> None:
-    dump_json(resolved, out_dir / "resolved_config.json")
-
-
 # -- subcommands --------------------------------------------------------------
 
 
-def _cmd_solve(resolved: dict, out_dir: Path) -> int:
+def _cmd_solve(resolved: dict, out_dir: Path, svg: bool, threads: int) -> int:
     problem = _make_problem(resolved)
-    _write_resolved(resolved, out_dir)
-    opts = resolved["solver"]
-    report = solve_ground_state(
-        problem, tol_res=opts["tol_res"], max_iters=opts["max_iters"],
-        seed=opts["seed"], random_restarts=opts["random_restarts"],
-    )
+    dump_json(resolved, out_dir / "resolved_config.json")
+    report = solve_ground_state(problem, **resolved["solver"])
     doc = {"epsilon": problem.epsilon, "report": report.to_json_dict()}
     dump_json(doc, out_dir / "ground_state.json")
     report.trace_to_csv(out_dir / "trace.csv")
@@ -310,25 +269,17 @@ def _cmd_solve(resolved: dict, out_dir: Path) -> int:
     return 0
 
 
-def _cmd_second(resolved: dict, out_dir: Path) -> int:
+def _cmd_second(resolved: dict, out_dir: Path, svg: bool, threads: int) -> int:
     problem = _make_problem(resolved)
-    _write_resolved(resolved, out_dir)
-    opts = resolved["solver"]
-    ground = solve_ground_state(
-        problem, tol_res=opts["tol_res"], max_iters=opts["max_iters"],
-        seed=opts["seed"], random_restarts=opts["random_restarts"],
-    )
+    dump_json(resolved, out_dir / "resolved_config.json")
+    ground = solve_ground_state(problem, **resolved["solver"])
     dump_json({"epsilon": problem.epsilon, "report": ground.to_json_dict()},
               out_dir / "ground_state.json")
     if not ground.converged:
         print("ground state did not converge; no mountain pass attempted",
               file=sys.stderr)
         return 3
-    mp_opts = resolved["mountain_pass"]
-    second = solve_mountain_pass(
-        problem, ground, tol_res=mp_opts["tol_res"],
-        path_points=mp_opts["path_points"], max_iters=mp_opts["max_iters"],
-    )
+    second = solve_mountain_pass(problem, ground, **resolved["mountain_pass"])
     dump_json({"epsilon": problem.epsilon, "report": second.to_json_dict()},
               out_dir / "second_solution.json")
     if not second.converged:
@@ -340,14 +291,11 @@ def _cmd_second(resolved: dict, out_dir: Path) -> int:
     return 0
 
 
-def _cmd_thresholds(resolved: dict, out_dir: Path) -> int:
+def _cmd_thresholds(resolved: dict, out_dir: Path, svg: bool, threads: int) -> int:
     problem = _make_problem(resolved)
-    _write_resolved(resolved, out_dir)
-    opts = resolved["thresholds"]
-    estimate = estimate_thresholds(
-        problem, restarts=opts["restarts"], max_iters=opts["max_iters"],
-        seed=resolved["solver"]["seed"],
-    )
+    dump_json(resolved, out_dir / "resolved_config.json")
+    estimate = estimate_thresholds(problem, **resolved["thresholds"],
+                                   seed=resolved["solver"]["seed"])
     dump_json(estimate.to_json_dict(), out_dir / "thresholds.json")
     print(f"thresholds: critical {estimate.eps_critical:.12g}, "
           f"two-solutions {estimate.eps_two_solutions:.12g}")
@@ -359,22 +307,18 @@ def _cmd_sweep(resolved: dict, out_dir: Path, svg: bool, threads: int) -> int:
     if not resolved["eps_list"]:
         raise ConfigurationError("config key 'eps_list': sweep needs a "
                                  "non-empty decreasing list")
-    _write_resolved(resolved, out_dir)
-    asy = resolved["asymptotics"]
+    dump_json(resolved, out_dir / "resolved_config.json")
     report = epsilon_sweep(
-        problem, resolved["eps_list"], eta=asy["eta"], r_list=asy["r_list"],
-        solver_options=dict(resolved["solver"]), threads=threads,
+        problem, resolved["eps_list"], **resolved["asymptotics"],
+        solver_options=resolved["solver"], threads=threads,
     )
     report.to_csv(out_dir / "sweep.csv")
     dump_json(report.to_json_dict(), out_dir / "sweep.json")
     if svg:
-        series = []
         eps = report.column("eps")
-        for name in ("energy_gap", "measure_bad_eta", "linf_interior_err"):
-            series.append((name, eps, report.column(name)))
-        for r, _ in report.rows[0].lr_errors:
-            name = f"l{r:g}_err"
-            series.append((name, eps, report.column(name)))
+        names = ["energy_gap", "measure_bad_eta", "linf_interior_err"]
+        names += [f"l{r:g}_err" for r, _ in report.rows[0].lr_errors]
+        series = [(name, eps, report.column(name)) for name in names]
         _svg_line_chart(series, out_dir / "sweep.svg",
                         title="convergence to the flat limit",
                         x_label="eps", y_label="metric",
@@ -389,7 +333,7 @@ def _cmd_sweep(resolved: dict, out_dir: Path, svg: bool, threads: int) -> int:
     return 0
 
 
-def _cmd_layer(resolved: dict, out_dir: Path, svg: bool) -> int:
+def _cmd_layer(resolved: dict, out_dir: Path, svg: bool, threads: int) -> int:
     problem = _make_problem(resolved)
     exp = problem.exponents
     if exp.p != 2.0:
@@ -400,23 +344,18 @@ def _cmd_layer(resolved: dict, out_dir: Path, svg: bool) -> int:
         raise ConfigurationError(
             "config key 'domain': the layer comparison needs a 1D domain"
         )
-    _write_resolved(resolved, out_dir)
-    lay = resolved["layer"]
-    profile = layer_profile_1d(exp.q, exp.gamma, xi_max=lay["xi_max"],
-                               points=lay["points"])
+    dump_json(resolved, out_dir / "resolved_config.json")
+    lay = dict(resolved["layer"])
+    compare_eps = lay.pop("compare_eps")
+    profile = layer_profile_1d(exp.q, exp.gamma, **lay)
     profile.to_csv(out_dir / "layer_profile.csv")
 
-    doc = {"q": exp.q, "gamma": exp.gamma, "xi_max": lay["xi_max"],
-           "points": lay["points"], "tail_gap": 1.0 - float(profile.values[-1])}
+    doc = {"q": exp.q, "gamma": exp.gamma, **lay,
+           "tail_gap": 1.0 - float(profile.values[-1])}
     status = 0
-    compare_eps = lay["compare_eps"]
     if compare_eps is not None:
-        opts = resolved["solver"]
-        sub = problem.with_epsilon(compare_eps)
-        ground = solve_ground_state(
-            sub, tol_res=opts["tol_res"], max_iters=opts["max_iters"],
-            seed=opts["seed"], random_restarts=opts["random_restarts"],
-        )
+        ground = solve_ground_state(problem.with_epsilon(compare_eps),
+                                    **resolved["solver"])
         composite = composite_approx_1d(compare_eps, problem.mesh, profile)
         sup_diff = float(np.max(np.abs(ground.field.values - composite.values)))
         doc["comparison"] = {
@@ -439,6 +378,15 @@ def _cmd_layer(resolved: dict, out_dir: Path, svg: bool) -> int:
     else:
         print(f"layer profile written; tail gap {doc['tail_gap']:.3g}")
     return status
+
+
+_COMMANDS = {
+    "solve": _cmd_solve,
+    "second": _cmd_second,
+    "thresholds": _cmd_thresholds,
+    "sweep": _cmd_sweep,
+    "layer": _cmd_layer,
+}
 
 
 # -- invariant check suite -----------------------------------------------------
@@ -726,19 +674,11 @@ def run(subcommand: str, config: dict, out_dir=None, svg: bool = False,
         resolved = resolve_config(config)
         if out_dir is None:
             raise ConfigurationError("an output directory is required")
+        if subcommand not in _COMMANDS:
+            raise ConfigurationError(f"unknown subcommand {subcommand!r}")
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        if subcommand == "solve":
-            return _cmd_solve(resolved, out)
-        if subcommand == "second":
-            return _cmd_second(resolved, out)
-        if subcommand == "thresholds":
-            return _cmd_thresholds(resolved, out)
-        if subcommand == "sweep":
-            return _cmd_sweep(resolved, out, svg, threads)
-        if subcommand == "layer":
-            return _cmd_layer(resolved, out, svg)
-        raise ConfigurationError(f"unknown subcommand {subcommand!r}")
+        return _COMMANDS[subcommand](resolved, out, svg, threads)
     except (ConfigurationError, InputError, HypothesisViolation) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -755,11 +695,9 @@ def main(argv=None) -> int:
                     "small-eps sweeps, and boundary layers.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, needs_config in (("solve", True), ("second", True),
-                               ("thresholds", True), ("sweep", True),
-                               ("layer", True), ("check", False)):
+    for name in (*_COMMANDS, "check"):
         sp = sub.add_parser(name)
-        sp.add_argument("--config", required=needs_config,
+        sp.add_argument("--config", required=name != "check",
                         help="path to the JSON experiment config")
         sp.add_argument("--out", default=None,
                         help="directory for artifacts")
@@ -783,7 +721,9 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
     if args.seed is not None:
-        config.setdefault("solver", {})["seed"] = args.seed
+        solver = config.setdefault("solver", {})
+        if isinstance(solver, dict):  # anything else is reported by resolve_config
+            solver["seed"] = args.seed
     if args.threads < 1:
         print("configuration error: --threads must be at least 1",
               file=sys.stderr)

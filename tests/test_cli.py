@@ -79,11 +79,78 @@ def test_resolve_2d_domain_default_resolution():
         ({"exponents": {"p": 3.0, "q": 2.0}}, "1 < p < q < gamma"),
         ({"coefficients": {"b": {"kind": "constant", "value": 0.0}}},
          "positive lower bound"),
+        ({"solver": {"max_iter": 5}}, "'solver.max_iter': unknown key"),
+        ({"layer": {"compare": 1e-4}}, "'layer.compare': unknown key"),
+        ({"exponents": {"P": 3}}, "'exponents.P': unknown key"),
+        ({"coefficients": {"a": {"kind": ["x"]}}}, "unknown kind"),
     ],
 )
 def test_resolve_rejects_bad_config(raw, fragment):
     with pytest.raises(ConfigurationError, match=fragment):
         resolve_config(raw)
+
+
+def _assert_same_typed(got, want, path="<root>"):
+    assert type(got) is type(want), (path, got, want)
+    if isinstance(want, dict):
+        assert set(got) == set(want), (path, sorted(got), sorted(want))
+        for key in want:
+            _assert_same_typed(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), (path, got, want)
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same_typed(g, w, f"{path}[{i}]")
+    else:
+        assert got == want, (path, got, want)
+
+
+def test_resolve_round_trips_every_documented_key():
+    # Every key of the README's config reference, each set away from its
+    # default; numbers are given as JSON integers where the key takes a
+    # number, so the resolved value must come back as a float.
+    raw = {
+        "exponents": {"p": 3, "q": 4.5, "gamma": 6},
+        "epsilon": 2e-3,
+        "eps_list": [1e-2, 1],
+        "domain": [0, 2],
+        "resolution": 51,
+        "coefficients": {
+            "a": {"kind": "affine", "offset": 2, "slopes": [0.25]},
+            "b": {"kind": "sinusoidal-bump", "base": 1, "amplitude": 0.5,
+                  "lower": 0.5, "upper": 2},
+        },
+        "solver": {"tol_res": 1e-9, "max_iters": 123, "random_restarts": 2,
+                   "seed": 7},
+        "mountain_pass": {"tol_res": 1e-7, "path_points": 11, "max_iters": 99},
+        "thresholds": {"restarts": 3, "max_iters": 77},
+        "asymptotics": {"eta": 0.25, "r_list": [1, 3]},
+        "layer": {"xi_max": 30, "points": 201, "compare_eps": 1e-4},
+    }
+    want = {
+        "exponents": {"p": 3.0, "q": 4.5, "gamma": 6.0},
+        "epsilon": 2e-3,
+        "eps_list": [1e-2, 1.0],
+        "domain": [0.0, 2.0],
+        "resolution": 51,
+        "coefficients": {
+            "a": {"kind": "affine", "offset": 2.0, "slopes": [0.25],
+                  "lower": 2.0, "upper": 2.5},
+            "b": {"kind": "sinusoidal-bump", "base": 1.0, "amplitude": 0.5,
+                  "lower": 0.5, "upper": 2.0},
+        },
+        "solver": {"tol_res": 1e-9, "max_iters": 123, "random_restarts": 2,
+                   "seed": 7},
+        "mountain_pass": {"tol_res": 1e-7, "path_points": 11, "max_iters": 99},
+        "thresholds": {"restarts": 3, "max_iters": 77},
+        "asymptotics": {"eta": 0.25, "r_list": [1.0, 3.0]},
+        "layer": {"xi_max": 30.0, "points": 201, "compare_eps": 1e-4},
+    }
+    _assert_same_typed(resolve_config(raw), want)
+    constant = resolve_config(
+        {"coefficients": {"a": {"kind": "constant", "value": 3}}})
+    _assert_same_typed(constant["coefficients"]["a"],
+                       {"kind": "constant", "value": 3.0, "lower": 3.0,
+                        "upper": 3.0})
 
 
 def test_load_config_reports_line_and_column(tmp_path):
@@ -261,6 +328,21 @@ def test_layer_rejects_2d_domain(tmp_path, capsys):
     assert "1D" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("subcommand", "overrides"),
+    [
+        ("sweep", {}),
+        ("layer", {"exponents": {"p": 1.5, "q": 3.0, "gamma": 4.0}}),
+        ("layer", {"domain": [[0.0, 1.0], [0.0, 1.0]], "resolution": [9, 9]}),
+    ],
+)
+def test_subcommand_check_failure_writes_no_resolved_config(
+        tmp_path, subcommand, overrides):
+    out = tmp_path / "run"
+    assert run(subcommand, model_config(**overrides), out_dir=out) == 2
+    assert not (out / "resolved_config.json").exists()
+
+
 # -- check --------------------------------------------------------------------
 
 
@@ -304,6 +386,37 @@ def test_main_seed_flag_overrides_config(tmp_path):
                  "--seed", "42"]) == 0
     resolved = json.loads((out / "resolved_config.json").read_text())
     assert resolved["solver"]["seed"] == 42
+
+
+@pytest.mark.parametrize(
+    ("solver", "flags", "key"),
+    [
+        ({"seed": -1}, [], "solver.seed"),
+        ({"max_iters": -3}, [], "solver.max_iters"),
+        ({}, ["--seed", "-1"], "solver.seed"),
+    ],
+)
+def test_negative_integers_are_config_errors(tmp_path, capsys, solver, flags,
+                                             key):
+    message = f"config key '{key}': expected an integer >= 0"
+    cfg = model_config()
+    cfg["solver"] = dict(cfg["solver"], **solver)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["solve", "--config", str(path), "--out",
+                 str(tmp_path / "main"), *flags]) == 2
+    assert message in capsys.readouterr().err
+    if not flags:
+        assert run("solve", cfg, out_dir=tmp_path / "run") == 2
+        assert message in capsys.readouterr().err
+
+
+def test_main_seed_flag_with_non_object_solver(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(model_config(solver=[1])))
+    assert main(["solve", "--config", str(path), "--out",
+                 str(tmp_path / "run"), "--seed", "3"]) == 2
+    assert "config key 'solver': expected an object" in capsys.readouterr().err
 
 
 def test_main_missing_config_file(tmp_path, capsys):
