@@ -561,8 +561,13 @@ def layer_profile_1d(q: float, gamma: float, xi_max: float = 40.0,
     for _ in range(80):
         mid = 0.5 * (lo + hi_arr)
         too_small = _xi_of_logdepth(pot, mid) < targets
-        lo = np.where(too_small, mid, lo)
-        hi_arr = np.where(too_small, hi_arr, mid)
+        new_lo = np.where(too_small, mid, lo)
+        new_hi = np.where(too_small, hi_arr, mid)
+        # Brackets that all stayed put sit on adjacent doubles: every later
+        # sweep would repeat this one.
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi_arr):
+            break
+        lo, hi_arr = new_lo, new_hi
     s_sol = 0.5 * (lo + hi_arr)
     u = -np.expm1(-s_sol)
     u = np.minimum(u, np.nextafter(1.0, 0.0))

@@ -61,12 +61,19 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
-def _integer(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"config key '{path}': expected an integer")
-    if value < 0:
-        raise ConfigurationError(f"config key '{path}': expected an integer >= 0")
-    return value
+def _integer_from(low: int):
+    """Checker for integers >= low."""
+    def check(value, path: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigurationError(f"config key '{path}': expected an integer")
+        if value < low:
+            raise ConfigurationError(
+                f"config key '{path}': expected an integer >= {low}")
+        return value
+    return check
+
+
+_integer = _integer_from(0)
 
 
 def _numbers(value, path: str) -> list[float]:
@@ -85,6 +92,15 @@ def _number_or_null(value, path: str) -> float | None:
     return None if value is None else _number(value, path)
 
 
+def _decreasing_positive_numbers(value, path: str) -> list[float]:
+    values = _numbers(value, path)
+    if not all(v > 0.0 for v in values) or any(
+            not b < a for a, b in zip(values, values[1:])):
+        raise ConfigurationError(
+            f"config key '{path}': expected positive, strictly decreasing numbers")
+    return values
+
+
 # Each section maps key -> (checker, default).  Subcommands pass a resolved
 # section to the solvers as keyword arguments, so keys are parameter names.
 _SECTIONS = {
@@ -92,15 +108,18 @@ _SECTIONS = {
                   "gamma": (_number, 4.0)},
     "solver": {"tol_res": (_number, 1e-8), "max_iters": (_integer, 50_000),
                "random_restarts": (_integer, 4), "seed": (_integer, 0)},
-    "mountain_pass": {"tol_res": (_number, 1e-8), "path_points": (_integer, 21),
+    "mountain_pass": {"tol_res": (_number, 1e-8),
+                      "path_points": (_integer_from(3), 21),
                       "max_iters": (_integer, 600)},
-    "thresholds": {"restarts": (_integer, 16), "max_iters": (_integer, 400)},
+    "thresholds": {"restarts": (_integer_from(1), 16),
+                   "max_iters": (_integer, 400)},
     "asymptotics": {"eta": (_number, 0.1),
                     "r_list": (_nonempty_numbers, [1.0, 2.0])},
-    "layer": {"xi_max": (_number, 40.0), "points": (_integer, 401),
+    "layer": {"xi_max": (_number, 40.0), "points": (_integer_from(2), 401),
               "compare_eps": (_number_or_null, None)},
 }
-_SCALARS = {"epsilon": (_number, 1e-3), "eps_list": (_numbers, [])}
+_SCALARS = {"epsilon": (_number, 1e-3),
+            "eps_list": (_decreasing_positive_numbers, [])}
 
 # Coefficient kind -> (parameter schema, builder(*parameters, domain, name)).
 _COEFF_KINDS = {

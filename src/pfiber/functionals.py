@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, DomainError, InputError
-from .problem import _BOUNDARY_TOL, DiscreteField, ProblemSpec
+from .problem import _BOUNDARY_TOL, DiscreteField, ProblemSpec, squared_norms
 
 __all__ = [
     "EnergyComponents",
@@ -84,7 +84,7 @@ def energy_components(u: DiscreteField, spec: ProblemSpec,
     mesh = u.mesh
     ex = spec.exponents
     grads = mesh.gradients(u.values)
-    gnorm = np.sqrt(np.einsum("ed,ed->e", grads, grads))
+    gnorm = np.sqrt(squared_norms(grads))
     dirichlet = float(np.dot(mesh.el_measures, gnorm**ex.p))
     vals = np.abs(mesh.values_at_qp(u.values))
     gain = mesh.integrate(spec.a_qp * vals**ex.q)
@@ -100,7 +100,7 @@ def phi(u: DiscreteField, spec: ProblemSpec, delta_reg: float = 0.0) -> float:
     if delta_reg > 0.0:
         mesh = u.mesh
         grads = mesh.gradients(u.values)
-        norm_sq = np.einsum("ed,ed->e", grads, grads)
+        norm_sq = squared_norms(grads)
         dirichlet = float(np.dot(mesh.el_measures,
                                  (norm_sq + delta_reg**2) ** (ex.p / 2.0)))
     return (spec.epsilon / ex.p) * dirichlet - comps.gain / ex.q + comps.loss / ex.gamma
@@ -112,7 +112,7 @@ def phi_plus(u: DiscreteField, spec: ProblemSpec) -> float:
     mesh = u.mesh
     ex = spec.exponents
     grads = mesh.gradients(u.values)
-    gnorm = np.sqrt(np.einsum("ed,ed->e", grads, grads))
+    gnorm = np.sqrt(squared_norms(grads))
     dirichlet = float(np.dot(mesh.el_measures, gnorm**ex.p))
     plus = np.maximum(mesh.values_at_qp(np.maximum(u.values, 0.0)), 0.0)
     gain = mesh.integrate(spec.a_qp * plus**ex.q)
@@ -136,7 +136,7 @@ def derivative_forms(u: DiscreteField, spec: ProblemSpec,
     ex = spec.exponents
     delta = _resolve_delta(spec, delta_reg)
     grads = mesh.gradients(u.values)
-    factor = _gradient_factor(np.einsum("ed,ed->e", grads, grads), ex.p, delta)
+    factor = _gradient_factor(squared_norms(grads), ex.p, delta)
     flux_form = mesh.assemble_flux_term(factor[:, None] * grads)
     vals = mesh.values_at_qp(u.values)
     absvals = np.abs(vals)
@@ -161,7 +161,7 @@ def weak_residual_plus(u: DiscreteField, spec: ProblemSpec, delta_reg=None) -> D
     ex = spec.exponents
     delta = _resolve_delta(spec, delta_reg)
     grads = mesh.gradients(u.values)
-    factor = _gradient_factor(np.einsum("ed,ed->e", grads, grads), ex.p, delta)
+    factor = _gradient_factor(squared_norms(grads), ex.p, delta)
     flux_form = mesh.assemble_flux_term(factor[:, None] * grads)
     plus = np.maximum(mesh.values_at_qp(np.maximum(u.values, 0.0)), 0.0)
     gain_form = mesh.assemble_point_term(spec.a_qp * plus ** (ex.q - 1.0))

@@ -40,6 +40,7 @@ __all__ = [
     "DiscreteField",
     "make_field",
     "lr_norm",
+    "squared_norms",
     "inject_to_refined",
     "ProblemSpec",
     "mesh_from_json_dict",
@@ -290,21 +291,26 @@ class Mesh:
 
     def assemble_point_term(self, qp_density: np.ndarray) -> np.ndarray:
         """Nodal vector with entries sum_qp w * density * basis_i."""
-        contrib = np.einsum("eq,qv->ev", self.qp_weights * qp_density, self.basis_at_qp)
+        contrib = _vertex_sums(self.qp_weights * qp_density, self.basis_at_qp.T)
         return self.scatter_operator @ contrib.ravel()
 
     def assemble_flux_term(self, el_flux: np.ndarray) -> np.ndarray:
         """Nodal vector with entries sum_el measure * flux . grad basis_i."""
-        contrib = self.el_measures[:, None] * np.einsum(
-            "ed,evd->ev", el_flux, self.grad_basis
-        )
+        contrib = _vertex_sums(el_flux, self._grad_basis_by_vertex)
+        contrib *= self.el_measures[:, None]
         return self.scatter_operator @ contrib.ravel()
 
     # The operators keep each row's entries in element-vertex order, and the
     # scatter visits elements in the order np.bincount does; nothing asks
     # scipy to sort them.  Each product then adds the same terms in the same
     # order as the einsum gather and bincount scatter they replace, so the
-    # kernels above return the same bits.
+    # kernels above return the same bits.  So do the per-element sums of
+    # _vertex_sums and squared_norms, which add their terms in einsum's order.
+
+    @cached_property
+    def _grad_basis_by_vertex(self) -> np.ndarray:
+        """grad_basis as a C-contiguous (dim + 1, dim, n_elements) array."""
+        return np.ascontiguousarray(self.grad_basis.transpose(1, 2, 0))
 
     @cached_property
     def qp_operator(self) -> sp.csr_matrix:
@@ -383,6 +389,31 @@ def _rows_operator(data: np.ndarray, cols: np.ndarray, n_cols: int) -> sp.csr_ma
     indptr = np.arange(0, values.size + 1, k)
     return sp.csr_matrix((values, np.ascontiguousarray(cols).reshape(-1), indptr),
                          shape=(values.size // k, n_cols))
+
+
+def _vertex_sums(terms: np.ndarray, coeffs) -> np.ndarray:
+    """(n, len(coeffs)) array with [e, v] = sum_k terms[e, k] * coeffs[v][k].
+
+    ``coeffs[v][k]`` is a scalar or a length-n array.  The sum runs over
+    increasing k, one whole column at a time, the order in which einsum adds
+    the same products; unlike a BLAS product it fuses no multiply-add, so the
+    bits match einsum's.
+    """
+    out = np.empty((terms.shape[0], len(coeffs)))
+    for v, row in enumerate(coeffs):
+        acc = terms[:, 0] * row[0]
+        for k in range(1, terms.shape[1]):
+            acc += terms[:, k] * row[k]
+        out[:, v] = acc
+    return out
+
+
+def squared_norms(vectors: np.ndarray) -> np.ndarray:
+    """Row-wise |v|^2 of an (n, dim) array, bit for bit einsum("ed,ed->e")."""
+    out = vectors[:, 0] * vectors[:, 0]
+    for d in range(1, vectors.shape[1]):
+        out += vectors[:, d] * vectors[:, d]
+    return out
 
 
 def build_mesh(domain, resolution) -> Mesh:

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DomainError, InputError
 from .functionals import EnergyComponents, derivative_forms, energy_components
 from .linalg import InteriorSolver
-from .problem import DiscreteField, Exponents, ProblemSpec
+from .problem import DiscreteField, Exponents, ProblemSpec, squared_norms
 
 __all__ = [
     "ExtremalConstants",
@@ -209,26 +209,36 @@ class ThresholdEstimate:
         return out
 
 
-def _log_quotient_and_gradient(u: DiscreteField, spec: ProblemSpec):
+def _log_quotient(u: DiscreteField, spec: ProblemSpec):
+    """(log of the scale-invariant quotient, components), or (None, None)."""
     comps = energy_components(u, spec, check_boundary=False)
     if comps.dirichlet <= 0.0 or comps.gain <= 0.0 or comps.loss <= 0.0:
         return None, None
-    ex = spec.exponents
-    e_gain = (ex.gamma - ex.p) / (ex.gamma - ex.q)
-    e_loss = (ex.q - ex.p) / (ex.gamma - ex.q)
+    e_gain, e_loss = _log_exponents(spec.exponents)
     value = e_gain * np.log(comps.gain) - np.log(comps.dirichlet) - e_loss * np.log(comps.loss)
+    return value, comps
+
+
+def _log_quotient_gradient(u: DiscreteField, comps: EnergyComponents,
+                           spec: ProblemSpec) -> np.ndarray:
+    """Nodal gradient of the log-quotient at u, whose components are ``comps``."""
+    ex = spec.exponents
+    e_gain, e_loss = _log_exponents(ex)
     flux_form, gain_form, loss_form = derivative_forms(u, spec)
-    grad = (
+    return (
         e_gain * (ex.q / comps.gain) * gain_form
         - (ex.p / comps.dirichlet) * flux_form
         - e_loss * (ex.gamma / comps.loss) * loss_form
     )
-    return value, grad
+
+
+def _log_exponents(ex: Exponents) -> tuple[float, float]:
+    return (ex.gamma - ex.p) / (ex.gamma - ex.q), (ex.q - ex.p) / (ex.gamma - ex.q)
 
 
 def _normalize(values: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     grads = spec.mesh.gradients(values)
-    gnorm = np.sqrt(np.einsum("ed,ed->e", grads, grads))
+    gnorm = np.sqrt(squared_norms(grads))
     t = float(np.dot(spec.mesh.el_measures, gnorm**spec.exponents.p))
     if t <= 0.0:
         return values
@@ -237,15 +247,20 @@ def _normalize(values: np.ndarray, spec: ProblemSpec) -> np.ndarray:
 
 def _ascend_log_quotient(start: np.ndarray, spec: ProblemSpec, solver: InteriorSolver,
                          max_iters: int):
-    """Armijo-backtracked preconditioned ascent; returns (best_value, best_field, iters)."""
+    """Armijo-backtracked preconditioned ascent; returns (best_value, best_field, iters).
+
+    A trial point costs one quotient evaluation; only the start and accepted
+    points go on to assemble the weak forms of their gradient.
+    """
     mesh = spec.mesh
     u = start.copy()
     u[mesh.boundary_nodes] = 0.0
     u = _normalize(np.abs(u), spec)
     field = DiscreteField(mesh, u)
-    value, grad = _log_quotient_and_gradient(field, spec)
+    value, comps = _log_quotient(field, spec)
     if value is None:
         return None, None, 0
+    grad = _log_quotient_gradient(field, comps, spec)
     step = 1.0
     stalls = 0
     iters = 0
@@ -263,15 +278,16 @@ def _ascend_log_quotient(start: np.ndarray, spec: ProblemSpec, solver: InteriorS
             cand = np.abs(u + t * direction)
             cand[mesh.boundary_nodes] = 0.0
             cand_field = DiscreteField(mesh, _normalize(cand, spec))
-            cand_value, cand_grad = _log_quotient_and_gradient(cand_field, spec)
+            cand_value, cand_comps = _log_quotient(cand_field, spec)
             if cand_value is not None and cand_value >= value + 1e-4 * t * slope:
                 improved = True
                 break
             t *= 0.5
         if not improved:
             break
+        grad = _log_quotient_gradient(cand_field, cand_comps, spec)
         gain = cand_value - value
-        u, value, grad = cand_field.values.copy(), cand_value, cand_grad
+        u, value = cand_field.values.copy(), cand_value
         step = min(t * 2.0, 1e6)
         if gain <= 1e-13 * (1.0 + abs(value)):
             stalls += 1

@@ -33,7 +33,7 @@ from .functionals import (
     _phi_plus_block,
 )
 from .linalg import InteriorSolver
-from .problem import DiscreteField, Exponents, Mesh, ProblemSpec
+from .problem import DiscreteField, Exponents, Mesh, ProblemSpec, squared_norms
 from .rayleigh import fiber_scalings
 
 __all__ = [
@@ -51,6 +51,11 @@ __all__ = [
 ARMIJO_SLOPE = 1e-4
 ARMIJO_FACTOR = 0.5
 _MAX_BACKTRACKS = 60
+# Accepted descent steps in a row that leave the energy unchanged before the
+# descent gives up: at the rounding floor the Armijo test passes with no
+# progress.  Of the descents in the test suite and the benchmark workloads,
+# those that converge take at most 4 such steps in a row.
+_FLAT_STEPS = 10
 
 
 @dataclass(frozen=True)
@@ -118,6 +123,8 @@ def _descend(start: np.ndarray, spec: ProblemSpec, pre: InteriorSolver,
     The trial step is the spectral (Barzilai-Borwein) secant estimate in the
     preconditioner metric, (s.y)/(y.P^-1 y); backtracking keeps every accepted
     step monotone.  P^-1 y falls out of the direction solves already done.
+    The descent stops unconverged after _FLAT_STEPS accepted steps in a row
+    without a strict energy decrease.
     """
     mesh = spec.mesh
     u = _zero_boundary(start, mesh)
@@ -126,6 +133,7 @@ def _descend(start: np.ndarray, spec: ProblemSpec, pre: InteriorSolver,
     trace = []
     converged = False
     iterations = 0
+    flat_steps = 0
     prev_u = prev_residual = prev_pre_grad = None
     for iterations in range(max_iters + 1):
         residual = weak_residual(DiscreteField(mesh, u), spec, delta_reg).values
@@ -134,7 +142,7 @@ def _descend(start: np.ndarray, spec: ProblemSpec, pre: InteriorSolver,
         if res_norm <= tol_res * (1.0 + abs(energy)):
             converged = True
             break
-        if iterations == max_iters:
+        if iterations == max_iters or flat_steps >= _FLAT_STEPS:
             break
         pre_grad = pre.apply(residual)
         direction = -pre_grad
@@ -163,6 +171,7 @@ def _descend(start: np.ndarray, spec: ProblemSpec, pre: InteriorSolver,
             t *= ARMIJO_FACTOR
         if not accepted:
             break
+        flat_steps = flat_steps + 1 if cand_energy >= energy else 0
         u, energy = cand, cand_energy
         step = min(2.0 * t, 1e8)
     return {"values": u, "energy": energy, "converged": converged,
@@ -551,7 +560,7 @@ def embedding_constant(mesh: Mesh, p: float, r: float, restarts: int = 4,
             absvals = np.abs(vals)
             lr_int = mesh.integrate(absvals**r)
             grads = mesh.gradients(u)
-            gnorm_sq = np.einsum("ed,ed->e", grads, grads)
+            gnorm_sq = squared_norms(grads)
             grad_int = float(np.dot(mesh.el_measures, gnorm_sq ** (p / 2.0)))
             if lr_int <= 0.0 or grad_int <= 0.0:
                 break
@@ -574,7 +583,7 @@ def embedding_constant(mesh: Mesh, p: float, r: float, restarts: int = 4,
                 cvals = np.abs(mesh.values_at_qp(cand))
                 clr = mesh.integrate(cvals**r)
                 cgr = mesh.gradients(cand)
-                cgn = np.einsum("ed,ed->e", cgr, cgr)
+                cgn = squared_norms(cgr)
                 ct = float(np.dot(mesh.el_measures, cgn ** (p / 2.0)))
                 if clr > 0.0 and ct > 0.0:
                     cand_val = np.log(clr) / r - np.log(ct) / p

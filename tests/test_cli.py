@@ -111,7 +111,7 @@ def test_resolve_round_trips_every_documented_key():
     raw = {
         "exponents": {"p": 3, "q": 4.5, "gamma": 6},
         "epsilon": 2e-3,
-        "eps_list": [1e-2, 1],
+        "eps_list": [1, 1e-2],
         "domain": [0, 2],
         "resolution": 51,
         "coefficients": {
@@ -129,7 +129,7 @@ def test_resolve_round_trips_every_documented_key():
     want = {
         "exponents": {"p": 3.0, "q": 4.5, "gamma": 6.0},
         "epsilon": 2e-3,
-        "eps_list": [1e-2, 1.0],
+        "eps_list": [1.0, 1e-2],
         "domain": [0.0, 2.0],
         "resolution": 51,
         "coefficients": {
@@ -409,6 +409,37 @@ def test_negative_integers_are_config_errors(tmp_path, capsys, solver, flags,
     if not flags:
         assert run("solve", cfg, out_dir=tmp_path / "run") == 2
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("subcommand", "overrides", "message"),
+    [
+        ("second", {"mountain_pass": {"path_points": 2}},
+         "'mountain_pass.path_points': expected an integer >= 3"),
+        ("layer", {"layer": {"points": 1}},
+         "'layer.points': expected an integer >= 2"),
+        ("thresholds", {"thresholds": {"restarts": 0}},
+         "'thresholds.restarts': expected an integer >= 1"),
+        ("sweep", {"eps_list": [1e-3, 1e-2]},
+         "'eps_list': expected positive, strictly decreasing numbers"),
+        ("sweep", {"eps_list": [1e-2, 1e-2]},
+         "'eps_list': expected positive, strictly decreasing numbers"),
+        ("sweep", {"eps_list": [1e-2, 0.0]},
+         "'eps_list': expected positive, strictly decreasing numbers"),
+        # Other subcommands ignore eps_list, but it is checked all the same.
+        ("solve", {"eps_list": [-1e-2]},
+         "'eps_list': expected positive, strictly decreasing numbers"),
+    ],
+    ids=["path_points", "layer_points", "restarts", "eps_rising",
+         "eps_repeated", "eps_zero", "eps_negative"],
+)
+def test_bad_counts_and_eps_lists_fail_before_any_artifact(
+        tmp_path, capsys, subcommand, overrides, message):
+    out = tmp_path / "run"
+    out.mkdir()
+    assert run(subcommand, model_config(**overrides), out_dir=out) == 2
+    assert message in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_main_seed_flag_with_non_object_solver(tmp_path, capsys):

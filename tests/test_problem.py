@@ -19,6 +19,7 @@ from pfiber.problem import (
     lr_norm,
     make_field,
     mesh_from_json_dict,
+    squared_norms,
 )
 
 ONE = constant_coefficient(1.0)
@@ -107,13 +108,15 @@ def test_interior_boundary_partition_covers_all_nodes():
 @pytest.mark.parametrize("domain, resolution", [
     ((0.0, 1.0), 57),
     (((0.0, 1.0), (0.0, 2.0)), (13, 9)),
+    # Anisotropic cells, hx = 0.5 and hy = 0.025, both triangles per cell.
+    (((-1.0, 2.0), (0.0, 0.25)), (7, 11)),
 ])
 def test_sparse_kernels_reproduce_gather_and_bincount_bits(domain, resolution):
-    """The operator-based kernels return exactly the einsum/bincount values.
+    """The mesh kernels return exactly the einsum/bincount values.
 
     Solves at tight tolerance sit at the rounding floor, so the kernels must
-    add the same terms in the same order as the element gather and the
-    bincount scatter written out here.
+    add the same terms in the same order as the element gather, the einsum
+    contractions and the bincount scatter written out here.
     """
     mesh = build_mesh(domain, resolution)
     rng = np.random.default_rng(31)
@@ -125,9 +128,11 @@ def test_sparse_kernels_reproduce_gather_and_bincount_bits(domain, resolution):
         np.testing.assert_array_equal(
             mesh.values_at_qp(nodal),
             np.einsum("ev,qv->eq", gathered, mesh.basis_at_qp))
+        grads = mesh.gradients(nodal)
         np.testing.assert_array_equal(
-            mesh.gradients(nodal),
-            np.einsum("ev,evd->ed", gathered, mesh.grad_basis))
+            grads, np.einsum("ev,evd->ed", gathered, mesh.grad_basis))
+        np.testing.assert_array_equal(
+            squared_norms(grads), np.einsum("ed,ed->e", grads, grads))
         density = rng.standard_normal(mesh.qp_weights.shape) * 10.0 ** rng.uniform(
             -6, 6, mesh.qp_weights.shape)
         contrib = np.einsum("eq,qv->ev", mesh.qp_weights * density, mesh.basis_at_qp)

@@ -1,8 +1,11 @@
 """Ray quotients, critical scalings, extremal constants, threshold estimation."""
 
+import re
+
 import numpy as np
 import pytest
 
+from pfiber import rayleigh
 from pfiber.errors import DomainError, InputError
 from pfiber.functionals import EnergyComponents
 from pfiber.problem import (
@@ -311,3 +314,37 @@ def test_threshold_estimate_serializes():
     assert len(data["maximizer"]["values"]) == 21
     slim = est.to_json_dict(include_maximizer=False)
     assert "maximizer" not in slim
+
+
+def test_ascent_assembles_weak_forms_only_at_accepted_points(monkeypatch):
+    """Trial points cost a quotient evaluation; weak forms wait for acceptance.
+
+    Each restart here is the start plus two steps, both accepted, so the
+    calls must read Q F (Q+ F) (Q+ F): one derivative_forms call (F) for the
+    start and one per accepted step, each on the point whose quotient (Q)
+    was just evaluated, and none after a rejected trial (Q Q).
+    """
+    events = []
+
+    def counting(kind, real):
+        def wrapped(u, *args, **kwargs):
+            events.append((kind, u.values.copy()))
+            return real(u, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(rayleigh, "energy_components",
+                        counting("Q", rayleigh.energy_components))
+    monkeypatch.setattr(rayleigh, "derivative_forms",
+                        counting("F", rayleigh.derivative_forms))
+    restarts, max_iters = 4, 2
+    est = estimate_thresholds(small_model_spec(), restarts=restarts,
+                              max_iters=max_iters, seed=0)
+    assert est.iterations == restarts * max_iters
+    kinds = "".join(kind for kind, _ in events)
+    assert re.fullmatch(r"(QF(Q+F){%d}){%d}" % (max_iters, restarts), kinds), kinds
+    assert kinds.count("F") == restarts * (1 + max_iters)
+    assert kinds.count("Q") > kinds.count("F")
+    for (kind, values), (prev_kind, prev_values) in zip(events[1:], events):
+        if kind == "F":
+            assert prev_kind == "Q"
+            np.testing.assert_array_equal(values, prev_values)

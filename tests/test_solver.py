@@ -78,6 +78,20 @@ def test_ray_value_at_tight_convergence(model_ground_state):
     assert comps.loss > floor * spec.epsilon * comps.dirichlet
 
 
+def test_descent_stops_when_accepted_steps_stop_lowering_the_energy(
+        model_ground_state):
+    """At the rounding floor Armijo accepts steps that leave the energy as it
+    is; such a descent must stop unconverged, not run to max_iters."""
+    spec, coarse = model_ground_state
+    report = solve_ground_state(spec, init=coarse.field, tol_res=1e-17,
+                                max_iters=3000)
+    assert not report.converged
+    assert report.iterations < 100
+    energies = np.array([row[1] for row in report.trace])
+    assert np.all(np.diff(energies) <= 0.0)
+    assert energies[-1] == energies[-2]
+
+
 def test_ground_state_dominated_by_its_quotient(model_ground_state):
     # eps <= eps_u(u) for the solution's own ray (fiber maximum dominates).
     spec, report = model_ground_state
