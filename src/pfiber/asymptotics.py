@@ -67,7 +67,7 @@ def limit_profile(spec: ProblemSpec) -> LimitProfile:
         )
     ex = spec.exponents
     root = 1.0 / (ex.gamma - ex.q)
-    values = (spec.a_nodes / spec.b_nodes) ** root
+    values = spec.flat_limit
     field = DiscreteField(spec.mesh, values)
     rho_minus = (spec.a.lower / spec.b.upper) ** root
     rho_plus = (spec.a.upper / spec.b.lower) ** root
@@ -358,16 +358,18 @@ def scale_solution(u: DiscreteField, eps: float, exponents: Exponents,
     """
     if eps <= 0:
         raise InputError("eps must be positive")
+    factor, parameter = _scalings(eps, exponents, target)
+    return ScaledSolution(u.scaled(factor), float(parameter), target)
+
+
+def _scalings(eps: float, exponents: Exponents, target: str) -> tuple[float, float]:
+    """(field factor, parameter) that move the eps-form into ``target``'s form."""
     p, q, g = exponents.p, exponents.q, exponents.gamma
     if target == "lambda":
-        factor = eps ** (-1.0 / (g - p))
-        parameter = eps ** (-(g - q) / (g - p))
-    elif target == "nu":
-        factor = eps ** (-1.0 / (q - p))
-        parameter = eps ** ((g - q) / (q - p))
-    else:
-        raise InputError(f"target must be 'lambda' or 'nu', got {target!r}")
-    return ScaledSolution(u.scaled(factor), float(parameter), target)
+        return eps ** (-1.0 / (g - p)), eps ** (-(g - q) / (g - p))
+    if target == "nu":
+        return eps ** (-1.0 / (q - p)), eps ** ((g - q) / (q - p))
+    raise InputError(f"target must be 'lambda' or 'nu', got {target!r}")
 
 
 def _scaled_coefficient(coeff: CoefficientField, factor: float) -> CoefficientField:
@@ -385,14 +387,10 @@ def scaled_problem(spec: ProblemSpec, target: str) -> ProblemSpec:
     loss coefficient absorbs nu.
     """
     ex = spec.exponents
-    eps = spec.epsilon
+    _, parameter = _scalings(spec.epsilon, ex, target)
     if target == "lambda":
-        lam = eps ** (-(ex.gamma - ex.q) / (ex.gamma - ex.p))
-        return ProblemSpec(spec.mesh, ex, 1.0, _scaled_coefficient(spec.a, lam), spec.b)
-    if target == "nu":
-        nu = eps ** ((ex.gamma - ex.q) / (ex.q - ex.p))
-        return ProblemSpec(spec.mesh, ex, 1.0, spec.a, _scaled_coefficient(spec.b, nu))
-    raise InputError(f"target must be 'lambda' or 'nu', got {target!r}")
+        return ProblemSpec(spec.mesh, ex, 1.0, _scaled_coefficient(spec.a, parameter), spec.b)
+    return ProblemSpec(spec.mesh, ex, 1.0, spec.a, _scaled_coefficient(spec.b, parameter))
 
 
 # -- 1D boundary-layer profile (p = 2) ---------------------------------------

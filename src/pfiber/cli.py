@@ -88,8 +88,15 @@ def _nonempty_numbers(value, path: str) -> list[float]:
     return _numbers(value, path)
 
 
-def _number_or_null(value, path: str) -> float | None:
-    return None if value is None else _number(value, path)
+def _positive(value, path: str) -> float:
+    value = _number(value, path)
+    if not value > 0.0:
+        raise ConfigurationError(f"config key '{path}': expected a positive number")
+    return value
+
+
+def _positive_or_null(value, path: str) -> float | None:
+    return None if value is None else _positive(value, path)
 
 
 def _decreasing_positive_numbers(value, path: str) -> list[float]:
@@ -106,17 +113,17 @@ def _decreasing_positive_numbers(value, path: str) -> list[float]:
 _SECTIONS = {
     "exponents": {"p": (_number, 2.0), "q": (_number, 3.0),
                   "gamma": (_number, 4.0)},
-    "solver": {"tol_res": (_number, 1e-8), "max_iters": (_integer, 50_000),
+    "solver": {"tol_res": (_positive, 1e-8), "max_iters": (_integer, 50_000),
                "random_restarts": (_integer, 4), "seed": (_integer, 0)},
-    "mountain_pass": {"tol_res": (_number, 1e-8),
+    "mountain_pass": {"tol_res": (_positive, 1e-8),
                       "path_points": (_integer_from(3), 21),
                       "max_iters": (_integer, 600)},
     "thresholds": {"restarts": (_integer_from(1), 16),
                    "max_iters": (_integer, 400)},
-    "asymptotics": {"eta": (_number, 0.1),
+    "asymptotics": {"eta": (_positive, 0.1),
                     "r_list": (_nonempty_numbers, [1.0, 2.0])},
-    "layer": {"xi_max": (_number, 40.0), "points": (_integer_from(2), 401),
-              "compare_eps": (_number_or_null, None)},
+    "layer": {"xi_max": (_positive, 40.0), "points": (_integer_from(2), 401),
+              "compare_eps": (_positive_or_null, None)},
 }
 _SCALARS = {"epsilon": (_number, 1e-3),
             "eps_list": (_decreasing_positive_numbers, [])}
@@ -240,6 +247,10 @@ def resolve_config(raw: dict) -> dict:
 
     sections = {name: _resolve_section(raw, name) for name in _SECTIONS
                 if name != "exponents"}
+    gamma = exponents["gamma"]
+    if not all(1.0 <= r < gamma for r in sections["asymptotics"]["r_list"]):
+        raise ConfigurationError(
+            f"config key 'asymptotics.r_list': expected numbers in [1, gamma={gamma:g})")
     resolved = {
         "exponents": exponents,
         **_apply_schema(raw, _SCALARS, ""),

@@ -164,8 +164,10 @@ def weak_residual_plus(u: DiscreteField, spec: ProblemSpec, delta_reg=None) -> D
     factor = _gradient_factor(squared_norms(grads), ex.p, delta)
     flux_form = mesh.assemble_flux_term(factor[:, None] * grads)
     plus = np.maximum(mesh.values_at_qp(np.maximum(u.values, 0.0)), 0.0)
-    gain_form = mesh.assemble_point_term(spec.a_qp * plus ** (ex.q - 1.0))
-    loss_form = mesh.assemble_point_term(spec.b_qp * plus ** (ex.gamma - 1.0))
+    # phi_plus sees a node with u_i <= 0 only through the flux term.
+    pos = u.values > 0.0
+    gain_form = mesh.assemble_point_term(spec.a_qp * plus ** (ex.q - 1.0)) * pos
+    loss_form = mesh.assemble_point_term(spec.b_qp * plus ** (ex.gamma - 1.0)) * pos
     out = spec.epsilon * flux_form - gain_form + loss_form
     out[mesh.boundary_nodes] = 0.0
     return DiscreteField(mesh, out)
@@ -251,7 +253,7 @@ def _phi_plus_block(stack: np.ndarray, spec: ProblemSpec, delta_reg=None,
             np.multiply(w_b[:, None], _power(plus, ex.gamma - ex.q), out=dens)
             np.subtract(w_a[:, None], dens, out=dens)
             dens *= _power(plus, ex.q - 1.0)
-            res -= mesh.qp_operator.T @ dens
+            res -= (mesh.qp_operator.T @ dens) * (block > 0.0)
             res[mesh.boundary_nodes] = 0.0
             residuals[:, cols] = res
     return (energies, residuals) if residual else energies

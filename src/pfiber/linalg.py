@@ -1,4 +1,5 @@
-"""Sparse interior solves used as descent/ascent preconditioners."""
+"""Sparse interior solves, and the preconditioned directions and Armijo line
+search that every descent and ascent in the package steps with."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -7,7 +8,13 @@ import scipy.sparse.linalg as spla
 from .errors import NumericalError
 from .problem import Mesh
 
-__all__ = ["InteriorSolver"]
+__all__ = ["InteriorSolver", "armijo", "preconditioned_direction"]
+
+ARMIJO_SLOPE = 1e-4
+ARMIJO_FACTOR = 0.5
+MAX_BACKTRACKS = 60
+# Largest trial step; an accepted step t makes the next trial min(2t, MAX_STEP).
+MAX_STEP = 1e8
 
 
 class InteriorSolver:
@@ -43,3 +50,36 @@ class InteriorSolver:
         if not np.all(np.isfinite(out)):
             raise NumericalError("preconditioner solve produced non-finite values")
         return out
+
+
+def preconditioned_direction(pre: InteriorSolver, grad: np.ndarray):
+    """(d, grad . d > 0): stepping along -d lowers a function with gradient ``grad``.
+
+    d is P^-1 grad, or ``grad`` itself when P^-1 grad has no positive slope;
+    None when neither has.
+    """
+    direction = pre.apply(grad)
+    slope = float(np.dot(grad, direction))
+    if slope <= 0.0:
+        direction = grad
+        slope = float(np.dot(grad, grad))
+        if slope <= 0.0:
+            return None
+    return direction, slope
+
+
+def armijo(trial, value: float, slope: float, step: float):
+    """Armijo backtracking (Pacific J. Math. 1966) from ``step``, negative ``slope``.
+
+    ``trial(t)`` returns ``(value_at_t, payload)``, or None where there is no
+    value.  Of the steps step * ARMIJO_FACTOR^k, k < MAX_BACKTRACKS, returns
+    ``(t, value_at_t, payload)`` for the first with
+    value_at_t <= value + ARMIJO_SLOPE * t * slope, or None.
+    """
+    t = step
+    for _ in range(MAX_BACKTRACKS):
+        found = trial(t)
+        if found is not None and found[0] <= value + ARMIJO_SLOPE * t * slope:
+            return t, found[0], found[1]
+        t *= ARMIJO_FACTOR
+    return None

@@ -552,10 +552,11 @@ class ProblemSpec:
     Coefficient samples on the quadrature cloud and at the nodes are taken
     once at construction and validated against the declared bounds.  The
     lower bound of ``b`` must be positive; ``a`` must be nonnegative.
+    ``flat_limit`` holds the nodal small-eps plateau (a/b)^(1/(gamma-q)).
     """
 
     __slots__ = ("mesh", "exponents", "epsilon", "a", "b",
-                 "a_qp", "b_qp", "a_nodes", "b_nodes")
+                 "a_qp", "b_qp", "a_nodes", "b_nodes", "flat_limit")
 
     def __init__(self, mesh: Mesh, exponents: Exponents, epsilon: float,
                  a: CoefficientField, b: CoefficientField, _samples=None):
@@ -581,6 +582,9 @@ class ProblemSpec:
         object.__setattr__(self, "b_qp", b_qp)
         object.__setattr__(self, "a_nodes", a_nodes)
         object.__setattr__(self, "b_nodes", b_nodes)
+        flat = (a_nodes / b_nodes) ** (1.0 / (exponents.gamma - exponents.q))
+        flat.setflags(write=False)
+        object.__setattr__(self, "flat_limit", flat)
 
     def __setattr__(self, name, value):
         raise AttributeError("ProblemSpec is immutable")

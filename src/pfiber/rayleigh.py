@@ -21,14 +21,14 @@ negative-energy ground state together with a second positive solution exists
 below ``eps_two_solutions``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DomainError, InputError
 from .functionals import EnergyComponents, derivative_forms, energy_components
-from .linalg import InteriorSolver
-from .problem import DiscreteField, Exponents, ProblemSpec, squared_norms
+from .linalg import MAX_STEP, InteriorSolver, armijo, preconditioned_direction
+from .problem import DiscreteField, Exponents, Mesh, ProblemSpec, squared_norms
 
 __all__ = [
     "ExtremalConstants",
@@ -122,9 +122,8 @@ def scale_invariant_quotient(comps: EnergyComponents, exponents: Exponents) -> f
         raise DomainError("the scale-invariant quotient needs a positive gain term")
     if comps.loss <= 0.0:
         raise DomainError("the scale-invariant quotient needs a positive loss term")
-    p, q, g = exponents.p, exponents.q, exponents.gamma
-    dir_, gain, loss = comps.dirichlet, comps.gain, comps.loss
-    return gain ** ((g - p) / (g - q)) / (dir_ * loss ** ((q - p) / (g - q)))
+    e_gain, e_loss = _log_exponents(exponents)
+    return comps.gain ** e_gain / (comps.dirichlet * comps.loss ** e_loss)
 
 
 def nonlinear_quotients(comps: EnergyComponents,
@@ -197,23 +196,17 @@ class ThresholdEstimate:
     iterations: int
 
     def to_json_dict(self, include_maximizer: bool = True) -> dict:
-        out = {
-            "sup_quotient": self.sup_quotient,
-            "eps_critical": self.eps_critical,
-            "eps_two_solutions": self.eps_two_solutions,
-            "restarts_used": self.restarts_used,
-            "iterations": self.iterations,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "maximizer"}
         if include_maximizer:
             out["maximizer"] = self.maximizer.to_json_dict(include_mesh=False)
         return out
 
 
 def _log_quotient(u: DiscreteField, spec: ProblemSpec):
-    """(log of the scale-invariant quotient, components), or (None, None)."""
+    """(log of the scale-invariant quotient, components), or None."""
     comps = energy_components(u, spec, check_boundary=False)
     if comps.dirichlet <= 0.0 or comps.gain <= 0.0 or comps.loss <= 0.0:
-        return None, None
+        return None
     e_gain, e_loss = _log_exponents(spec.exponents)
     value = e_gain * np.log(comps.gain) - np.log(comps.dirichlet) - e_loss * np.log(comps.loss)
     return value, comps
@@ -236,59 +229,59 @@ def _log_exponents(ex: Exponents) -> tuple[float, float]:
     return (ex.gamma - ex.p) / (ex.gamma - ex.q), (ex.q - ex.p) / (ex.gamma - ex.q)
 
 
-def _normalize(values: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    grads = spec.mesh.gradients(values)
+def _normalize(values: np.ndarray, mesh: Mesh, p: float) -> np.ndarray:
+    """Scale a field to int |grad u|^p = 1; a field without gradient is kept."""
+    grads = mesh.gradients(values)
     gnorm = np.sqrt(squared_norms(grads))
-    t = float(np.dot(spec.mesh.el_measures, gnorm**spec.exponents.p))
+    t = float(np.dot(mesh.el_measures, gnorm**p))
     if t <= 0.0:
         return values
-    return values / t ** (1.0 / spec.exponents.p)
+    return values / t ** (1.0 / p)
 
 
-def _ascend_log_quotient(start: np.ndarray, spec: ProblemSpec, solver: InteriorSolver,
-                         max_iters: int):
-    """Armijo-backtracked preconditioned ascent; returns (best_value, best_field, iters).
+def _ascend_log_quotient(start: np.ndarray, mesh: Mesh, p: float, quotient, gradient,
+                         solver: InteriorSolver, max_iters: int):
+    """Preconditioned Armijo ascent; returns (best_value, best_field, iters).
 
-    A trial point costs one quotient evaluation; only the start and accepted
-    points go on to assemble the weak forms of their gradient.
+    Iterates are nonnegative zero-trace fields with int |grad u|^p = 1.
+    ``quotient(field)`` gives ``(value, state)`` of a log-quotient of degree
+    zero, or None, and ``gradient(field, state)`` its nodal gradient, needed
+    only at the start and at accepted points.  The line search minimizes
+    the negated value.
     """
-    mesh = spec.mesh
     u = start.copy()
     u[mesh.boundary_nodes] = 0.0
-    u = _normalize(np.abs(u), spec)
+    u = _normalize(np.abs(u), mesh, p)
     field = DiscreteField(mesh, u)
-    value, comps = _log_quotient(field, spec)
-    if value is None:
+    found = quotient(field)
+    if found is None:
         return None, None, 0
-    grad = _log_quotient_gradient(field, comps, spec)
+    value, state = found
+    grad = gradient(field, state)
     step = 1.0
     stalls = 0
     iters = 0
     for iters in range(1, max_iters + 1):
-        direction = solver.apply(grad)
-        slope = float(np.dot(grad, direction))
-        if slope <= 0.0:
-            direction = grad.copy()
-            slope = float(np.dot(grad, grad))
-            if slope <= 0.0:
-                break
-        t = step
-        improved = False
-        for _ in range(60):
+        found = preconditioned_direction(solver, grad)
+        if found is None:
+            break
+        direction, slope = found
+
+        def trial(t):
             cand = np.abs(u + t * direction)
             cand[mesh.boundary_nodes] = 0.0
-            cand_field = DiscreteField(mesh, _normalize(cand, spec))
-            cand_value, cand_comps = _log_quotient(cand_field, spec)
-            if cand_value is not None and cand_value >= value + 1e-4 * t * slope:
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
+            cand_field = DiscreteField(mesh, _normalize(cand, mesh, p))
+            q = quotient(cand_field)
+            return None if q is None else (-q[0], (cand_field, q[1]))
+
+        found = armijo(trial, -value, -slope, step)
+        if found is None:
             break
-        grad = _log_quotient_gradient(cand_field, cand_comps, spec)
-        gain = cand_value - value
-        u, value = cand_field.values.copy(), cand_value
-        step = min(t * 2.0, 1e6)
+        t, neg_value, (cand_field, state) = found
+        grad = gradient(cand_field, state)
+        gain = -neg_value - value
+        u, value = cand_field.values, -neg_value
+        step = min(t * 2.0, MAX_STEP)
         if gain <= 1e-13 * (1.0 + abs(value)):
             stalls += 1
             if stalls >= 3:
@@ -329,7 +322,9 @@ def estimate_thresholds(spec: ProblemSpec, restarts: int = 16, max_iters: int = 
     best_field = None
     total_iters = 0
     for values in starts:
-        value, field, iters = _ascend_log_quotient(values, spec, solver, max_iters)
+        value, field, iters = _ascend_log_quotient(
+            values, mesh, spec.exponents.p, lambda u: _log_quotient(u, spec),
+            lambda u, comps: _log_quotient_gradient(u, comps, spec), solver, max_iters)
         total_iters += iters
         if value is None:
             continue

@@ -18,7 +18,7 @@ maximum is residual-stationary.  The positive-part nonlinearity makes the
 limiting critical point nonnegative.
 """
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
 
 import numpy as np
 
@@ -28,13 +28,15 @@ from .functionals import (
     energy_components,
     phi,
     weak_residual,
-    DEFAULT_DELTA_REG,
     _BLOCK,
+    _gradient_factor,
     _phi_plus_block,
+    _resolve_delta,
 )
-from .linalg import InteriorSolver
+from .linalg import (ARMIJO_FACTOR, ARMIJO_SLOPE, MAX_BACKTRACKS, MAX_STEP,
+                     InteriorSolver, armijo, preconditioned_direction)
 from .problem import DiscreteField, Exponents, Mesh, ProblemSpec, squared_norms
-from .rayleigh import fiber_scalings
+from .rayleigh import _ascend_log_quotient, fiber_scalings, ray_quotients
 
 __all__ = [
     "SolveReport",
@@ -48,9 +50,6 @@ __all__ = [
     "barrier_estimate",
 ]
 
-ARMIJO_SLOPE = 1e-4
-ARMIJO_FACTOR = 0.5
-_MAX_BACKTRACKS = 60
 # Accepted descent steps in a row that leave the energy unchanged before the
 # descent gives up: at the rounding floor the Armijo test passes with no
 # progress.  Of the descents in the test suite and the benchmark workloads,
@@ -87,18 +86,9 @@ class SolveReport:
         return not np.any(self.field.values)
 
     def to_json_dict(self, include_field: bool = True) -> dict:
-        out = {
-            "energy": self.energy,
-            "residual_norm": self.residual_norm,
-            "nehari_residual": self.nehari_residual,
-            "fiber_second_derivative": self.fiber_second_derivative,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "tol_effective": self.tol_effective,
-            "delta_reg": self.delta_reg,
-            "multiplicity_flagged": self.multiplicity_flagged,
-            "zero_field": self.is_zero(),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("field", "trace")}
+        out["zero_field"] = self.is_zero()
         if include_field:
             out["field"] = self.field.to_json_dict(include_mesh=False)
         return out
@@ -144,36 +134,30 @@ def _descend(start: np.ndarray, spec: ProblemSpec, pre: InteriorSolver,
             break
         if iterations == max_iters or flat_steps >= _FLAT_STEPS:
             break
-        pre_grad = pre.apply(residual)
-        direction = -pre_grad
-        slope = float(np.dot(residual, direction))
-        if slope >= 0.0:
-            direction = -residual
-            slope = -float(np.dot(residual, residual))
-            if slope >= 0.0:
-                break
+        found = preconditioned_direction(pre, residual)
+        if found is None:
+            break
+        pre_grad, slope = found
         if prev_u is not None:
             s = u - prev_u
             y = residual - prev_residual
             sy = float(np.dot(s, y))
             y_pre = float(np.dot(y, pre_grad - prev_pre_grad))
             if sy > 0.0 and y_pre > 0.0:
-                step = min(max(sy / y_pre, 1e-12), 1e8)
+                step = min(max(sy / y_pre, 1e-12), MAX_STEP)
         prev_u, prev_residual, prev_pre_grad = u, residual, pre_grad
-        t = step
-        accepted = False
-        for _ in range(_MAX_BACKTRACKS):
-            cand = u + t * direction
-            cand_energy = phi(DiscreteField(mesh, cand), spec)
-            if cand_energy <= energy + ARMIJO_SLOPE * t * slope:
-                accepted = True
-                break
-            t *= ARMIJO_FACTOR
-        if not accepted:
+
+        def trial(t):
+            cand = u - t * pre_grad
+            return phi(DiscreteField(mesh, cand), spec), cand
+
+        found = armijo(trial, energy, -slope, step)
+        if found is None:
             break
+        t, cand_energy, cand = found
         flat_steps = flat_steps + 1 if cand_energy >= energy else 0
         u, energy = cand, cand_energy
-        step = min(2.0 * t, 1e8)
+        step = min(2.0 * t, MAX_STEP)
     return {"values": u, "energy": energy, "converged": converged,
             "iterations": iterations, "trace": trace}
 
@@ -183,11 +167,7 @@ def _finalize_candidate(cand: dict, spec: ProblemSpec, tol_res: float,
     """Apply the final nodal absolute value and refresh the diagnostics."""
     mesh = spec.mesh
     values = np.abs(cand["values"])
-    ex = spec.exponents
-    amplitude = (spec.a.upper / spec.b.lower) ** (1.0 / (ex.gamma - ex.q))
-    if not (amplitude > 0.0) or not np.isfinite(amplitude):
-        amplitude = 1.0
-    if float(values.max(initial=0.0)) <= 1e-8 * amplitude:
+    if float(values.max(initial=0.0)) <= 1e-8 * _amplitude(spec):
         # Nontrivial critical points stay outside the small-sphere barrier;
         # a field this small can only be the zero basin, and |u| kinks must
         # not push its re-evaluated residual over tolerance.
@@ -227,13 +207,11 @@ def _report_from_candidate(cand: dict, spec: ProblemSpec, tol_res: float,
     )
 
 
-def flat_limit_values(spec: ProblemSpec) -> np.ndarray:
-    """Nodal (a/b)^(1/(gamma-q)) with zero boundary; the small-eps plateau."""
+def _amplitude(spec: ProblemSpec) -> float:
+    """Largest flat-limit value the declared bounds allow; 1 if that is 0 or not finite."""
     ex = spec.exponents
-    ratio = np.zeros(spec.mesh.n_nodes)
-    pos = spec.a_nodes > 0.0
-    ratio[pos] = (spec.a_nodes[pos] / spec.b_nodes[pos]) ** (1.0 / (ex.gamma - ex.q))
-    return _zero_boundary(ratio, spec.mesh)
+    amplitude = (spec.a.upper / spec.b.lower) ** (1.0 / (ex.gamma - ex.q))
+    return amplitude if amplitude > 0.0 and np.isfinite(amplitude) else 1.0
 
 
 def _default_seeds(spec: ProblemSpec, seed: int, random_restarts: int) -> list[np.ndarray]:
@@ -241,16 +219,13 @@ def _default_seeds(spec: ProblemSpec, seed: int, random_restarts: int) -> list[n
 
     mesh = spec.mesh
     seeds = []
-    w = flat_limit_values(spec)
+    w = _zero_boundary(spec.flat_limit, mesh)
     comps = energy_components(DiscreteField(mesh, w), spec)
     if comps.dirichlet > 0.0 and comps.gain > membership_tolerance(spec) and comps.loss > 0.0:
         scalings = fiber_scalings(comps, spec.exponents)
         w = scalings.zero_energy * w
     seeds.append(w)
-    ex = spec.exponents
-    amplitude = (spec.a.upper / spec.b.lower) ** (1.0 / (ex.gamma - ex.q))
-    if amplitude <= 0.0:
-        amplitude = 1.0
+    amplitude = _amplitude(spec)
     for i in range(random_restarts):
         rng = np.random.default_rng((seed, 101 + i))
         seeds.append(_zero_boundary(rng.uniform(0.0, amplitude, mesh.n_nodes), mesh))
@@ -274,7 +249,7 @@ def solve_ground_state(spec: ProblemSpec, init: DiscreteField | None = None,
     if tol_res <= 0:
         raise InputError("tol_res must be positive")
     mesh = spec.mesh
-    delta_reg = DEFAULT_DELTA_REG if spec.exponents.p < 2.0 else 0.0
+    delta_reg = _resolve_delta(spec, None)
     pre = InteriorSolver(mesh, alpha=spec.epsilon, beta=1.0)
     if init is not None:
         if init.values.shape != (mesh.n_nodes,):
@@ -332,15 +307,7 @@ class MountainPassReport:
     delta_reg: float
 
     def to_json_dict(self, include_field: bool = True) -> dict:
-        out = {
-            "energy": self.energy,
-            "path_level": self.path_level,
-            "residual_norm": self.residual_norm,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "tol_effective": self.tol_effective,
-            "delta_reg": self.delta_reg,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "field"}
         if include_field:
             out["field"] = self.field.to_json_dict(include_mesh=False)
         return out
@@ -400,7 +367,7 @@ def _step_knots(knots: np.ndarray, steps: np.ndarray, energies: np.ndarray,
     slopes = np.einsum("ik,ik->k", residuals, directions)
     searching = np.flatnonzero(slopes < 0.0)
     t = steps[interior[searching]]
-    for _ in range(40):
+    for _ in range(MAX_BACKTRACKS):
         if searching.size == 0:
             break
         j = interior[searching]
@@ -408,7 +375,7 @@ def _step_knots(knots: np.ndarray, steps: np.ndarray, energies: np.ndarray,
         ok = (_phi_plus_block(cand, spec)
               <= energies[j] + ARMIJO_SLOPE * t * slopes[searching])
         knots[:, j[ok]] = cand[:, ok]
-        steps[j[ok]] = np.minimum(2.0 * t[ok], 1e8)
+        steps[j[ok]] = np.minimum(2.0 * t[ok], MAX_STEP)
         searching, t = searching[~ok], t[~ok] * ARMIJO_FACTOR
     return False
 
@@ -436,13 +403,15 @@ def solve_mountain_pass(spec: ProblemSpec, ground_state: SolveReport,
         InputError: the supplied ground state is unusable as the far endpoint
             (not converged, or its energy is not negative).
     """
+    if tol_res <= 0:
+        raise InputError("tol_res must be positive")
     if path_points < 3:
         raise InputError("the path needs at least 3 knots")
     if not ground_state.converged or ground_state.energy >= 0.0 or ground_state.is_zero():
         raise InputError("mountain-pass endpoint must be a converged negative-energy "
                          "ground state")
     mesh = spec.mesh
-    delta_reg = DEFAULT_DELTA_REG if spec.exponents.p < 2.0 else 0.0
+    delta_reg = _resolve_delta(spec, None)
     pre = InteriorSolver(mesh, alpha=spec.epsilon, beta=1.0)
     end = ground_state.field
     t_peak = _ray_peak_scale(energy_components(end, spec), spec.epsilon,
@@ -533,68 +502,48 @@ def nehari_diagnostics(u: DiscreteField, spec: ProblemSpec) -> NehariDiagnostics
     eps = spec.epsilon
     nehari = abs(eps * dir_ - gain + loss) / (eps * dir_ + gain + loss)
     second = (ex.p - ex.q) * eps * dir_ + (ex.gamma - ex.q) * loss
-    ray_constraint = (gain - loss) / dir_
-    ray_zero = (ex.p / dir_) * (gain / ex.q - loss / ex.gamma)
-    return NehariDiagnostics(nehari, second, ray_constraint, ray_zero)
+    ray = ray_quotients(comps, 1.0, ex)
+    return NehariDiagnostics(nehari, second, ray.constraint, ray.zero_energy)
 
 
 def embedding_constant(mesh: Mesh, p: float, r: float, restarts: int = 4,
                        max_iters: int = 200, seed: int = 0) -> float:
     """Estimate sup ||u||_r / ||grad u||_p over zero-trace fields on the mesh.
 
-    Projected gradient ascent on the logarithm of the quotient, preconditioned
-    like the threshold search.  The estimate is a lower bound up to ascent
-    accuracy; callers inflating it for safety should do so explicitly.
+    The threshold search's ascent, run on the logarithm of the quotient.  The
+    estimate is a lower bound up to ascent accuracy; callers inflating it for
+    safety should do so explicitly.
     """
     if r < 1 or p <= 1:
         raise InputError("embedding constant needs p > 1 and r >= 1")
     solver = InteriorSolver(mesh, alpha=1.0, beta=1.0)
+
+    def quotient(u: DiscreteField):
+        vals = mesh.values_at_qp(u.values)
+        lr_int = mesh.integrate(vals**r)
+        grads = mesh.gradients(u.values)
+        gnorm_sq = squared_norms(grads)
+        grad_int = float(np.dot(mesh.el_measures, gnorm_sq ** (p / 2.0)))
+        if lr_int <= 0.0 or grad_int <= 0.0:
+            return None
+        value = np.log(lr_int) / r - np.log(grad_int) / p
+        return value, (vals, lr_int, grads, gnorm_sq, grad_int)
+
+    def gradient(u: DiscreteField, state) -> np.ndarray:
+        # Iterates are nonnegative, so |u|^(r-2) u is u^(r-1).
+        vals, lr_int, grads, gnorm_sq, grad_int = state
+        point_form = mesh.assemble_point_term(vals ** (r - 1.0))
+        factor = _gradient_factor(gnorm_sq, p, 0.0)
+        flux_form = mesh.assemble_flux_term(factor[:, None] * grads)
+        grad = point_form / lr_int - flux_form / grad_int
+        grad[mesh.boundary_nodes] = 0.0
+        return grad
+
     best = None
     for i in range(restarts):
         rng = np.random.default_rng((seed, 7 + i))
-        u = _zero_boundary(rng.uniform(0.0, 1.0, mesh.n_nodes), mesh)
-        value = None
-        step = 1.0
-        for _ in range(max_iters):
-            vals = mesh.values_at_qp(u)
-            absvals = np.abs(vals)
-            lr_int = mesh.integrate(absvals**r)
-            grads = mesh.gradients(u)
-            gnorm_sq = squared_norms(grads)
-            grad_int = float(np.dot(mesh.el_measures, gnorm_sq ** (p / 2.0)))
-            if lr_int <= 0.0 or grad_int <= 0.0:
-                break
-            value = np.log(lr_int) / r - np.log(grad_int) / p
-            point_form = mesh.assemble_point_term(absvals ** (r - 2.0) * vals)
-            factor = np.zeros_like(gnorm_sq)
-            nz = gnorm_sq > 0.0
-            factor[nz] = gnorm_sq[nz] ** ((p - 2.0) / 2.0)
-            flux_form = mesh.assemble_flux_term(factor[:, None] * grads)
-            grad = point_form / lr_int - flux_form / grad_int
-            grad[mesh.boundary_nodes] = 0.0
-            direction = solver.apply(grad)
-            slope = float(np.dot(grad, direction))
-            if slope <= 0.0:
-                break
-            t = step
-            new_u = None
-            for _ in range(40):
-                cand = u + t * direction
-                cvals = np.abs(mesh.values_at_qp(cand))
-                clr = mesh.integrate(cvals**r)
-                cgr = mesh.gradients(cand)
-                cgn = squared_norms(cgr)
-                ct = float(np.dot(mesh.el_measures, cgn ** (p / 2.0)))
-                if clr > 0.0 and ct > 0.0:
-                    cand_val = np.log(clr) / r - np.log(ct) / p
-                    if cand_val >= value + 1e-4 * t * slope:
-                        new_u = cand / ct ** (1.0 / p)
-                        break
-                t *= ARMIJO_FACTOR
-            if new_u is None:
-                break
-            u = new_u
-            step = min(2.0 * t, 1e6)
+        value, _, _ = _ascend_log_quotient(rng.uniform(0.0, 1.0, mesh.n_nodes), mesh, p,
+                                           quotient, gradient, solver, max_iters)
         if value is not None and (best is None or value > best):
             best = value
     if best is None:

@@ -429,9 +429,25 @@ def test_negative_integers_are_config_errors(tmp_path, capsys, solver, flags,
         # Other subcommands ignore eps_list, but it is checked all the same.
         ("solve", {"eps_list": [-1e-2]},
          "'eps_list': expected positive, strictly decreasing numbers"),
+        ("solve", {"solver": {"tol_res": 0.0}},
+         "'solver.tol_res': expected a positive number"),
+        ("second", {"mountain_pass": {"tol_res": -1.0}},
+         "'mountain_pass.tol_res': expected a positive number"),
+        ("layer", {"layer": {"xi_max": 0.0}},
+         "'layer.xi_max': expected a positive number"),
+        ("layer", {"layer": {"compare_eps": -1e-4}},
+         "'layer.compare_eps': expected a positive number"),
+        ("sweep", {"eps_list": [1e-2], "asymptotics": {"eta": 0.0}},
+         "'asymptotics.eta': expected a positive number"),
+        ("sweep", {"eps_list": [1e-2], "asymptotics": {"r_list": [0.5]}},
+         "'asymptotics.r_list': expected numbers in [1, gamma=4)"),
+        ("sweep", {"eps_list": [1e-2], "asymptotics": {"r_list": [1.0, 4.0]}},
+         "'asymptotics.r_list': expected numbers in [1, gamma=4)"),
     ],
     ids=["path_points", "layer_points", "restarts", "eps_rising",
-         "eps_repeated", "eps_zero", "eps_negative"],
+         "eps_repeated", "eps_zero", "eps_negative", "tol_res_zero",
+         "mp_tol_res_negative", "xi_max_zero", "compare_eps_negative",
+         "eta_zero", "r_below_one", "r_at_gamma"],
 )
 def test_bad_counts_and_eps_lists_fail_before_any_artifact(
         tmp_path, capsys, subcommand, overrides, message):

@@ -370,12 +370,6 @@ def test_block_kernel_against_p1_oracle(domain, resolution, p):
         assert np.max(np.abs(residuals[:, i] - single)) <= 1e-13 * np.max(np.abs(single))
         v = rng.uniform(-1.0, 1.0, mesh.n_nodes)
         v[mesh.boundary_nodes] = 0.0
-        if np.any(u > 0.0) and np.any(u < 0.0):
-            # phi_plus sees a negative node only through its flux term, but
-            # weak_residual_plus keeps gain and loss forms there wherever a
-            # neighbour is positive; the two pair alike on directions that
-            # hold the negative nodes fixed.
-            v[u < 0.0] = 0.0
         fd = (p1_plus_energy(mesh, u + h * v, eps, ex, a, b)
               - p1_plus_energy(mesh, u - h * v, eps, ex, a, b)) / (2.0 * h)
         pairing = float(np.dot(residuals[:, i], v))
