@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolation, InputError, NumericalError
-from .functionals import J_functional, energy_components
+from .functionals import J_functional, _evaluate
 from .problem import (
     CoefficientField,
     DiscreteField,
@@ -123,10 +123,7 @@ def asymptotic_metrics(u: DiscreteField, profile: LimitProfile, spec: ProblemSpe
     )
     limit_value = J_functional(profile.field, spec)
     # No zero-trace requirement: the metrics are evaluated on the profile too.
-    comps = energy_components(u, spec, check_boundary=False)
-    energy = ((spec.epsilon / ex.p) * comps.dirichlet
-              - comps.gain / ex.q + comps.loss / ex.gamma)
-    energy_gap = energy - limit_value
+    energy_gap = _evaluate(u.values, spec)[0] - limit_value
     j_gap = J_functional(u, spec) - limit_value
     return AsymptoticMetrics(
         eta=float(eta), measure_bad=float(measure_bad), lr_errors=lr_errors,
@@ -556,16 +553,20 @@ def layer_profile_1d(q: float, gamma: float, xi_max: float = 40.0,
     targets = xi_grid[1:]
     lo = np.zeros_like(targets)
     hi_arr = np.full_like(targets, hi)
+    # Each sweep bisects only the brackets that moved in the last one.  A
+    # bracket that stays put sits on adjacent doubles, and every later sweep
+    # would repeat it.
+    moving = np.arange(targets.size)
     for _ in range(80):
-        mid = 0.5 * (lo + hi_arr)
-        too_small = _xi_of_logdepth(pot, mid) < targets
-        new_lo = np.where(too_small, mid, lo)
-        new_hi = np.where(too_small, hi_arr, mid)
-        # Brackets that all stayed put sit on adjacent doubles: every later
-        # sweep would repeat this one.
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi_arr):
+        if moving.size == 0:
             break
-        lo, hi_arr = new_lo, new_hi
+        b_lo, b_hi = lo[moving], hi_arr[moving]
+        mid = 0.5 * (b_lo + b_hi)
+        too_small = _xi_of_logdepth(pot, mid) < targets[moving]
+        new_lo = np.where(too_small, mid, b_lo)
+        new_hi = np.where(too_small, b_hi, mid)
+        lo[moving], hi_arr[moving] = new_lo, new_hi
+        moving = moving[(new_lo != b_lo) | (new_hi != b_hi)]
     s_sol = 0.5 * (lo + hi_arr)
     u = -np.expm1(-s_sol)
     u = np.minimum(u, np.nextafter(1.0, 0.0))

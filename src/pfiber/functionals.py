@@ -18,6 +18,12 @@ Weak derivatives are assembled against the nodal hat functions.  For p < 2
 the degenerate gradient factor |g|^(p-2) is evaluated as
 (|g|^2 + delta_reg^2)^((p-2)/2); energies passed to finite-difference checks
 can be regularized the same way so the pairing stays exact.
+
+Every single-field function here wraps one private kernel, ``_evaluate``:
+it returns the energy and a ``_State`` holding the field's gradients and
+quadrature powers, from which the weak forms are assembled without a second
+pass over the field.  ``_energy_change`` gives the energy difference of two
+fields without the cancellation of subtracting two rounded energies.
 """
 
 from dataclasses import dataclass
@@ -68,117 +74,6 @@ def _gradient_factor(norm_sq: np.ndarray, p: float, delta_reg: float) -> np.ndar
     return out
 
 
-def _resolve_delta(spec: ProblemSpec, delta_reg) -> float:
-    if delta_reg is None:
-        return DEFAULT_DELTA_REG if spec.exponents.p < 2.0 else 0.0
-    if delta_reg < 0.0:
-        raise InputError("delta_reg must be nonnegative")
-    return float(delta_reg)
-
-
-def energy_components(u: DiscreteField, spec: ProblemSpec,
-                      check_boundary: bool = True) -> EnergyComponents:
-    """Compute (dirichlet, gain, loss) for a zero-trace field."""
-    if check_boundary:
-        u.require_zero_boundary("energy argument")
-    mesh = u.mesh
-    ex = spec.exponents
-    grads = mesh.gradients(u.values)
-    gnorm = np.sqrt(squared_norms(grads))
-    dirichlet = float(np.dot(mesh.el_measures, gnorm**ex.p))
-    vals = np.abs(mesh.values_at_qp(u.values))
-    gain = mesh.integrate(spec.a_qp * vals**ex.q)
-    loss = mesh.integrate(spec.b_qp * vals**ex.gamma)
-    return EnergyComponents(dirichlet, gain, loss)
-
-
-def phi(u: DiscreteField, spec: ProblemSpec, delta_reg: float = 0.0) -> float:
-    """Energy of a zero-trace field; positive delta_reg regularizes the p-term."""
-    comps = energy_components(u, spec)
-    ex = spec.exponents
-    dirichlet = comps.dirichlet
-    if delta_reg > 0.0:
-        mesh = u.mesh
-        grads = mesh.gradients(u.values)
-        norm_sq = squared_norms(grads)
-        dirichlet = float(np.dot(mesh.el_measures,
-                                 (norm_sq + delta_reg**2) ** (ex.p / 2.0)))
-    return (spec.epsilon / ex.p) * dirichlet - comps.gain / ex.q + comps.loss / ex.gamma
-
-
-def phi_plus(u: DiscreteField, spec: ProblemSpec) -> float:
-    """Energy with the positive part in the gain and loss terms only."""
-    u.require_zero_boundary("energy argument")
-    mesh = u.mesh
-    ex = spec.exponents
-    grads = mesh.gradients(u.values)
-    gnorm = np.sqrt(squared_norms(grads))
-    dirichlet = float(np.dot(mesh.el_measures, gnorm**ex.p))
-    plus = np.maximum(mesh.values_at_qp(np.maximum(u.values, 0.0)), 0.0)
-    gain = mesh.integrate(spec.a_qp * plus**ex.q)
-    loss = mesh.integrate(spec.b_qp * plus**ex.gamma)
-    return (spec.epsilon / ex.p) * dirichlet - gain / ex.q + loss / ex.gamma
-
-
-def derivative_forms(u: DiscreteField, spec: ProblemSpec,
-                     delta_reg=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weak-form building blocks against the nodal basis, one triple per node.
-
-        flux_form_i = int |grad u|^(p-2) grad u . grad hat_i
-        gain_form_i = int a |u|^(q-2) u hat_i
-        loss_form_i = int b |u|^(gamma-2) u hat_i
-
-    The derivatives of the raw energy components are p, q, gamma times these,
-    and the energy residual combines them as
-    eps*flux_form - gain_form + loss_form.  Boundary entries are zeroed.
-    """
-    mesh = u.mesh
-    ex = spec.exponents
-    delta = _resolve_delta(spec, delta_reg)
-    grads = mesh.gradients(u.values)
-    factor = _gradient_factor(squared_norms(grads), ex.p, delta)
-    flux_form = mesh.assemble_flux_term(factor[:, None] * grads)
-    vals = mesh.values_at_qp(u.values)
-    absvals = np.abs(vals)
-    gain_form = mesh.assemble_point_term(spec.a_qp * absvals ** (ex.q - 2.0) * vals)
-    loss_form = mesh.assemble_point_term(spec.b_qp * absvals ** (ex.gamma - 2.0) * vals)
-    for form in (flux_form, gain_form, loss_form):
-        form[mesh.boundary_nodes] = 0.0
-    return flux_form, gain_form, loss_form
-
-
-def weak_residual(u: DiscreteField, spec: ProblemSpec, delta_reg=None) -> DiscreteField:
-    """Nodal weak residual of the energy; zero exactly at critical points."""
-    u.require_zero_boundary("residual argument")
-    flux_form, gain_form, loss_form = derivative_forms(u, spec, delta_reg)
-    return DiscreteField(u.mesh, spec.epsilon * flux_form - gain_form + loss_form)
-
-
-def weak_residual_plus(u: DiscreteField, spec: ProblemSpec, delta_reg=None) -> DiscreteField:
-    """Weak residual of phi_plus: the gain/loss terms see the positive part."""
-    u.require_zero_boundary("residual argument")
-    mesh = u.mesh
-    ex = spec.exponents
-    delta = _resolve_delta(spec, delta_reg)
-    grads = mesh.gradients(u.values)
-    factor = _gradient_factor(squared_norms(grads), ex.p, delta)
-    flux_form = mesh.assemble_flux_term(factor[:, None] * grads)
-    plus = np.maximum(mesh.values_at_qp(np.maximum(u.values, 0.0)), 0.0)
-    # phi_plus sees a node with u_i <= 0 only through the flux term.
-    pos = u.values > 0.0
-    gain_form = mesh.assemble_point_term(spec.a_qp * plus ** (ex.q - 1.0)) * pos
-    loss_form = mesh.assemble_point_term(spec.b_qp * plus ** (ex.gamma - 1.0)) * pos
-    out = spec.epsilon * flux_form - gain_form + loss_form
-    out[mesh.boundary_nodes] = 0.0
-    return DiscreteField(mesh, out)
-
-
-# Columns per pass of the block kernel.  At 2001 nodes eight columns make
-# each quadrature-point array 384 KB, so a block's few live arrays fit a 2 MB
-# L2 cache; sixteen ran the mountain pass no faster and hold twice the memory.
-_BLOCK = 8
-
-
 def _power(x: np.ndarray, e: float) -> np.ndarray:
     """x**e for x >= 0, small integer exponents by repeated multiplication.
 
@@ -193,6 +88,243 @@ def _power(x: np.ndarray, e: float) -> np.ndarray:
     for _ in range(int(e) - 2):
         out *= x
     return out
+
+
+def _sum_product(weights: np.ndarray, values: np.ndarray) -> float:
+    """sum(weights * values) in one pass, without BLAS.
+
+    A threaded BLAS dot splits sums of more than 10 000 terms by its thread
+    count, so the last bits would depend on the machine.
+    """
+    return float(np.einsum("i,i->", weights, values.ravel()))
+
+
+def _resolve_delta(spec: ProblemSpec, delta_reg) -> float:
+    if delta_reg is None:
+        return DEFAULT_DELTA_REG if spec.exponents.p < 2.0 else 0.0
+    if delta_reg < 0.0:
+        raise InputError("delta_reg must be nonnegative")
+    return float(delta_reg)
+
+
+@dataclass(frozen=True)
+class _State:
+    """What one evaluation of a single field computes, kept for its weak forms.
+
+    ``grads`` are the element gradients and ``factor`` is |g|^(p-2) for
+    integer p > 2, else None.  At the quadrature points ``signed_q1`` holds
+    |v|^(q-2) v and ``pow_gq`` holds |v|^(gamma-q).
+    """
+
+    values: np.ndarray
+    grads: np.ndarray
+    factor: np.ndarray | None
+    signed_q1: np.ndarray
+    pow_gq: np.ndarray
+    comps: EnergyComponents
+
+
+def _energy(comps: EnergyComponents, spec: ProblemSpec) -> float:
+    ex = spec.exponents
+    return (spec.epsilon / ex.p) * comps.dirichlet - comps.gain / ex.q + comps.loss / ex.gamma
+
+
+def _energy_scale(comps: EnergyComponents, spec: ProblemSpec) -> float:
+    """Sum of the energy's three terms in absolute value; its rounding scale."""
+    ex = spec.exponents
+    return (spec.epsilon / ex.p) * comps.dirichlet + comps.gain / ex.q + comps.loss / ex.gamma
+
+
+def _evaluate(values: np.ndarray, spec: ProblemSpec, grads=None) -> tuple[float, _State]:
+    """(energy, state) of the nodal field ``values``; ``grads`` may be supplied.
+
+    Integer exponents run as products: |v|^q and |v|^gamma are formed from
+    |v|^(q-1), and |g|^p from |g|^(p-2) and |g|^2.
+    """
+    mesh = spec.mesh
+    ex = spec.exponents
+    if grads is None:
+        grads = mesh.gradients(values)
+    norm_sq = squared_norms(grads)
+    factor = None
+    if ex.p == 2.0:
+        density = norm_sq
+    elif ex.p > 2.0 and float(ex.p).is_integer():
+        # |g|^(p-2) by products from |g|^2, times |g| for odd p.
+        factor = _power(norm_sq, (ex.p - 2.0) // 2) if ex.p >= 4.0 else 1.0
+        if ex.p % 2.0:
+            factor = factor * np.sqrt(norm_sq)
+        density = factor * norm_sq
+    else:
+        density = norm_sq ** (ex.p / 2.0)
+    dirichlet = _sum_product(mesh.el_measures, density)
+    qp = mesh.values_at_qp(values)
+    absqp = np.abs(qp)
+    pow_gq = _power(absqp, ex.gamma - ex.q)
+    signed_q1 = np.copysign(_power(absqp, ex.q - 1.0), qp)
+    dens = signed_q1 * qp
+    gain = _sum_product(spec._weights_a, dens)
+    dens *= pow_gq
+    loss = _sum_product(spec._weights_b, dens)
+    comps = EnergyComponents(dirichlet, gain, loss)
+    return _energy(comps, spec), _State(values, grads, factor, signed_q1, pow_gq, comps)
+
+
+def _flux_form(state: _State, spec: ProblemSpec, delta: float) -> np.ndarray:
+    """Assembled int |g|^(p-2) g . grad hat_i, regularized by a positive delta."""
+    p = spec.exponents.p
+    factor = state.factor
+    if delta == 0.0 and p == 2.0:
+        flux = state.grads
+    else:
+        if delta > 0.0 or factor is None:
+            factor = _gradient_factor(squared_norms(state.grads), p, delta)
+        flux = factor[:, None] * state.grads
+    return spec.mesh.assemble_flux_term(flux)
+
+
+def _point_form(state: _State, spec: ProblemSpec, gain_weight: float = 1.0,
+                loss_weight: float = 1.0) -> np.ndarray:
+    """Assembled gain_weight * a|v|^(q-2)v - loss_weight * b|v|^(gamma-2)v, one pass."""
+    density = gain_weight * spec.a_qp - loss_weight * spec.b_qp * state.pow_gq
+    density *= state.signed_q1
+    return spec.mesh.assemble_point_term(density)
+
+
+def _residual(state: _State, spec: ProblemSpec, delta: float) -> np.ndarray:
+    """Nodal weak residual eps*flux_form - gain_form + loss_form of a state."""
+    out = spec.epsilon * _flux_form(state, spec, delta) - _point_form(state, spec)
+    out[spec.mesh.boundary_nodes] = 0.0
+    return out
+
+
+def _power_change(x: np.ndarray, y: np.ndarray, dx: np.ndarray, e: float) -> np.ndarray:
+    """x^e - y^e for x, y >= 0, given dx = x - y, without cancellation.
+
+    Integer e uses x^n - y^n = (x - y) * sum_k x^k y^(n-1-k); any other e
+    uses y^e * expm1(e * log1p(dx / y)), and x^e where y = 0.
+    """
+    e = float(e)
+    if e == 1.0:
+        return dx
+    if e.is_integer():
+        acc = x + y
+        y_pow = y * y
+        for m in range(2, int(e)):
+            acc *= x
+            acc += y_pow
+            if m + 1 < e:
+                y_pow *= y
+        acc *= dx
+        return acc
+    pos = y > 0.0
+    # x >= 0 bounds dx / y below by -1; clip what rounding puts under it.
+    with np.errstate(divide="ignore"):
+        rel = np.log1p(np.maximum(dx / np.where(pos, y, 1.0), -1.0))
+    return np.where(pos, y**e * np.expm1(e * rel), x**e)
+
+
+def _energy_change(old: np.ndarray, new: np.ndarray, step: float, dir_grads: np.ndarray,
+                   dir_qp: np.ndarray, spec: ProblemSpec) -> float:
+    """phi(new) - phi(old) for nodal fields new = old + step * d, without cancellation.
+
+    ``dir_grads`` and ``dir_qp`` are the direction's element gradients and
+    quadrature values, so the field's changes are known without rounding.
+    Each term is a difference of powers formed by _power_change, so the
+    result stays accurate where the two energies agree to every digit.
+    """
+    mesh = spec.mesh
+    ex = spec.exponents
+    old_grads = mesh.gradients(old)
+    d_grads = step * dir_grads
+    d_sq = squared_norms(d_grads) + 2.0 * np.sum(d_grads * old_grads, axis=1)
+    dirichlet = _sum_product(mesh.el_measures, _power_change(
+        squared_norms(mesh.gradients(new)), squared_norms(old_grads), d_sq, ex.p / 2.0))
+    x, y = mesh.values_at_qp(new), mesh.values_at_qp(old)
+    # Where the sign holds, |x| - |y| is +-step * dir_qp; where it flips, no
+    # digits cancel.
+    flips = np.signbit(x) != np.signbit(y)
+    dx = np.copysign(1.0, y)
+    dx *= dir_qp
+    dx *= step
+    x, y = np.abs(x, out=x), np.abs(y, out=y)
+    np.subtract(x, y, out=dx, where=flips)
+    gain = _sum_product(spec._weights_a, _power_change(x, y, dx, ex.q))
+    loss = _sum_product(spec._weights_b, _power_change(x, y, dx, ex.gamma))
+    return _energy(EnergyComponents(dirichlet, gain, loss), spec)
+
+
+def energy_components(u: DiscreteField, spec: ProblemSpec,
+                      check_boundary: bool = True) -> EnergyComponents:
+    """Compute (dirichlet, gain, loss) for a zero-trace field."""
+    if check_boundary:
+        u.require_zero_boundary("energy argument")
+    return _evaluate(u.values, spec)[1].comps
+
+
+def phi(u: DiscreteField, spec: ProblemSpec, delta_reg: float = 0.0) -> float:
+    """Energy of a zero-trace field; positive delta_reg regularizes the p-term."""
+    u.require_zero_boundary("energy argument")
+    energy, state = _evaluate(u.values, spec)
+    if delta_reg <= 0.0:
+        return energy
+    comps = state.comps
+    norm_sq = squared_norms(state.grads)
+    dirichlet = _sum_product(spec.mesh.el_measures,
+                             (norm_sq + delta_reg**2) ** (spec.exponents.p / 2.0))
+    return _energy(EnergyComponents(dirichlet, comps.gain, comps.loss), spec)
+
+
+def phi_plus(u: DiscreteField, spec: ProblemSpec) -> float:
+    """Energy with the positive part in the gain and loss terms only."""
+    u.require_zero_boundary("energy argument")
+    return _evaluate(np.maximum(u.values, 0.0), spec, u.mesh.gradients(u.values))[0]
+
+
+def derivative_forms(u: DiscreteField, spec: ProblemSpec,
+                     delta_reg=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weak-form building blocks against the nodal basis, one triple per node.
+
+        flux_form_i = int |grad u|^(p-2) grad u . grad hat_i
+        gain_form_i = int a |u|^(q-2) u hat_i
+        loss_form_i = int b |u|^(gamma-2) u hat_i
+
+    The derivatives of the raw energy components are p, q, gamma times these,
+    and the energy residual combines them as
+    eps*flux_form - gain_form + loss_form.  Boundary entries are zeroed.
+    """
+    state = _evaluate(u.values, spec)[1]
+    flux_form = _flux_form(state, spec, _resolve_delta(spec, delta_reg))
+    gain_form = _point_form(state, spec, 1.0, 0.0)
+    loss_form = -_point_form(state, spec, 0.0, 1.0)
+    for form in (flux_form, gain_form, loss_form):
+        form[u.mesh.boundary_nodes] = 0.0
+    return flux_form, gain_form, loss_form
+
+
+def weak_residual(u: DiscreteField, spec: ProblemSpec, delta_reg=None) -> DiscreteField:
+    """Nodal weak residual of the energy; zero exactly at critical points."""
+    u.require_zero_boundary("residual argument")
+    state = _evaluate(u.values, spec)[1]
+    return DiscreteField(u.mesh, _residual(state, spec, _resolve_delta(spec, delta_reg)))
+
+
+def weak_residual_plus(u: DiscreteField, spec: ProblemSpec, delta_reg=None) -> DiscreteField:
+    """Weak residual of phi_plus: the gain/loss terms see the positive part."""
+    u.require_zero_boundary("residual argument")
+    mesh = u.mesh
+    state = _evaluate(np.maximum(u.values, 0.0), spec, mesh.gradients(u.values))[1]
+    # phi_plus sees a node with u_i <= 0 only through the flux term.
+    out = (spec.epsilon * _flux_form(state, spec, _resolve_delta(spec, delta_reg))
+           - _point_form(state, spec) * (u.values > 0.0))
+    out[mesh.boundary_nodes] = 0.0
+    return DiscreteField(mesh, out)
+
+
+# Columns per pass of the block kernel.  At 2001 nodes eight columns make
+# each quadrature-point array 384 KB, so a block's few live arrays fit a 2 MB
+# L2 cache; sixteen ran the mountain pass no faster and hold twice the memory.
+_BLOCK = 8
 
 
 def _phi_plus_block(stack: np.ndarray, spec: ProblemSpec, delta_reg=None,
@@ -226,8 +358,7 @@ def _phi_plus_block(stack: np.ndarray, spec: ProblemSpec, delta_reg=None,
     ex = spec.exponents
     delta = _resolve_delta(spec, delta_reg)
     n_el = mesh.el_measures.size
-    w_a = (mesh.qp_weights * spec.a_qp).ravel()
-    w_b = (mesh.qp_weights * spec.b_qp).ravel()
+    w_a, w_b = spec._weights_a, spec._weights_b
     energies = np.empty(stack.shape[1])
     residuals = np.empty(stack.shape) if residual else None
     for lo in range(0, stack.shape[1], _BLOCK):

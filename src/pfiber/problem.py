@@ -556,7 +556,8 @@ class ProblemSpec:
     """
 
     __slots__ = ("mesh", "exponents", "epsilon", "a", "b",
-                 "a_qp", "b_qp", "a_nodes", "b_nodes", "flat_limit")
+                 "a_qp", "b_qp", "a_nodes", "b_nodes", "flat_limit",
+                 "_weights_a", "_weights_b")
 
     def __init__(self, mesh: Mesh, exponents: Exponents, epsilon: float,
                  a: CoefficientField, b: CoefficientField, _samples=None):
@@ -582,6 +583,12 @@ class ProblemSpec:
         object.__setattr__(self, "b_qp", b_qp)
         object.__setattr__(self, "a_nodes", a_nodes)
         object.__setattr__(self, "b_nodes", b_nodes)
+        # Quadrature weights times a and b, flat: the energy kernels integrate
+        # a|u|^q and b|u|^gamma as sums of products with these.
+        for name, coeff in (("_weights_a", a_qp), ("_weights_b", b_qp)):
+            weights = (mesh.qp_weights * coeff).ravel()
+            weights.setflags(write=False)
+            object.__setattr__(self, name, weights)
         flat = (a_nodes / b_nodes) ** (1.0 / (exponents.gamma - exponents.q))
         flat.setflags(write=False)
         object.__setattr__(self, "flat_limit", flat)

@@ -26,7 +26,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DomainError, InputError
-from .functionals import EnergyComponents, derivative_forms, energy_components
+from .functionals import (EnergyComponents, _evaluate, _flux_form, _point_form,
+                          _resolve_delta, _sum_product)
 from .linalg import MAX_STEP, InteriorSolver, armijo, preconditioned_direction
 from .problem import DiscreteField, Exponents, Mesh, ProblemSpec, squared_norms
 
@@ -202,41 +203,41 @@ class ThresholdEstimate:
         return out
 
 
-def _log_quotient(u: DiscreteField, spec: ProblemSpec):
-    """(log of the scale-invariant quotient, components), or None."""
-    comps = energy_components(u, spec, check_boundary=False)
+def _log_quotient(values: np.ndarray, grads: np.ndarray, spec: ProblemSpec):
+    """(log of the scale-invariant quotient, state), or None."""
+    _, state = _evaluate(values, spec, grads)
+    comps = state.comps
     if comps.dirichlet <= 0.0 or comps.gain <= 0.0 or comps.loss <= 0.0:
         return None
     e_gain, e_loss = _log_exponents(spec.exponents)
     value = e_gain * np.log(comps.gain) - np.log(comps.dirichlet) - e_loss * np.log(comps.loss)
-    return value, comps
+    return value, state
 
 
-def _log_quotient_gradient(u: DiscreteField, comps: EnergyComponents,
-                           spec: ProblemSpec) -> np.ndarray:
-    """Nodal gradient of the log-quotient at u, whose components are ``comps``."""
+def _log_quotient_gradient(state, spec: ProblemSpec) -> np.ndarray:
+    """Nodal gradient of the log-quotient at the field of ``state``."""
     ex = spec.exponents
+    comps = state.comps
     e_gain, e_loss = _log_exponents(ex)
-    flux_form, gain_form, loss_form = derivative_forms(u, spec)
-    return (
-        e_gain * (ex.q / comps.gain) * gain_form
-        - (ex.p / comps.dirichlet) * flux_form
-        - e_loss * (ex.gamma / comps.loss) * loss_form
-    )
+    grad = (_point_form(state, spec, e_gain * ex.q / comps.gain,
+                        e_loss * ex.gamma / comps.loss)
+            - (ex.p / comps.dirichlet) * _flux_form(state, spec, _resolve_delta(spec, None)))
+    grad[spec.mesh.boundary_nodes] = 0.0
+    return grad
 
 
 def _log_exponents(ex: Exponents) -> tuple[float, float]:
     return (ex.gamma - ex.p) / (ex.gamma - ex.q), (ex.q - ex.p) / (ex.gamma - ex.q)
 
 
-def _normalize(values: np.ndarray, mesh: Mesh, p: float) -> np.ndarray:
-    """Scale a field to int |grad u|^p = 1; a field without gradient is kept."""
+def _normalize(values: np.ndarray, mesh: Mesh, p: float):
+    """(values, grads) scaled to int |grad u|^p = 1; a field without gradient is kept."""
     grads = mesh.gradients(values)
-    gnorm = np.sqrt(squared_norms(grads))
-    t = float(np.dot(mesh.el_measures, gnorm**p))
+    t = _sum_product(mesh.el_measures, squared_norms(grads) ** (p / 2.0))
     if t <= 0.0:
-        return values
-    return values / t ** (1.0 / p)
+        return values, grads
+    scale = t ** (1.0 / p)
+    return values / scale, grads / scale
 
 
 def _ascend_log_quotient(start: np.ndarray, mesh: Mesh, p: float, quotient, gradient,
@@ -244,20 +245,19 @@ def _ascend_log_quotient(start: np.ndarray, mesh: Mesh, p: float, quotient, grad
     """Preconditioned Armijo ascent; returns (best_value, best_field, iters).
 
     Iterates are nonnegative zero-trace fields with int |grad u|^p = 1.
-    ``quotient(field)`` gives ``(value, state)`` of a log-quotient of degree
-    zero, or None, and ``gradient(field, state)`` its nodal gradient, needed
-    only at the start and at accepted points.  The line search minimizes
-    the negated value.
+    ``quotient(values, grads)`` gives ``(value, state)`` of a log-quotient of
+    degree zero, or None, from the nodal values and their element gradients,
+    and ``gradient(state)`` its nodal gradient, needed only at the start and
+    at accepted points.  The line search minimizes the negated value.
     """
     u = start.copy()
     u[mesh.boundary_nodes] = 0.0
-    u = _normalize(np.abs(u), mesh, p)
-    field = DiscreteField(mesh, u)
-    found = quotient(field)
+    u, grads = _normalize(np.abs(u), mesh, p)
+    found = quotient(u, grads)
     if found is None:
         return None, None, 0
     value, state = found
-    grad = gradient(field, state)
+    grad = gradient(state)
     step = 1.0
     stalls = 0
     iters = 0
@@ -270,17 +270,19 @@ def _ascend_log_quotient(start: np.ndarray, mesh: Mesh, p: float, quotient, grad
         def trial(t):
             cand = np.abs(u + t * direction)
             cand[mesh.boundary_nodes] = 0.0
-            cand_field = DiscreteField(mesh, _normalize(cand, mesh, p))
-            q = quotient(cand_field)
-            return None if q is None else (-q[0], (cand_field, q[1]))
+            cand, cand_grads = _normalize(cand, mesh, p)
+            q = quotient(cand, cand_grads)
+            return None if q is None else (-q[0], (cand, q[1]))
 
         found = armijo(trial, -value, -slope, step)
         if found is None:
             break
-        t, neg_value, (cand_field, state) = found
-        grad = gradient(cand_field, state)
+        t, neg_value, (u, state) = found
+        grad = gradient(state)
+        # As in the descent, no state outlives its gradient.
+        state = found = None
         gain = -neg_value - value
-        u, value = cand_field.values, -neg_value
+        value = -neg_value
         step = min(t * 2.0, MAX_STEP)
         if gain <= 1e-13 * (1.0 + abs(value)):
             stalls += 1
@@ -323,8 +325,8 @@ def estimate_thresholds(spec: ProblemSpec, restarts: int = 16, max_iters: int = 
     total_iters = 0
     for values in starts:
         value, field, iters = _ascend_log_quotient(
-            values, mesh, spec.exponents.p, lambda u: _log_quotient(u, spec),
-            lambda u, comps: _log_quotient_gradient(u, comps, spec), solver, max_iters)
+            values, mesh, spec.exponents.p, lambda u, grads: _log_quotient(u, grads, spec),
+            lambda state: _log_quotient_gradient(state, spec), solver, max_iters)
         total_iters += iters
         if value is None:
             continue

@@ -29,9 +29,14 @@ from .functionals import (
     phi,
     weak_residual,
     _BLOCK,
+    _energy_change,
+    _energy_scale,
+    _evaluate,
     _gradient_factor,
     _phi_plus_block,
+    _residual,
     _resolve_delta,
+    _sum_product,
 )
 from .linalg import (ARMIJO_FACTOR, ARMIJO_SLOPE, MAX_BACKTRACKS, MAX_STEP,
                      InteriorSolver, armijo, preconditioned_direction)
@@ -50,11 +55,16 @@ __all__ = [
     "barrier_estimate",
 ]
 
-# Accepted descent steps in a row that leave the energy unchanged before the
-# descent gives up: at the rounding floor the Armijo test passes with no
-# progress.  Of the descents in the test suite and the benchmark workloads,
-# those that converge take at most 4 such steps in a row.
+# Accepted descent steps in a row that leave the trace energy unchanged before
+# the descent gives up: at the rounding floor an accepted step's energy change
+# no longer moves it.  Of the descents in the test suite and the benchmark
+# workloads, those that converge take at most 4 such steps in a row.
 _FLAT_STEPS = 10
+
+# Fraction of _energy_scale below which the difference of two rounded
+# energies, each off by a few 1e-16 of that scale, keeps too few digits for
+# the Armijo test (Hager & Zhang, SIAM J. Optim. 16, 2005).
+_RESOLUTION = 1e-13
 
 
 @dataclass(frozen=True)
@@ -113,12 +123,16 @@ def _descend(start: np.ndarray, spec: ProblemSpec, pre: InteriorSolver,
     The trial step is the spectral (Barzilai-Borwein) secant estimate in the
     preconditioner metric, (s.y)/(y.P^-1 y); backtracking keeps every accepted
     step monotone.  P^-1 y falls out of the direction solves already done.
+    The accepted trial's state gives the next residual.  Where a trial's
+    energy is within _RESOLUTION of the current one, the Armijo test uses
+    the cancellation-free change of _energy_change instead of the difference
+    of the two rounded energies, and the trace energy moves by that change.
     The descent stops unconverged after _FLAT_STEPS accepted steps in a row
-    without a strict energy decrease.
+    without a strict decrease of the trace energy.
     """
     mesh = spec.mesh
     u = _zero_boundary(start, mesh)
-    energy = phi(DiscreteField(mesh, u), spec)
+    energy, state = _evaluate(u, spec)
     step = 1.0
     trace = []
     converged = False
@@ -126,7 +140,11 @@ def _descend(start: np.ndarray, spec: ProblemSpec, pre: InteriorSolver,
     flat_steps = 0
     prev_u = prev_residual = prev_pre_grad = None
     for iterations in range(max_iters + 1):
-        residual = weak_residual(DiscreteField(mesh, u), spec, delta_reg).values
+        residual = _residual(state, spec, delta_reg)
+        resolution = _RESOLUTION * _energy_scale(state.comps, spec)
+        # Only u outlives the residual.  A state kept through the line search
+        # would fragment the heap, and the peak RSS grows with every solve.
+        state = found = None
         res_norm = float(np.max(np.abs(residual))) if residual.size else 0.0
         trace.append((iterations, energy, res_norm))
         if res_norm <= tol_res * (1.0 + abs(energy)):
@@ -146,17 +164,23 @@ def _descend(start: np.ndarray, spec: ProblemSpec, pre: InteriorSolver,
             if sy > 0.0 and y_pre > 0.0:
                 step = min(max(sy / y_pre, 1e-12), MAX_STEP)
         prev_u, prev_residual, prev_pre_grad = u, residual, pre_grad
+        products = []    # the direction's gradients and quadrature values
 
         def trial(t):
-            cand = u - t * pre_grad
-            return phi(DiscreteField(mesh, cand), spec), cand
+            cand_energy, cand = _evaluate(u - t * pre_grad, spec)
+            change = cand_energy - energy
+            if abs(change) <= resolution:
+                if not products:
+                    products.extend((mesh.gradients(pre_grad), mesh.values_at_qp(pre_grad)))
+                change = _energy_change(u, cand.values, -t, *products, spec)
+            return change, cand
 
-        found = armijo(trial, energy, -slope, step)
+        found = armijo(trial, 0.0, -slope, step)
         if found is None:
             break
-        t, cand_energy, cand = found
-        flat_steps = flat_steps + 1 if cand_energy >= energy else 0
-        u, energy = cand, cand_energy
+        t, change, state = found
+        flat_steps = flat_steps + 1 if energy + change >= energy else 0
+        u, energy = state.values, energy + change
         step = min(2.0 * t, MAX_STEP)
     return {"values": u, "energy": energy, "converged": converged,
             "iterations": iterations, "trace": trace}
@@ -518,18 +542,17 @@ def embedding_constant(mesh: Mesh, p: float, r: float, restarts: int = 4,
         raise InputError("embedding constant needs p > 1 and r >= 1")
     solver = InteriorSolver(mesh, alpha=1.0, beta=1.0)
 
-    def quotient(u: DiscreteField):
-        vals = mesh.values_at_qp(u.values)
+    def quotient(values: np.ndarray, grads: np.ndarray):
+        vals = mesh.values_at_qp(values)
         lr_int = mesh.integrate(vals**r)
-        grads = mesh.gradients(u.values)
         gnorm_sq = squared_norms(grads)
-        grad_int = float(np.dot(mesh.el_measures, gnorm_sq ** (p / 2.0)))
+        grad_int = _sum_product(mesh.el_measures, gnorm_sq ** (p / 2.0))
         if lr_int <= 0.0 or grad_int <= 0.0:
             return None
         value = np.log(lr_int) / r - np.log(grad_int) / p
         return value, (vals, lr_int, grads, gnorm_sq, grad_int)
 
-    def gradient(u: DiscreteField, state) -> np.ndarray:
+    def gradient(state) -> np.ndarray:
         # Iterates are nonnegative, so |u|^(r-2) u is u^(r-1).
         vals, lr_int, grads, gnorm_sq, grad_int = state
         point_form = mesh.assemble_point_term(vals ** (r - 1.0))

@@ -313,29 +313,13 @@ def p1_plus_energy(mesh, values, eps, ex, a, b):
     return (eps / ex.p) * dirichlet - gain / ex.q + loss / ex.gamma
 
 
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-@pytest.mark.parametrize("domain, resolution", [
-    ((0.0, 1.0), 41),
-    (((0.0, 1.0), (0.0, 2.0)), (9, 8)),
-])
-def test_block_kernel_against_p1_oracle(domain, resolution, p):
-    """Block energies and residuals of 19 signed fields, checked independently.
-
-    Energies must match the oracle's quadrature; residual columns must pair
-    with directions like central differences of the oracle energy.  Each
-    column must also match phi_plus and weak_residual_plus to 1e-13: the
-    block sums run in another order, which moves only the last bits.
-    """
-    from pfiber.functionals import _BLOCK, _phi_plus_block
+def oracle_case(domain, resolution, p):
+    """A bump-coefficient spec with its coefficient formulas for the oracle."""
     from pfiber.problem import bump_coefficient
 
-    k = 19
-    assert k % _BLOCK, "the last block should be partial"
     mesh = build_mesh(domain, resolution)
-    ex = Exponents(p, p + 1.0, p + 2.0)
-    eps = 0.05
-    spec = ProblemSpec(mesh, ex, eps, bump_coefficient(0.5, 1.0, domain),
-                       constant_coefficient(1.3))
+    spec = ProblemSpec(mesh, Exponents(p, p + 1.0, p + 2.0), 0.05,
+                       bump_coefficient(0.5, 1.0, domain), constant_coefficient(1.3))
     bounds = np.atleast_2d(np.asarray(domain))
 
     def a(*xs):
@@ -347,6 +331,31 @@ def test_block_kernel_against_p1_oracle(domain, resolution, p):
     def b(*xs):
         return np.full_like(xs[0], 1.3)
 
+    return spec, a, b
+
+
+ORACLE_MESHES = pytest.mark.parametrize("domain, resolution", [
+    ((0.0, 1.0), 41),
+    (((0.0, 1.0), (0.0, 2.0)), (9, 8)),
+])
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@ORACLE_MESHES
+def test_block_kernel_against_p1_oracle(domain, resolution, p):
+    """Block energies and residuals of 19 signed fields, checked independently.
+
+    Energies must match the oracle's quadrature; residual columns must pair
+    with directions like central differences of the oracle energy.  Each
+    column must also match phi_plus and weak_residual_plus to 1e-13: the
+    block sums run in another order, which moves only the last bits.
+    """
+    from pfiber.functionals import _BLOCK, _phi_plus_block
+
+    k = 19
+    assert k % _BLOCK, "the last block should be partial"
+    spec, a, b = oracle_case(domain, resolution, p)
+    mesh, ex, eps = spec.mesh, spec.exponents, spec.epsilon
     rng = np.random.default_rng(41)
     # Nodal magnitudes stay >= 0.05, away from the kink of the positive part;
     # columns mix all-positive, all-negative and signed fields.
@@ -384,6 +393,124 @@ def test_block_kernel_against_p1_oracle(domain, resolution, p):
     bad[mesh.interior_nodes[0], 17] = np.nan
     with pytest.raises(InputError):
         _phi_plus_block(bad, spec, residual=True)
+
+
+# -- single-field state kernel -----------------------------------------------
+
+
+def zero_trace(mesh, values):
+    values[mesh.boundary_nodes] = 0.0
+    return values
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@ORACLE_MESHES
+def test_state_kernel_against_p1_oracle(domain, resolution, p):
+    """Energy and residual of the state kernel, checked independently.
+
+    On positive fields phi equals phi_plus, so the block kernel's P1 oracle
+    applies.  phi and weak_residual wrap the kernel and return its bits.
+    """
+    from pfiber.functionals import _evaluate, _residual, _resolve_delta
+
+    spec, a, b = oracle_case(domain, resolution, p)
+    mesh, ex, eps = spec.mesh, spec.exponents, spec.epsilon
+    delta = _resolve_delta(spec, None)
+    rng = np.random.default_rng(43)
+    h = 1e-5
+    for _ in range(5):
+        u = zero_trace(mesh, rng.uniform(0.05, 1.5, mesh.n_nodes))
+        energy, state = _evaluate(u, spec)
+        oracle = p1_plus_energy(mesh, u, eps, ex, a, b)
+        assert abs(energy - oracle) <= 1e-12 * (1.0 + abs(oracle))
+        residual = _residual(state, spec, delta)
+        field = DiscreteField(mesh, u)
+        assert phi(field, spec) == energy
+        np.testing.assert_array_equal(weak_residual(field, spec).values, residual)
+        v = zero_trace(mesh, rng.uniform(-1.0, 1.0, mesh.n_nodes))
+        fd = (p1_plus_energy(mesh, u + h * v, eps, ex, a, b)
+              - p1_plus_energy(mesh, u - h * v, eps, ex, a, b)) / (2.0 * h)
+        assert abs(float(np.dot(residual, v)) - fd) <= 1e-7 * (1.0 + abs(fd))
+        np.testing.assert_array_equal(residual[mesh.boundary_nodes], 0.0)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@ORACLE_MESHES
+def test_energy_change_is_first_order_down_to_tiny_steps(domain, resolution, p):
+    """phi(u - t d) - phi(u) = -t * slope + O(t^2), for t from 1e-4 to 1e-12.
+
+    The relative first-order error must shrink with t down to 1e-12 (twice
+    its t = 1e-4 value scaled by t, plus 1e-10 for rounding).  A difference
+    of the two rounded energies misses the same bound at t = 1e-12: its
+    rounding error is about 1e-16 of the energy scale, 1e-4 of t * slope.
+    """
+    from pfiber.functionals import _energy_change, _evaluate, _residual
+
+    spec, _, _ = oracle_case(domain, resolution, p)
+    mesh = spec.mesh
+    rng = np.random.default_rng(47)
+    u = zero_trace(mesh, rng.uniform(0.05, 1.5, mesh.n_nodes))
+    d = zero_trace(mesh, rng.uniform(-1.0, 1.0, mesh.n_nodes))
+    energy, state = _evaluate(u, spec)
+    # The unregularized residual is the exact derivative on these fields.
+    slope = float(np.dot(_residual(state, spec, 0.0), d))
+    d_grads, d_qp = mesh.gradients(d), mesh.values_at_qp(d)
+    steps = 10.0 ** -np.arange(4, 13)
+
+    def rel_error(change, t):
+        return abs(change + t * slope) / (t * abs(slope))
+
+    changes = []
+    for t in steps:
+        cand = u - t * d
+        changes.append((_energy_change(u, cand, -t, d_grads, d_qp, spec),
+                        _evaluate(cand, spec)[0] - energy))
+    first = rel_error(changes[0][0], steps[0])
+    for t, (change, _) in zip(steps, changes):
+        assert rel_error(change, t) <= 2.0 * first * t / steps[0] + 1e-10, t
+    t, (_, plain) = steps[-1], changes[-1]
+    assert rel_error(plain, t) > 2.0 * first * t / steps[0] + 1e-10
+
+
+BLAS_SCRIPT = """
+import hashlib
+import numpy as np
+from pfiber.functionals import energy_components, phi, weak_residual
+from pfiber.problem import (DiscreteField, Exponents, ProblemSpec, build_mesh,
+                            constant_coefficient)
+from pfiber.rayleigh import _normalize
+one = constant_coefficient(1.0)
+mesh = build_mesh(((0.0, 1.0), (0.0, 1.0)), (81, 81))
+spec = ProblemSpec(mesh, Exponents(3.0, 4.0, 5.0), 1e-3, one, one)
+values = np.random.default_rng(5).uniform(0.0, 1.0, mesh.n_nodes)
+values[mesh.boundary_nodes] = 0.0
+u = DiscreteField(mesh, values)
+print(repr(phi(u, spec)), energy_components(u, spec))
+print(hashlib.sha256(weak_residual(u, spec).values.tobytes()).hexdigest())
+print(hashlib.sha256(_normalize(values, mesh, 3.0)[0].tobytes()).hexdigest())
+"""
+
+
+def test_kernel_sums_do_not_depend_on_the_blas_thread_count():
+    """Artifacts keep their bits on any machine.
+
+    A threaded BLAS dot splits a sum of more than 10 000 terms by its thread
+    count.  The 81x81 mesh has 12 800 elements, so energies, residuals and
+    normalized fields must come out the same under 1 and 2 BLAS threads.
+    """
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", BLAS_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
 
 
 # -- j_pointwise and J --------------------------------------------------------

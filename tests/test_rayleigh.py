@@ -320,22 +320,23 @@ def test_ascent_assembles_weak_forms_only_at_accepted_points(monkeypatch):
     """Trial points cost a quotient evaluation; weak forms wait for acceptance.
 
     Each restart here is the start plus two steps, both accepted, so the
-    calls must read Q F (Q+ F) (Q+ F): one derivative_forms call (F) for the
+    calls must read Q F (Q+ F) (Q+ F): one weak-form gradient (F) for the
     start and one per accepted step, each on the point whose quotient (Q)
     was just evaluated, and none after a rejected trial (Q Q).
     """
     events = []
 
-    def counting(kind, real):
-        def wrapped(u, *args, **kwargs):
-            events.append((kind, u.values.copy()))
-            return real(u, *args, **kwargs)
+    def counting(kind, real, values_of):
+        def wrapped(arg, *args, **kwargs):
+            events.append((kind, values_of(arg).copy()))
+            return real(arg, *args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(rayleigh, "energy_components",
-                        counting("Q", rayleigh.energy_components))
-    monkeypatch.setattr(rayleigh, "derivative_forms",
-                        counting("F", rayleigh.derivative_forms))
+    monkeypatch.setattr(rayleigh, "_log_quotient",
+                        counting("Q", rayleigh._log_quotient, lambda values: values))
+    monkeypatch.setattr(rayleigh, "_log_quotient_gradient",
+                        counting("F", rayleigh._log_quotient_gradient,
+                                 lambda state: state.values))
     restarts, max_iters = 4, 2
     est = estimate_thresholds(small_model_spec(), restarts=restarts,
                               max_iters=max_iters, seed=0)

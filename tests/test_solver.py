@@ -78,6 +78,24 @@ def test_ray_value_at_tight_convergence(model_ground_state):
     assert comps.loss > floor * spec.epsilon * comps.dirichlet
 
 
+def test_tight_convergence_does_not_hang_on_rounding_of_the_start(model_ground_state):
+    """Starts a relative 1e-15 apart all converge at tol_res = 1e-12.
+
+    Near the minimizer two rounded energies cannot resolve a decrease; an
+    Armijo test on their difference leaves 2 of these 8 starts unconverged.
+    The descent's cancellation-free energy change tells a decrease apart
+    from rounding, so every start converges.
+    """
+    spec, coarse = model_ground_state
+    for k in range(8):
+        start = DiscreteField(spec.mesh, coarse.field.values * (1.0 + k * 1e-15))
+        report = solve_ground_state(spec, init=start, tol_res=1e-12)
+        assert report.converged, k
+        assert report.residual_norm <= report.tol_effective
+        energies = np.array([row[1] for row in report.trace])
+        assert np.all(np.diff(energies) <= 0.0)
+
+
 def test_descent_stops_when_accepted_steps_stop_lowering_the_energy(
         model_ground_state):
     """At the rounding floor Armijo accepts steps that leave the energy as it
