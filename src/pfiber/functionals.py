@@ -19,11 +19,13 @@ the degenerate gradient factor |g|^(p-2) is evaluated as
 (|g|^2 + delta_reg^2)^((p-2)/2); energies passed to finite-difference checks
 can be regularized the same way so the pairing stays exact.
 
-Every single-field function here wraps one private kernel, ``_evaluate``:
-it returns the energy and a ``_State`` holding the field's gradients and
-quadrature powers, from which the weak forms are assembled without a second
-pass over the field.  ``_energy_change`` gives the energy difference of two
-fields without the cancellation of subtracting two rounded energies.
+Every function here wraps one private kernel, ``_evaluate``, which takes one
+field or an (n_nodes, k) stack of fields: it returns the energy and a
+``_State`` holding the gradients and quadrature powers, from which the weak
+forms are assembled without a second pass over the field.  The mountain
+pass's ``_phi_plus_block`` runs stacks through it.  ``_energy_change`` gives
+the energy difference of two fields without the cancellation of
+subtracting two rounded energies.
 """
 
 from dataclasses import dataclass
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, DomainError, InputError
-from .problem import _BOUNDARY_TOL, DiscreteField, ProblemSpec, squared_norms
+from .problem import _BOUNDARY_TOL, DiscreteField, ProblemSpec, _sum_product, squared_norms
 
 __all__ = [
     "EnergyComponents",
@@ -90,15 +92,6 @@ def _power(x: np.ndarray, e: float) -> np.ndarray:
     return out
 
 
-def _sum_product(weights: np.ndarray, values: np.ndarray) -> float:
-    """sum(weights * values) in one pass, without BLAS.
-
-    A threaded BLAS dot splits sums of more than 10 000 terms by its thread
-    count, so the last bits would depend on the machine.
-    """
-    return float(np.einsum("i,i->", weights, values.ravel()))
-
-
 def _resolve_delta(spec: ProblemSpec, delta_reg) -> float:
     if delta_reg is None:
         return DEFAULT_DELTA_REG if spec.exponents.p < 2.0 else 0.0
@@ -109,11 +102,12 @@ def _resolve_delta(spec: ProblemSpec, delta_reg) -> float:
 
 @dataclass(frozen=True)
 class _State:
-    """What one evaluation of a single field computes, kept for its weak forms.
+    """What one evaluation of a field or a stack computes, kept for its weak forms.
 
     ``grads`` are the element gradients and ``factor`` is |g|^(p-2) for
     integer p > 2, else None.  At the quadrature points ``signed_q1`` holds
-    |v|^(q-2) v and ``pow_gq`` holds |v|^(gamma-q).
+    |v|^(q-2) v and ``pow_gq`` holds |v|^(gamma-q).  For a stack each array
+    has a trailing column axis, and ``comps`` holds one value per column.
     """
 
     values: np.ndarray
@@ -135,11 +129,13 @@ def _energy_scale(comps: EnergyComponents, spec: ProblemSpec) -> float:
     return (spec.epsilon / ex.p) * comps.dirichlet + comps.gain / ex.q + comps.loss / ex.gamma
 
 
-def _evaluate(values: np.ndarray, spec: ProblemSpec, grads=None) -> tuple[float, _State]:
+def _evaluate(values: np.ndarray, spec: ProblemSpec, grads=None):
     """(energy, state) of the nodal field ``values``; ``grads`` may be supplied.
 
-    Integer exponents run as products: |v|^q and |v|^gamma are formed from
-    |v|^(q-1), and |g|^p from |g|^(p-2) and |g|^2.
+    ``values`` may also be an (n_nodes, k) stack of fields; the energy is
+    then one value per column.  Integer exponents run as products: |v|^q
+    and |v|^gamma are formed from |v|^(q-1), and |g|^p from |g|^(p-2) and
+    |g|^2.  Nonnegative values skip the signs of |v|.
     """
     mesh = spec.mesh
     ex = spec.exponents
@@ -159,9 +155,13 @@ def _evaluate(values: np.ndarray, spec: ProblemSpec, grads=None) -> tuple[float,
         density = norm_sq ** (ex.p / 2.0)
     dirichlet = _sum_product(mesh.el_measures, density)
     qp = mesh.values_at_qp(values)
-    absqp = np.abs(qp)
+    # The basis values are nonnegative, so nonnegative nodes give |v| = v.
+    signed = values.min(initial=0.0) < 0.0
+    absqp = np.abs(qp) if signed else qp
     pow_gq = _power(absqp, ex.gamma - ex.q)
-    signed_q1 = np.copysign(_power(absqp, ex.q - 1.0), qp)
+    signed_q1 = _power(absqp, ex.q - 1.0)
+    if signed:
+        signed_q1 = np.copysign(signed_q1, qp)
     dens = signed_q1 * qp
     gain = _sum_product(spec._weights_a, dens)
     dens *= pow_gq
@@ -186,16 +186,30 @@ def _flux_form(state: _State, spec: ProblemSpec, delta: float) -> np.ndarray:
 def _point_form(state: _State, spec: ProblemSpec, gain_weight: float = 1.0,
                 loss_weight: float = 1.0) -> np.ndarray:
     """Assembled gain_weight * a|v|^(q-2)v - loss_weight * b|v|^(gamma-2)v, one pass."""
-    density = gain_weight * spec.a_qp - loss_weight * spec.b_qp * state.pow_gq
+    cols = (...,) + (None,) * (state.values.ndim - 1)
+    density = gain_weight * spec.a_qp[cols] - loss_weight * spec.b_qp[cols] * state.pow_gq
     density *= state.signed_q1
     return spec.mesh.assemble_point_term(density)
 
 
-def _residual(state: _State, spec: ProblemSpec, delta: float) -> np.ndarray:
-    """Nodal weak residual eps*flux_form - gain_form + loss_form of a state."""
-    out = spec.epsilon * _flux_form(state, spec, delta) - _point_form(state, spec)
+def _residual(state: _State, spec: ProblemSpec, delta: float,
+              plus: bool = False) -> np.ndarray:
+    """Nodal weak residual eps*flux_form - gain_form + loss_form of a state.
+
+    With ``plus`` it is the residual of phi_plus from an _evaluate_plus state.
+    """
+    point = _point_form(state, spec)
+    if plus:
+        # phi_plus sees a node with u_i <= 0 only through the flux term.
+        point *= state.values > 0.0
+    out = spec.epsilon * _flux_form(state, spec, delta) - point
     out[spec.mesh.boundary_nodes] = 0.0
     return out
+
+
+def _evaluate_plus(values: np.ndarray, spec: ProblemSpec):
+    """_evaluate for phi_plus: the gradients of ``values``, the powers of its positive part."""
+    return _evaluate(np.maximum(values, 0.0), spec, spec.mesh.gradients(values))
 
 
 def _power_change(x: np.ndarray, y: np.ndarray, dx: np.ndarray, e: float) -> np.ndarray:
@@ -278,7 +292,7 @@ def phi(u: DiscreteField, spec: ProblemSpec, delta_reg: float = 0.0) -> float:
 def phi_plus(u: DiscreteField, spec: ProblemSpec) -> float:
     """Energy with the positive part in the gain and loss terms only."""
     u.require_zero_boundary("energy argument")
-    return _evaluate(np.maximum(u.values, 0.0), spec, u.mesh.gradients(u.values))[0]
+    return _evaluate_plus(u.values, spec)[0]
 
 
 def derivative_forms(u: DiscreteField, spec: ProblemSpec,
@@ -312,13 +326,9 @@ def weak_residual(u: DiscreteField, spec: ProblemSpec, delta_reg=None) -> Discre
 def weak_residual_plus(u: DiscreteField, spec: ProblemSpec, delta_reg=None) -> DiscreteField:
     """Weak residual of phi_plus: the gain/loss terms see the positive part."""
     u.require_zero_boundary("residual argument")
-    mesh = u.mesh
-    state = _evaluate(np.maximum(u.values, 0.0), spec, mesh.gradients(u.values))[1]
-    # phi_plus sees a node with u_i <= 0 only through the flux term.
-    out = (spec.epsilon * _flux_form(state, spec, _resolve_delta(spec, delta_reg))
-           - _point_form(state, spec) * (u.values > 0.0))
-    out[mesh.boundary_nodes] = 0.0
-    return DiscreteField(mesh, out)
+    state = _evaluate_plus(u.values, spec)[1]
+    return DiscreteField(u.mesh, _residual(state, spec, _resolve_delta(spec, delta_reg),
+                                           plus=True))
 
 
 # Columns per pass of the block kernel.  At 2001 nodes eight columns make
@@ -333,10 +343,10 @@ def _phi_plus_block(stack: np.ndarray, spec: ProblemSpec, delta_reg=None,
 
     With ``residual`` it returns ``(energies, residuals)``, the second being
     the columns' weak_residual_plus as an (n_nodes, k) array.  Columns pass
-    through the mesh operators _BLOCK at a time, each block C-contiguous.
-    Reductions run as matrix products, in another order than phi_plus and
-    weak_residual_plus use, so each column agrees with them to rounding,
-    not bit for bit.
+    through _evaluate_plus and _residual _BLOCK at a time, each block
+    C-contiguous.  Their sums run as matrix products, in another order than
+    a single field's, so each column agrees with phi_plus and
+    weak_residual_plus to rounding, not bit for bit.
 
     Raises:
         InputError: the stack has the wrong shape or a non-finite entry.
@@ -355,38 +365,15 @@ def _phi_plus_block(stack: np.ndarray, spec: ProblemSpec, delta_reg=None,
         raise ContractViolation(
             f"energy argument must vanish on the boundary; largest boundary value {worst:g}"
         )
-    ex = spec.exponents
     delta = _resolve_delta(spec, delta_reg)
-    n_el = mesh.el_measures.size
-    w_a, w_b = spec._weights_a, spec._weights_b
     energies = np.empty(stack.shape[1])
     residuals = np.empty(stack.shape) if residual else None
     for lo in range(0, stack.shape[1], _BLOCK):
         block = np.ascontiguousarray(stack[:, lo:lo + _BLOCK])
         cols = slice(lo, lo + block.shape[1])
-        grads = (mesh.gradient_operator @ block).reshape(n_el, mesh.dimension, -1)
-        norm_sq = np.einsum("edk,edk->ek", grads, grads)
-        # The basis values are nonnegative, so this is already the positive
-        # part phi_plus takes a second time.
-        plus = mesh.qp_operator @ np.maximum(block, 0.0)
-        dirichlet = mesh.el_measures @ _power(np.sqrt(norm_sq), ex.p)
-        dens = _power(plus, ex.q)
-        gain = w_a @ dens
-        dens *= _power(plus, ex.gamma - ex.q)
-        loss = w_b @ dens
-        energies[cols] = (spec.epsilon / ex.p) * dirichlet - gain / ex.q + loss / ex.gamma
+        energies[cols], state = _evaluate_plus(block, spec)
         if residual:
-            factor = mesh.el_measures[:, None] * _gradient_factor(norm_sq, ex.p, delta)
-            grads *= factor[:, None, :]
-            res = mesh.gradient_operator.T @ grads.reshape(-1, block.shape[1])
-            res *= spec.epsilon
-            # dens becomes (w_a - w_b * plus^(gamma-q)) * plus^(q-1) in place.
-            np.multiply(w_b[:, None], _power(plus, ex.gamma - ex.q), out=dens)
-            np.subtract(w_a[:, None], dens, out=dens)
-            dens *= _power(plus, ex.q - 1.0)
-            res -= (mesh.qp_operator.T @ dens) * (block > 0.0)
-            res[mesh.boundary_nodes] = 0.0
-            residuals[:, cols] = res
+            residuals[:, cols] = _residual(state, spec, delta, plus=True)
     return (energies, residuals) if residual else energies
 
 
@@ -401,11 +388,8 @@ def j_pointwise(alpha: float, beta: float, s, q: float, gamma: float):
 
 def J_functional(u: DiscreteField, spec: ProblemSpec) -> float:
     """Integral of the pointwise well at |u|; no boundary condition required."""
-    mesh = u.mesh
-    ex = spec.exponents
-    vals = np.abs(mesh.values_at_qp(u.values))
-    density = -(spec.a_qp / ex.q) * vals**ex.q + (spec.b_qp / ex.gamma) * vals**ex.gamma
-    return mesh.integrate(density)
+    comps = _evaluate(u.values, spec)[1].comps
+    return comps.loss / spec.exponents.gamma - comps.gain / spec.exponents.q
 
 
 def membership_tolerance(spec: ProblemSpec) -> float:

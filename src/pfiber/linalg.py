@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NumericalError
-from .problem import Mesh
+from .problem import Mesh, _sum_product
 
 __all__ = ["InteriorSolver", "armijo", "preconditioned_direction"]
 
@@ -62,10 +62,10 @@ def preconditioned_direction(pre: InteriorSolver, grad: np.ndarray):
     None when neither has.
     """
     direction = pre.apply(grad)
-    slope = float(np.dot(grad, direction))
+    slope = _sum_product(grad, direction)
     if slope <= 0.0:
         direction = grad
-        slope = float(np.dot(grad, grad))
+        slope = _sum_product(grad, grad)
         if slope <= 0.0:
             return None
     return direction, slope

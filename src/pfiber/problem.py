@@ -13,10 +13,12 @@ uniform meshes: intervals in 1D, rectangle cells split into two triangles in
 2D.  Each mesh precomputes its quadrature cloud (3-point Gauss per interval,
 3-point mid-edge rule per triangle) together with basis values and constant
 per-element basis gradients.  On first use it also assembles them into sparse
-operators (nodes to quadrature values, nodes to element gradients, element
-contributions to nodes), so functionals and weak forms reduce to a few
-sparse products and vectorized array contractions (Rahman & Valdman, Appl.
-Math. Comput. 2013).
+operators: B maps nodal values to quadrature values and G maps them to
+element gradients.  Weak forms assemble through the transposes of B and G
+with the quadrature weights and element measures folded in.  So functionals
+and weak forms reduce to a few sparse products and vectorized array
+contractions (Rahman & Valdman, Appl. Math. Comput. 2013), and the same
+products serve one field or an (n_nodes, k) stack of fields.
 """
 
 import json
@@ -178,9 +180,9 @@ class Mesh:
       basis_at_qp    (n_qp, dim + 1) reference basis values
       grad_basis     (n_elements, dim + 1, dim) constant basis gradients
 
-    The sparse operators ``qp_operator``, ``gradient_operator`` and
-    ``scatter_operator`` are built on first use and cached like
-    ``stiffness``.
+    The sparse operators ``qp_operator`` and ``gradient_operator``, and the
+    weighted transposes that assemble weak forms, are built on first use and
+    cached like ``stiffness``.
     """
 
     def __init__(self, bounds, resolution):
@@ -276,41 +278,28 @@ class Mesh:
         ])
 
     # -- evaluation helpers -------------------------------------------------
+    # Each kernel takes one field, or a stack with one field per column of a
+    # trailing axis; a sparse product gives each column a single field's bits.
 
     def values_at_qp(self, nodal: np.ndarray) -> np.ndarray:
-        """Interpolant values on the quadrature cloud, shape (n_el, n_qp)."""
-        return (self.qp_operator @ nodal).reshape(self.qp_weights.shape)
+        """Interpolant values on the quadrature cloud, shape (n_el, n_qp[, k])."""
+        return (self.qp_operator @ nodal).reshape(self.qp_weights.shape + nodal.shape[1:])
 
     def gradients(self, nodal: np.ndarray) -> np.ndarray:
-        """Constant per-element interpolant gradients, shape (n_el, dim)."""
-        return (self.gradient_operator @ nodal).reshape(self.el_measures.size,
-                                                        self.dimension)
+        """Constant per-element interpolant gradients, shape (n_el, dim[, k])."""
+        return (self.gradient_operator @ nodal).reshape(
+            (self.el_measures.size, self.dimension) + nodal.shape[1:])
 
     def integrate(self, qp_values: np.ndarray) -> float:
         return float(np.sum(self.qp_weights * qp_values))
 
     def assemble_point_term(self, qp_density: np.ndarray) -> np.ndarray:
         """Nodal vector with entries sum_qp w * density * basis_i."""
-        contrib = _vertex_sums(self.qp_weights * qp_density, self.basis_at_qp.T)
-        return self.scatter_operator @ contrib.ravel()
+        return self._point_assembly @ qp_density.reshape((-1,) + qp_density.shape[2:])
 
     def assemble_flux_term(self, el_flux: np.ndarray) -> np.ndarray:
         """Nodal vector with entries sum_el measure * flux . grad basis_i."""
-        contrib = _vertex_sums(el_flux, self._grad_basis_by_vertex)
-        contrib *= self.el_measures[:, None]
-        return self.scatter_operator @ contrib.ravel()
-
-    # The operators keep each row's entries in element-vertex order, and the
-    # scatter visits elements in the order np.bincount does; nothing asks
-    # scipy to sort them.  Each product then adds the same terms in the same
-    # order as the einsum gather and bincount scatter they replace, so the
-    # kernels above return the same bits.  So do the per-element sums of
-    # _vertex_sums and squared_norms, which add their terms in einsum's order.
-
-    @cached_property
-    def _grad_basis_by_vertex(self) -> np.ndarray:
-        """grad_basis as a C-contiguous (dim + 1, dim, n_elements) array."""
-        return np.ascontiguousarray(self.grad_basis.transpose(1, 2, 0))
+        return self._flux_assembly @ el_flux.reshape((-1,) + el_flux.shape[2:])
 
     @cached_property
     def qp_operator(self) -> sp.csr_matrix:
@@ -334,28 +323,20 @@ class Mesh:
         )
 
     @cached_property
-    def scatter_operator(self) -> sp.csr_matrix:
-        """S: per-(element, vertex) contributions summed onto their nodes."""
-        flat = self.elements.ravel()
-        indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(flat, minlength=self.n_nodes), out=indptr[1:])
-        return sp.csr_matrix(
-            (np.ones(flat.size), np.argsort(flat, kind="stable"), indptr),
-            shape=(self.n_nodes, flat.size),
-        )
+    def _point_assembly(self) -> sp.csr_matrix:
+        """(W B)^T, W the quadrature weights: densities to nodal point forms."""
+        return (sp.diags(self.qp_weights.ravel()) @ self.qp_operator).T.tocsr()
+
+    @cached_property
+    def _flux_assembly(self) -> sp.csr_matrix:
+        """(M G)^T, M the element measures: element fluxes to nodal flux forms."""
+        measures = np.repeat(self.el_measures, self.dimension)
+        return (sp.diags(measures) @ self.gradient_operator).T.tocsr()
 
     @cached_property
     def stiffness(self) -> sp.csr_matrix:
-        """Assembled p=2 stiffness matrix (int grad phi_i . grad phi_j)."""
-        nv = self.elements.shape[1]
-        local = self.el_measures[:, None, None] * np.einsum(
-            "evd,ewd->evw", self.grad_basis, self.grad_basis
-        )
-        rows = np.repeat(self.elements, nv, axis=1).ravel()
-        cols = np.tile(self.elements, (1, nv)).ravel()
-        mat = sp.coo_matrix((local.ravel(), (rows, cols)),
-                            shape=(self.n_nodes, self.n_nodes))
-        return mat.tocsr()
+        """Assembled p=2 stiffness matrix (int grad phi_i . grad phi_j), G^T M G."""
+        return self._flux_assembly @ self.gradient_operator
 
     @cached_property
     def lumped_mass(self) -> np.ndarray:
@@ -391,25 +372,23 @@ def _rows_operator(data: np.ndarray, cols: np.ndarray, n_cols: int) -> sp.csr_ma
                          shape=(values.size // k, n_cols))
 
 
-def _vertex_sums(terms: np.ndarray, coeffs) -> np.ndarray:
-    """(n, len(coeffs)) array with [e, v] = sum_k terms[e, k] * coeffs[v][k].
+def _sum_product(weights: np.ndarray, values: np.ndarray):
+    """sum(weights * values) for one field, or per column of a stack.
 
-    ``coeffs[v][k]`` is a scalar or a length-n array.  The sum runs over
-    increasing k, one whole column at a time, the order in which einsum adds
-    the same products; unlike a BLAS product it fuses no multiply-add, so the
-    bits match einsum's.
+    ``values`` holds one entry per weight, or one row of k columns per weight.
+    A threaded BLAS dot splits sums of more than 10 000 terms by its thread
+    count, so the last bits would depend on the machine.  One field, or a
+    single column, sums in one einsum pass and gives a float; a wider stack
+    sums as a matrix-vector product, whose threads split the columns, not
+    the sums.
     """
-    out = np.empty((terms.shape[0], len(coeffs)))
-    for v, row in enumerate(coeffs):
-        acc = terms[:, 0] * row[0]
-        for k in range(1, terms.shape[1]):
-            acc += terms[:, k] * row[k]
-        out[:, v] = acc
-    return out
+    if values.size == weights.size:
+        return float(np.einsum("i,i->", weights, values.ravel()))
+    return weights @ values.reshape(weights.size, -1)
 
 
 def squared_norms(vectors: np.ndarray) -> np.ndarray:
-    """Row-wise |v|^2 of an (n, dim) array, bit for bit einsum("ed,ed->e")."""
+    """Row-wise |v|^2 of an (n, dim[, k]) array; of (n, dim), bit for bit einsum("ed,ed->e")."""
     out = vectors[:, 0] * vectors[:, 0]
     for d in range(1, vectors.shape[1]):
         out += vectors[:, d] * vectors[:, d]

@@ -26,10 +26,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DomainError, InputError
-from .functionals import (EnergyComponents, _evaluate, _flux_form, _point_form,
-                          _resolve_delta, _sum_product)
+from .functionals import EnergyComponents, _evaluate, _flux_form, _point_form, _resolve_delta
 from .linalg import MAX_STEP, InteriorSolver, armijo, preconditioned_direction
-from .problem import DiscreteField, Exponents, Mesh, ProblemSpec, squared_norms
+from .problem import DiscreteField, Exponents, Mesh, ProblemSpec, _sum_product, squared_norms
 
 __all__ = [
     "ExtremalConstants",

@@ -27,6 +27,7 @@ from .functionals import (
     EnergyComponents,
     energy_components,
     phi,
+    phi_plus,
     weak_residual,
     _BLOCK,
     _energy_change,
@@ -36,11 +37,10 @@ from .functionals import (
     _phi_plus_block,
     _residual,
     _resolve_delta,
-    _sum_product,
 )
 from .linalg import (ARMIJO_FACTOR, ARMIJO_SLOPE, MAX_BACKTRACKS, MAX_STEP,
                      InteriorSolver, armijo, preconditioned_direction)
-from .problem import DiscreteField, Exponents, Mesh, ProblemSpec, squared_norms
+from .problem import DiscreteField, Exponents, Mesh, ProblemSpec, _sum_product, squared_norms
 from .rayleigh import _ascend_log_quotient, fiber_scalings, ray_quotients
 
 __all__ = [
@@ -159,8 +159,8 @@ def _descend(start: np.ndarray, spec: ProblemSpec, pre: InteriorSolver,
         if prev_u is not None:
             s = u - prev_u
             y = residual - prev_residual
-            sy = float(np.dot(s, y))
-            y_pre = float(np.dot(y, pre_grad - prev_pre_grad))
+            sy = _sum_product(s, y)
+            y_pre = _sum_product(y, pre_grad - prev_pre_grad)
             if sy > 0.0 and y_pre > 0.0:
                 step = min(max(sy / y_pre, 1e-12), MAX_STEP)
         prev_u, prev_residual, prev_pre_grad = u, residual, pre_grad
@@ -457,7 +457,7 @@ def solve_mountain_pass(spec: ProblemSpec, ground_state: SolveReport,
         f = seg_fracs[f]
         return (1.0 - f) * knots[:, j] + f * knots[:, j + 1]
 
-    result = None
+    top = None
     sweeps = 0
     for sweeps in range(1, max_iters + 1):
         energies = _phi_plus_block(knots, spec)
@@ -479,25 +479,22 @@ def solve_mountain_pass(spec: ProblemSpec, ground_state: SolveReport,
             steps = np.delete(steps, drop)
             energies = np.delete(energies, drop)
         if _step_knots(knots, steps, energies, spec, pre, delta_reg, tol_res):
-            k_star = int(np.argmax(energies))
-            result = (knots[:, k_star], float(energies[k_star]))
+            top = knots[:, int(np.argmax(energies))]
             break
 
-    if result is None:
-        energies = _phi_plus_block(knots, spec)
-        k_star = int(np.argmax(energies))
-        result = (knots[:, k_star], float(energies[k_star]))
-        converged = False
-    else:
-        converged = True
-
-    values = np.maximum(result[0], 0.0)
-    field = DiscreteField(mesh, values)
+    converged = top is not None
+    if not converged:
+        top = knots[:, int(np.argmax(_phi_plus_block(knots, spec)))]
+    # The level and the energy come from the single-field kernel, whose sums
+    # run in another order than the stack's: so the level of a nonnegative
+    # top knot equals the energy of its positive part to the last bit.
+    path_level = phi_plus(DiscreteField(mesh, top), spec)
+    field = DiscreteField(mesh, np.maximum(top, 0.0))
     energy = phi(field, spec)
     res_norm = float(np.max(np.abs(weak_residual(field, spec, delta_reg).values)))
     tol_eff = tol_res * (1.0 + abs(energy))
     return MountainPassReport(
-        field=field, energy=energy, path_level=result[1],
+        field=field, energy=energy, path_level=path_level,
         residual_norm=res_norm, iterations=sweeps,
         converged=converged and res_norm <= tol_eff,
         tol_effective=tol_eff, delta_reg=delta_reg,

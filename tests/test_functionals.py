@@ -340,6 +340,27 @@ ORACLE_MESHES = pytest.mark.parametrize("domain, resolution", [
 ])
 
 
+@ORACLE_MESHES
+def test_mesh_kernels_give_each_stack_column_the_single_field_bits(domain, resolution):
+    """Every mesh kernel applied to a stack returns, column by column, the
+    bits of the same kernel applied to that column alone."""
+    mesh = build_mesh(domain, resolution)
+    rng = np.random.default_rng(53)
+    k = 5
+    n_el = mesh.el_measures.size
+    nodal = rng.standard_normal((mesh.n_nodes, k))
+    density = rng.standard_normal(mesh.qp_weights.shape + (k,))
+    flux = rng.standard_normal((n_el, mesh.dimension, k))
+    for kernel, stack in ((mesh.values_at_qp, nodal), (mesh.gradients, nodal),
+                          (mesh.assemble_point_term, density),
+                          (mesh.assemble_flux_term, flux)):
+        out = kernel(stack)
+        assert out.shape[-1] == k
+        for j in range(k):
+            np.testing.assert_array_equal(out[..., j],
+                                          kernel(np.ascontiguousarray(stack[..., j])))
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 @ORACLE_MESHES
 def test_block_kernel_against_p1_oracle(domain, resolution, p):
@@ -475,10 +496,11 @@ def test_energy_change_is_first_order_down_to_tiny_steps(domain, resolution, p):
 BLAS_SCRIPT = """
 import hashlib
 import numpy as np
-from pfiber.functionals import energy_components, phi, weak_residual
+from pfiber.functionals import _phi_plus_block, energy_components, phi, weak_residual
 from pfiber.problem import (DiscreteField, Exponents, ProblemSpec, build_mesh,
                             constant_coefficient)
 from pfiber.rayleigh import _normalize
+from pfiber.solver import solve_ground_state
 one = constant_coefficient(1.0)
 mesh = build_mesh(((0.0, 1.0), (0.0, 1.0)), (81, 81))
 spec = ProblemSpec(mesh, Exponents(3.0, 4.0, 5.0), 1e-3, one, one)
@@ -488,6 +510,14 @@ u = DiscreteField(mesh, values)
 print(repr(phi(u, spec)), energy_components(u, spec))
 print(hashlib.sha256(weak_residual(u, spec).values.tobytes()).hexdigest())
 print(hashlib.sha256(_normalize(values, mesh, 3.0)[0].tobytes()).hexdigest())
+stack = values[:, None] * np.linspace(-0.5, 1.5, 11)
+energies, residuals = _phi_plus_block(stack, spec, residual=True)
+print(energies.tobytes().hex())
+print(hashlib.sha256(residuals.tobytes()).hexdigest())
+line = build_mesh((0.0, 1.0), 20001)
+report = solve_ground_state(ProblemSpec(line, Exponents(2.0, 3.0, 4.0), 1e-3, one, one),
+                            random_restarts=0)
+print(report.iterations, hashlib.sha256(report.field.values.tobytes()).hexdigest())
 """
 
 
@@ -496,7 +526,10 @@ def test_kernel_sums_do_not_depend_on_the_blas_thread_count():
 
     A threaded BLAS dot splits a sum of more than 10 000 terms by its thread
     count.  The 81x81 mesh has 12 800 elements, so energies, residuals and
-    normalized fields must come out the same under 1 and 2 BLAS threads.
+    normalized fields, of one field and of a stack of 11, must come out the
+    same under 1 and 2 BLAS threads.  So must the field of a 20001-node
+    solve, whose descent also sums nodal dot products: the directions'
+    slopes and the Barzilai-Borwein products.
     """
     import os
     import subprocess

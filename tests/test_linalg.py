@@ -1,5 +1,7 @@
 """The shared Armijo line search and preconditioned directions."""
 
+import math
+
 import numpy as np
 
 from pfiber.linalg import (
@@ -53,7 +55,11 @@ def test_preconditioned_direction_and_its_fallbacks():
     grad[mesh.boundary_nodes] = 0.0
     direction, slope = preconditioned_direction(pre, grad)
     np.testing.assert_array_equal(direction, pre.apply(grad))
-    assert slope == float(np.dot(grad, direction)) > 0.0
+    # The slope is grad . direction, summed without BLAS: within the
+    # summation bound n * 2^-53 * sum |terms| of the correctly rounded sum.
+    terms = grad * direction
+    assert slope > 0.0
+    assert abs(slope - math.fsum(terms)) <= terms.size * 2.0**-53 * math.fsum(np.abs(terms))
 
     # A gradient on the boundary alone has P^-1 g = 0, which does not
     # descend; the raw gradient does.
