@@ -344,9 +344,10 @@ def _phi_plus_block(stack: np.ndarray, spec: ProblemSpec, delta_reg=None,
     With ``residual`` it returns ``(energies, residuals)``, the second being
     the columns' weak_residual_plus as an (n_nodes, k) array.  Columns pass
     through _evaluate_plus and _residual _BLOCK at a time, each block
-    C-contiguous.  Their sums run as matrix products, in another order than
-    a single field's, so each column agrees with phi_plus and
-    weak_residual_plus to rounding, not bit for bit.
+    C-contiguous.  Each residual column has weak_residual_plus's bits.  A
+    block of several columns sums its energies as a matrix product, in
+    another order than a single field's, so they agree with phi_plus to
+    rounding, not bit for bit.
 
     Raises:
         InputError: the stack has the wrong shape or a non-finite entry.
