@@ -457,29 +457,24 @@ _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _GAUSS_T = 0.5 * (_GAUSS_NODES + 1.0)
 _GAUSS_W = 0.5 * _GAUSS_WEIGHTS
 
+# Panel breaks over s = -log(1 - U).  For non-integer q, t^q has a branch
+# point at s = 0, so the panels halve 40 times toward it; unit panels follow
+# out to s = 64, where exp(-s) < 2^-92 and the integrand is constant to
+# rounding.  Past that, one panel as long as the table doubles its reach, at
+# most 64 times.
+_LAYER_BREAKS = np.concatenate(
+    [[0.0], 2.0 ** np.arange(-40.0, 0.0), np.arange(1.0, 65.0)])
+# Newton from the table's linear interpolant reaches the rounding floor of
+# xi(s) within 4 steps for every exponent pair tried, 1.01 <= q < gamma <= 200;
+# two more steps are spare.
+_LAYER_NEWTON_STEPS = 6
 
-def _xi_of_logdepth(pot: _LayerPotential, s_upper: np.ndarray) -> np.ndarray:
-    """xi(U) for s_upper = -log(1 - U), vectorized over many upper limits.
 
-    Panelized 16-point Gauss: unit panels resolve the transition region near
-    s = 0; the tail integrand is constant up to O(exp(-s)) so long panels are
-    safe there.
-    """
-    s_upper = np.atleast_1d(np.asarray(s_upper, dtype=float))
-    n = s_upper.shape[0]
-    n_active, n_tail = 12, 12
-    split = np.minimum(s_upper, float(n_active))
-    active = np.linspace(0.0, 1.0, n_active + 1)[None, :] * split[:, None]
-    tail = split[:, None] + np.linspace(0.0, 1.0, n_tail + 1)[None, :] * (
-        s_upper - split
-    )[:, None]
-    breaks = np.concatenate([active, tail[:, 1:]], axis=1)   # (n, panels + 1)
-    lo = breaks[:, :-1]
-    length = breaks[:, 1:] - lo
-    nodes = lo[:, :, None] + length[:, :, None] * _GAUSS_T[None, None, :]
-    vals = pot.integrand_log(nodes.reshape(n, -1)).reshape(nodes.shape)
-    weights = length[:, :, None] * _GAUSS_W[None, None, :]
-    return np.einsum("npk,npk->n", vals, weights)
+def _gauss_panels(pot: _LayerPotential, lo: np.ndarray,
+                  length: np.ndarray) -> np.ndarray:
+    """16-point Gauss integral of pot.integrand_log over each [lo, lo + length]."""
+    nodes = lo[:, None] + length[:, None] * _GAUSS_T
+    return pot.integrand_log(nodes) @ _GAUSS_W * length
 
 
 @dataclass(frozen=True)
@@ -525,50 +520,54 @@ def layer_profile_1d(q: float, gamma: float, xi_max: float = 40.0,
     """Solve the p = 2 layer equation for U(xi) on a uniform xi grid.
 
     The first integral gives xi as the integral of 1/sqrt(2 W(t)) from 0 to
-    U; after substituting t = 1 - exp(-s) the integrand is smooth all the way
-    into the tail, and a bracketing bisection in s inverts the relation for
-    each grid value of xi.
+    U.  After substituting t = 1 - exp(-s), the integrand xi'(s) is smooth
+    into the tail.  One table holds its 16-point Gauss integrals over fixed
+    panels in s, graded toward the branch point of t^q at s = 0, summed
+    cumulatively until they pass xi_max.  Each grid value of xi is then found by
+    Newton's method in s, started from linear interpolation in the table.
+    An iterate's xi(s) is the table entry at its panel's left end plus one
+    Gauss integral over the part of the panel below s.  Every iterate stays
+    inside its panel: a step that would leave the bracket known so far
+    bisects it instead.  The step count is fixed, so the result depends on
+    nothing but the inputs.
 
     Raises:
-        InputError: exponents outside 1 < q < gamma, or a degenerate grid.
+        InputError: exponents outside 1 < q < gamma, a non-finite or
+            nonpositive xi_max, or points < 2.
+        NumericalError: the table does not reach xi_max.
     """
     if not (1.0 < q < gamma):
         raise InputError(f"layer profile needs 1 < q < gamma, got q={q}, gamma={gamma}")
-    if xi_max <= 0.0 or points < 2:
-        raise InputError("xi_max must be positive and points >= 2")
+    if not (0.0 < xi_max < np.inf) or points < 2:
+        raise InputError("xi_max must be positive and finite, and points >= 2")
     pot = _LayerPotential(q, gamma)
     xi_grid = np.linspace(0.0, xi_max, points)
 
-    # Bracket: the transformed integrand is bounded below on [0, hi].
-    hi = max(4.0 * xi_max, 8.0)
-    for _ in range(200):
-        if float(_xi_of_logdepth(pot, np.array([hi]))[0]) >= xi_max:
+    breaks = _LAYER_BREAKS
+    table = np.concatenate(
+        [[0.0], np.cumsum(_gauss_panels(pot, breaks[:-1], np.diff(breaks)))])
+    for _ in range(64):
+        if table[-1] >= xi_max:
             break
-        hi *= 2.0
-    else:
-        raise NumericalError(
-            f"layer quadrature failed to bracket xi = {xi_max}"
-        )
+        reach = breaks[-1:]
+        table = np.append(table, table[-1] + _gauss_panels(pot, reach, reach))
+        breaks = np.append(breaks, 2.0 * reach)
+    if not table[-1] >= xi_max:
+        raise NumericalError(f"layer quadrature failed to bracket xi = {xi_max}")
 
     targets = xi_grid[1:]
-    lo = np.zeros_like(targets)
-    hi_arr = np.full_like(targets, hi)
-    # Each sweep bisects only the brackets that moved in the last one.  A
-    # bracket that stays put sits on adjacent doubles, and every later sweep
-    # would repeat it.
-    moving = np.arange(targets.size)
-    for _ in range(80):
-        if moving.size == 0:
-            break
-        b_lo, b_hi = lo[moving], hi_arr[moving]
-        mid = 0.5 * (b_lo + b_hi)
-        too_small = _xi_of_logdepth(pot, mid) < targets[moving]
-        new_lo = np.where(too_small, mid, b_lo)
-        new_hi = np.where(too_small, b_hi, mid)
-        lo[moving], hi_arr[moving] = new_lo, new_hi
-        moving = moving[(new_lo != b_lo) | (new_hi != b_hi)]
-    s_sol = 0.5 * (lo + hi_arr)
-    u = -np.expm1(-s_sol)
+    k = np.minimum(np.searchsorted(table, targets, side="right"),
+                   breaks.size - 1) - 1
+    start, lo, hi = breaks[k], breaks[k], breaks[k + 1]
+    offset = table[k] - targets
+    s = start - offset / (table[k + 1] - table[k]) * (hi - lo)
+    for _ in range(_LAYER_NEWTON_STEPS):
+        residual = offset + _gauss_panels(pot, start, s - start)
+        lo = np.where(residual < 0.0, s, lo)
+        hi = np.where(residual > 0.0, s, hi)
+        step = s - residual / pot.integrand_log(s)
+        s = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+    u = -np.expm1(-s)
     u = np.minimum(u, np.nextafter(1.0, 0.0))
     values = np.concatenate([[0.0], np.maximum.accumulate(u)])
     return LayerProfile(xi=xi_grid, values=values, q=float(q), gamma=float(gamma))

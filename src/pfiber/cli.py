@@ -58,6 +58,8 @@ __all__ = ["main", "run", "resolve_config", "load_config"]
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"config key '{path}': expected a number")
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigurationError(f"config key '{path}': expected a finite number")
     return float(value)
 
 
@@ -219,10 +221,10 @@ def resolve_config(raw: dict) -> dict:
     if not isinstance(domain, list):
         raise ConfigurationError("config key 'domain': expected a list")
     if len(domain) == 2 and all(isinstance(v, (int, float)) for v in domain):
-        domain_res = [float(domain[0]), float(domain[1])]
+        domain_res = [_number(v, "domain") for v in domain]
         default_res = 201
     elif len(domain) == 2 and all(isinstance(v, list) and len(v) == 2 for v in domain):
-        domain_res = [[float(v[0]), float(v[1])] for v in domain]
+        domain_res = [[_number(x, "domain") for x in v] for v in domain]
         default_res = [41, 41]
     else:
         raise ConfigurationError(

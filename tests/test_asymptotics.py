@@ -1,7 +1,10 @@
 """Flat-limit metrics, the eps sweep, scaling equivalences, boundary layers."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from pfiber.asymptotics import (
     asymptotic_metrics,
@@ -13,7 +16,7 @@ from pfiber.asymptotics import (
     scaled_problem,
     separation_constant,
 )
-from pfiber.errors import HypothesisViolation, InputError
+from pfiber.errors import HypothesisViolation, InputError, NumericalError
 from pfiber.functionals import energy_components, weak_residual
 from pfiber.problem import (
     DiscreteField,
@@ -349,6 +352,68 @@ def test_layer_profile_input_checks():
         layer_profile_1d(2.0, 4.0, xi_max=-1.0)
     with pytest.raises(InputError):
         layer_profile_1d(2.0, 4.0, points=1)
+    for xi_max in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError):
+            layer_profile_1d(2.0, 4.0, xi_max=xi_max)
+
+
+def test_layer_profile_table_doubling():
+    """Past s = 64 the table grows by doubling panels, a bounded number of times."""
+    prof = layer_profile_1d(2.0, 4.0, xi_max=200.0)
+    prof.validate()
+    below = prof.values <= 0.99
+    exact = np.sqrt(2.0) * np.arctanh(prof.values[below])
+    assert np.max(np.abs(exact - prof.xi[below])) <= 2e-14   # 1.8e-15 measured
+    assert prof.values[-1] == np.nextafter(1.0, 0.0)
+    with pytest.raises(NumericalError):
+        layer_profile_1d(2.0, 4.0, xi_max=1e30)
+
+
+def _xi_closed_form_34(q, gamma, u):
+    """xi(U) of the (q, gamma) = (3, 4) layer equation, integrated in closed form."""
+    assert (q, gamma) == (3.0, 4.0)
+    s = 1.0 - u
+    r = np.sqrt(3.0 * s**2 - 8.0 * s + 6.0)
+    root6 = math.sqrt(6.0)
+    return (np.log((12.0 - 8.0 * s + 2.0 * root6 * r) / s)
+            - math.log(4.0 + 2.0 * root6))
+
+
+def _xi_by_quad(q, gamma, u):
+    """xi(U) as the adaptive quadrature of 1/sqrt(2 W(t)) over [0, U].
+
+    W(t) = expm1(gamma log t)/gamma - expm1(q log t)/q cancels only a
+    factor 1 - t, where the polynomial form cancels (1 - t)^2.
+    """
+    def integrand(t):
+        log_t = math.log(t)
+        w = math.expm1(gamma * log_t) / gamma - math.expm1(q * log_t) / q
+        return 1.0 / math.sqrt(2.0 * w)
+
+    return np.array([quad(integrand, 0.0, x, epsabs=0.0, epsrel=5e-14,
+                          limit=200)[0] for x in u])
+
+
+# Tolerances: ten times the largest error measured on the default grid
+# (numpy 2.4.6, x86-64), rounded up.  Only U <= 0.99 is compared: there a
+# rounding of U moves xi by under 1e-14, and both references agree with
+# 50-digit mpmath quadrature to 2e-15.
+@pytest.mark.parametrize(
+    ("q", "gamma", "reference", "tol"),
+    [(3.0, 4.0, _xi_closed_form_34, 1e-12),                       # 8.9e-14
+     (2.5, 4.5, _xi_by_quad, 6e-13),                             # 5.9e-14
+     (1.5, 6.0, _xi_by_quad, 3e-14)],                            # 2.7e-15
+    ids=["closed_form_3_4", "quad_2.5_4.5", "quad_1.5_6"],
+)
+def test_layer_profile_against_independent_xi(q, gamma, reference, tol):
+    prof = layer_profile_1d(q, gamma)
+    prof.validate()
+    again = layer_profile_1d(q, gamma)
+    assert again.values.tobytes() == prof.values.tobytes()
+    keep = (prof.xi > 0.0) & (prof.values <= 0.99)
+    assert keep.sum() >= 20
+    err = np.abs(reference(q, gamma, prof.values[keep]) - prof.xi[keep])
+    assert np.max(err) <= tol
 
 
 def test_layer_profile_interpolation_clamps(tanh_profile):

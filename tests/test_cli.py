@@ -437,6 +437,12 @@ def test_negative_integers_are_config_errors(tmp_path, capsys, solver, flags,
          "'layer.xi_max': expected a positive number"),
         ("layer", {"layer": {"compare_eps": -1e-4}},
          "'layer.compare_eps': expected a positive number"),
+        ("layer", {"layer": {"xi_max": float("inf")}},
+         "'layer.xi_max': expected a finite number"),
+        ("sweep", {"eps_list": [1e-2], "asymptotics": {"eta": float("inf")}},
+         "'asymptotics.eta': expected a finite number"),
+        ("solve", {"domain": [0.0, 10**400]},
+         "'domain': expected a finite number"),
         ("sweep", {"eps_list": [1e-2], "asymptotics": {"eta": 0.0}},
          "'asymptotics.eta': expected a positive number"),
         ("sweep", {"eps_list": [1e-2], "asymptotics": {"r_list": [0.5]}},
@@ -447,6 +453,7 @@ def test_negative_integers_are_config_errors(tmp_path, capsys, solver, flags,
     ids=["path_points", "layer_points", "restarts", "eps_rising",
          "eps_repeated", "eps_zero", "eps_negative", "tol_res_zero",
          "mp_tol_res_negative", "xi_max_zero", "compare_eps_negative",
+         "xi_max_infinite", "eta_infinite", "domain_overflows",
          "eta_zero", "r_below_one", "r_at_gamma"],
 )
 def test_bad_counts_and_eps_lists_fail_before_any_artifact(
