@@ -406,8 +406,12 @@ def _potential_derivatives_at_one(q: float, g: float, order: int) -> list[float]
 class _LayerPotential:
     """Stable evaluation of W(t) = t^g/g - t^q/q + 1/q - 1/g on [0, 1].
 
-    W has a double zero at t = 1; within SERIES_CUT of it a Taylor expansion
-    in 1 - t avoids the catastrophic cancellation of the direct formula.
+    W has a double zero at t = 1: the direct formula sums terms of order 1
+    to a value of order delta^2, delta = 1 - t.  Written as
+    expm1(g log t)/g - expm1(q log t)/q, with log t = log1p(-delta), its
+    terms are of order delta, so the cancellation costs one factor delta,
+    not two.  Within SERIES_CUT of t = 1 a Taylor expansion in delta takes
+    over.
     """
 
     SERIES_CUT = 3e-3
@@ -415,15 +419,7 @@ class _LayerPotential:
     def __init__(self, q: float, g: float):
         self.q = q
         self.g = g
-        self.offset = 1.0 / q - 1.0 / g
         self.derivs = _potential_derivatives_at_one(q, g, 6)
-
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        delta = 1.0 - t
-        direct = t**self.g / self.g - t**self.q / self.q + self.offset
-        series = delta**2 * self.gap_factor(delta)
-        return np.where(delta < self.SERIES_CUT, series, direct)
 
     def gap_factor(self, delta: np.ndarray) -> np.ndarray:
         """g with W(1 - delta) = delta^2 g(delta); positive for small delta."""
@@ -443,10 +439,12 @@ class _LayerPotential:
         """
         s = np.asarray(s, dtype=float)
         delta = np.exp(-s)
-        t = 1.0 - delta
         near = delta < self.SERIES_CUT
+        with np.errstate(divide="ignore"):  # log t = -inf at s = 0, where W = 1/q - 1/g
+            log_t = np.log1p(-delta)
         direct_w = np.where(
-            near, 1.0, t**self.g / self.g - t**self.q / self.q + self.offset
+            near, 1.0,
+            np.expm1(self.g * log_t) / self.g - np.expm1(self.q * log_t) / self.q,
         )
         factor = self.gap_factor(np.minimum(delta, self.SERIES_CUT))
         return np.where(near, 1.0 / np.sqrt(2.0 * factor),

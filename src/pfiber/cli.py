@@ -376,10 +376,13 @@ def _cmd_layer(resolved: dict, out_dir: Path, svg: bool, threads: int) -> int:
         raise ConfigurationError(
             "config key 'domain': the layer comparison needs a 1D domain"
         )
-    dump_json(resolved, out_dir / "resolved_config.json")
     lay = dict(resolved["layer"])
     compare_eps = lay.pop("compare_eps")
-    profile = layer_profile_1d(exp.q, exp.gamma, **lay)
+    try:
+        profile = layer_profile_1d(exp.q, exp.gamma, **lay)
+    except NumericalError as exc:  # xi_max beyond the table's reach
+        raise ConfigurationError(f"config key 'layer.xi_max': {exc}") from exc
+    dump_json(resolved, out_dir / "resolved_config.json")
     profile.to_csv(out_dir / "layer_profile.csv")
 
     doc = {"q": exp.q, "gamma": exp.gamma, **lay,

@@ -362,14 +362,16 @@ class Mesh:
 def _rows_operator(data: np.ndarray, cols: np.ndarray, n_cols: int) -> sp.csr_matrix:
     """CSR matrix with one row per leading index of ``data``, entries in order.
 
-    ``data`` and ``cols`` share a shape (..., k); every row holds k entries,
-    stored unsorted exactly as given.
+    ``data`` and ``cols`` share a shape (..., k); every row holds its nonzero
+    entries, stored unsorted in the order given.  A product sums each row
+    from +0, so the dropped zeros would not have changed its bits.
     """
     k = data.shape[-1]
-    values = np.ascontiguousarray(data, dtype=float).reshape(-1)
-    indptr = np.arange(0, values.size + 1, k)
-    return sp.csr_matrix((values, np.ascontiguousarray(cols).reshape(-1), indptr),
-                         shape=(values.size // k, n_cols))
+    values = np.asarray(data, dtype=float).reshape(-1, k)
+    keep = values != 0.0
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return sp.csr_matrix((values[keep], np.asarray(cols).reshape(-1, k)[keep], indptr),
+                         shape=(values.shape[0], n_cols))
 
 
 def _sum_product(weights: np.ndarray, values: np.ndarray):

@@ -1,8 +1,8 @@
 """Critical-point solvers: negative-energy ground state and mountain pass.
 
 Ground state.  Preconditioned descent on the energy: the nodal weak residual
-is mapped to a Sobolev-type gradient through a prefactorized interior solve
-with eps * stiffness + mass, then Armijo backtracking (factor 0.5, slope
+is mapped to a Sobolev-type gradient through an interior solve with
+eps * stiffness + mass, then Armijo backtracking (factor 0.5, slope
 parameter 1e-4) fixes the step.  Seeds are the fiber-optimal scaling of the
 interpolated flat-limit profile plus random nonnegative restarts; candidates
 are compared by energy and the zero field wins whenever no candidate goes

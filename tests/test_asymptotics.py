@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from pfiber.asymptotics import (
+    _LayerPotential,
     asymptotic_metrics,
     composite_approx_1d,
     epsilon_sweep,
@@ -394,15 +395,15 @@ def _xi_by_quad(q, gamma, u):
                           limit=200)[0] for x in u])
 
 
-# Tolerances: ten times the largest error measured on the default grid
-# (numpy 2.4.6, x86-64), rounded up.  Only U <= 0.99 is compared: there a
+# Tolerances: about ten times the largest error measured on the default
+# grid (numpy 2.4.6, x86-64), rounded up.  Only U <= 0.99 is compared: there a
 # rounding of U moves xi by under 1e-14, and both references agree with
 # 50-digit mpmath quadrature to 2e-15.
 @pytest.mark.parametrize(
     ("q", "gamma", "reference", "tol"),
-    [(3.0, 4.0, _xi_closed_form_34, 1e-12),                       # 8.9e-14
-     (2.5, 4.5, _xi_by_quad, 6e-13),                             # 5.9e-14
-     (1.5, 6.0, _xi_by_quad, 3e-14)],                            # 2.7e-15
+    [(3.0, 4.0, _xi_closed_form_34, 4e-14),                       # 3.6e-15
+     (2.5, 4.5, _xi_by_quad, 4e-14),                             # 4.0e-15
+     (1.5, 6.0, _xi_by_quad, 3e-14)],                            # 3.6e-15
     ids=["closed_form_3_4", "quad_2.5_4.5", "quad_1.5_6"],
 )
 def test_layer_profile_against_independent_xi(q, gamma, reference, tol):
@@ -414,6 +415,33 @@ def test_layer_profile_against_independent_xi(q, gamma, reference, tol):
     assert keep.sum() >= 20
     err = np.abs(reference(q, gamma, prof.values[keep]) - prof.xi[keep])
     assert np.max(err) <= tol
+
+
+@pytest.mark.parametrize(("q", "gamma", "tol"), [
+    (3.0, 4.0, 7e-13),
+    (2.5, 4.5, 3e-13),
+    (1.05, 1.1, 1.3e-11),
+])
+def test_layer_integrand_against_mpmath(q, gamma, tol):
+    """xi'(s) = delta / sqrt(2 W(1 - delta)), delta = exp(-s), against 40 digits.
+
+    The range ends at the Taylor branch's cut, delta = 3e-3.  The tolerances
+    are 10 times the measured error, rounded up (6.7e-14, 2.8e-14, 1.2e-12);
+    the direct formula t^gamma/gamma - t^q/q + 1/q - 1/gamma is off by up to
+    4.3e-12, 2.4e-12 and 2.5e-10.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    s = np.linspace(0.05, 5.8, 400)
+    with mpmath.workdps(40):
+        qm, gm = mpmath.mpf(q), mpmath.mpf(gamma)
+        reference = []
+        for x in s:
+            delta = mpmath.exp(-mpmath.mpf(x))
+            t = 1 - delta
+            w = t**gm / gm - t**qm / qm + 1 / qm - 1 / gm
+            reference.append(float(delta / mpmath.sqrt(2 * w)))
+    got = _LayerPotential(q, gamma).integrand_log(s)
+    assert np.max(np.abs(got / np.array(reference) - 1.0)) <= tol
 
 
 def test_layer_profile_interpolation_clamps(tanh_profile):

@@ -1,6 +1,9 @@
 """Config resolution, subcommand artifacts, exit codes, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -20,6 +23,21 @@ def model_config(**overrides):
     cfg = json.loads(json.dumps(MODEL))
     cfg.update(overrides)
     return cfg
+
+
+def test_cli_import_leaves_solver_backends_unloaded():
+    """Every run pays for what ``import pfiber.cli`` loads.
+
+    The 2D preconditioner imports ``scipy.fft`` and the 1D one
+    ``scipy.sparse.linalg`` when a solver is built, so a run loads only the
+    one it uses, and config errors exit before either loads.
+    """
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    script = ("import pfiber.cli, sys; "
+              "print(sorted({'scipy.fft', 'scipy.sparse.linalg'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # -- resolve_config -----------------------------------------------------------
@@ -439,6 +457,8 @@ def test_negative_integers_are_config_errors(tmp_path, capsys, solver, flags,
          "'layer.compare_eps': expected a positive number"),
         ("layer", {"layer": {"xi_max": float("inf")}},
          "'layer.xi_max': expected a finite number"),
+        ("layer", {"layer": {"xi_max": 1e300}},
+         "'layer.xi_max': layer quadrature failed to bracket xi = 1e+300"),
         ("sweep", {"eps_list": [1e-2], "asymptotics": {"eta": float("inf")}},
          "'asymptotics.eta': expected a finite number"),
         ("solve", {"domain": [0.0, 10**400]},
@@ -453,7 +473,7 @@ def test_negative_integers_are_config_errors(tmp_path, capsys, solver, flags,
     ids=["path_points", "layer_points", "restarts", "eps_rising",
          "eps_repeated", "eps_zero", "eps_negative", "tol_res_zero",
          "mp_tol_res_negative", "xi_max_zero", "compare_eps_negative",
-         "xi_max_infinite", "eta_infinite", "domain_overflows",
+         "xi_max_infinite", "xi_max_huge", "eta_infinite", "domain_overflows",
          "eta_zero", "r_below_one", "r_at_gamma"],
 )
 def test_bad_counts_and_eps_lists_fail_before_any_artifact(

@@ -1,8 +1,13 @@
 """The shared Armijo line search and preconditioned directions."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from pfiber.linalg import (
     ARMIJO_FACTOR,
@@ -72,10 +77,55 @@ def test_preconditioned_direction_and_its_fallbacks():
     assert preconditioned_direction(pre, np.zeros(mesh.n_nodes)) is None
 
 
-def test_interior_factor_fill_on_the_2d_benchmark_mesh():
-    # The interior matrix is symmetric; a minimum-degree ordering of A^T + A
-    # keeps L + U at 214 232 entries on 79^2 interior nodes, where COLAMD
-    # gives 366 824.
-    mesh = build_mesh(((0.0, 1.0), (0.0, 1.0)), (81, 81))
+@pytest.mark.parametrize(("domain", "resolution", "tol"), [
+    (((0.0, 1.0), (0.0, 1.0)), (81, 81), 5e-13),
+    (((0.0, 2.0), (-1.0, 0.5)), (31, 17), 2e-13),
+    # hx = 0.05 and hy = 1.25e-4: the stencil's weights hx/hy and hy/hx
+    # differ by a factor 160 000.
+    (((-1.0, 1.0), (0.0, 1e-3)), (41, 9), 4e-14),
+    (((0.0, 1.0), (0.0, 1.0)), (3, 3), 2e-15),
+], ids=["81x81", "31x17", "41x9_thin", "3x3"])
+def test_sine_solve_against_sparse_lu_on_rectangles(domain, resolution, tol):
+    """The 2D solve against spsolve of the assembled interior matrix.
+
+    The difference is relative to the largest entry of the solution; the
+    tolerances are 10 times the largest one measured over the three weight
+    pairs, rounded up (4.9e-14, 1.0e-14, 3.2e-15 and 1.8e-16).
+    """
+    mesh = build_mesh(domain, resolution)
+    idx = mesh.interior_nodes
+    rng = np.random.default_rng(7)
+    stack = rng.standard_normal((mesh.n_nodes, 6))
+    for alpha, beta in [(1e-3, 1.0), (1.0, 1.0), (1.0, 0.0)]:
+        pre = InteriorSolver(mesh, alpha=alpha, beta=beta)
+        matrix = (alpha * mesh.stiffness + beta * sp.diags(mesh.lumped_mass)).tocsc()
+        matrix = matrix[idx][:, idx]
+        for rhs in (stack[:, 0], stack[:, 1:]):
+            expected = np.zeros_like(rhs)
+            expected[idx] = spla.spsolve(matrix, rhs[idx])
+            got = pre.apply(rhs)
+            assert np.all(got[mesh.boundary_nodes] == 0.0)
+            assert np.max(np.abs(got - expected)) <= tol * np.max(np.abs(expected))
+        solved = pre.apply(stack[:, 1:])
+        for j in range(5):
+            np.testing.assert_array_equal(solved[:, j], pre.apply(stack[:, 1 + j]))
+
+
+@pytest.mark.parametrize(("domain", "resolution"), [
+    ((0.0, 1.0), 21),
+    (((0.0, 1.0), (0.0, 1.0)), (9, 9)),
+], ids=["1d", "2d"])
+def test_a_dropped_solver_frees_its_mesh_at_once(domain, resolution):
+    """No reference cycle holds a solver, so its mesh and the mesh's cached
+    operators are freed when the last reference goes, not at the next
+    cyclic collection; peak memory then stays flat over repeated solves."""
+    mesh = build_mesh(domain, resolution)
     pre = InteriorSolver(mesh, alpha=1e-3, beta=1.0)
-    assert pre._lu.L.nnz + pre._lu.U.nnz <= 250_000
+    pre.apply(np.ones(mesh.n_nodes))
+    alive = weakref.ref(mesh)
+    gc.disable()
+    try:
+        del mesh, pre
+        assert alive() is None
+    finally:
+        gc.enable()
