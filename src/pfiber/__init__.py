@@ -34,19 +34,13 @@ from .problem import (
     bump_coefficient,
     constant_coefficient,
     dump_json,
-    field_from_json_dict,
-    inject_to_refined,
     lr_norm,
     make_field,
-    mesh_from_json_dict,
 )
 from .functionals import (
-    Admissibility,
     EnergyComponents,
     J_functional,
-    admissibility,
     energy_components,
-    j_pointwise,
     membership_tolerance,
     phi,
     phi_plus,
@@ -70,12 +64,9 @@ from .rayleigh import (
     scale_invariant_quotient,
 )
 from .solver import (
-    BarrierEstimate,
     MountainPassReport,
     NehariDiagnostics,
     SolveReport,
-    barrier_estimate,
-    embedding_constant,
     nehari_diagnostics,
     solve_ground_state,
     solve_mountain_pass,
@@ -93,7 +84,6 @@ from .asymptotics import (
     layer_profile_1d,
     limit_profile,
     scale_solution,
-    scaled_problem,
     separation_constant,
 )
 
@@ -103,22 +93,20 @@ __all__ = [
     "PFiberError", "ConfigurationError", "InputError", "DomainError",
     "ContractViolation", "HypothesisViolation", "NumericalError",
     "Exponents", "CoefficientField", "Mesh", "DiscreteField", "ProblemSpec",
-    "build_mesh", "make_field", "lr_norm", "inject_to_refined",
-    "constant_coefficient", "affine_coefficient", "bump_coefficient",
-    "dump_json", "mesh_from_json_dict", "field_from_json_dict",
+    "build_mesh", "make_field", "lr_norm", "constant_coefficient",
+    "affine_coefficient", "bump_coefficient", "dump_json",
     "EnergyComponents", "energy_components", "phi", "phi_plus",
-    "weak_residual", "weak_residual_plus", "j_pointwise", "J_functional",
-    "membership_tolerance", "Admissibility", "admissibility", "w1p_norm",
+    "weak_residual", "weak_residual_plus", "J_functional",
+    "membership_tolerance", "w1p_norm",
     "ExtremalConstants", "extremal_constants", "RayQuotients", "ray_quotients",
     "FiberScalings", "fiber_scalings", "NonlinearQuotients",
     "nonlinear_quotients", "scale_invariant_quotient", "IntersectionReport",
     "intersection_check", "ThresholdEstimate", "estimate_thresholds",
     "SolveReport", "solve_ground_state", "MountainPassReport",
     "solve_mountain_pass", "NehariDiagnostics", "nehari_diagnostics",
-    "embedding_constant", "BarrierEstimate", "barrier_estimate",
     "LimitProfile", "limit_profile", "AsymptoticMetrics", "asymptotic_metrics",
     "separation_constant", "SweepRow", "SweepReport", "epsilon_sweep",
-    "ScaledSolution", "scale_solution", "scaled_problem",
+    "ScaledSolution", "scale_solution",
     "LayerProfile", "layer_profile_1d", "composite_approx_1d",
     "__version__",
 ]

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import HypothesisViolation, InputError, NumericalError
 from .functionals import J_functional, _evaluate
 from .problem import (
-    CoefficientField,
     DiscreteField,
     Exponents,
     Mesh,
@@ -36,7 +35,6 @@ __all__ = [
     "epsilon_sweep",
     "ScaledSolution",
     "scale_solution",
-    "scaled_problem",
     "LayerProfile",
     "layer_profile_1d",
     "composite_approx_1d",
@@ -355,39 +353,14 @@ def scale_solution(u: DiscreteField, eps: float, exponents: Exponents,
     """
     if eps <= 0:
         raise InputError("eps must be positive")
-    factor, parameter = _scalings(eps, exponents, target)
-    return ScaledSolution(u.scaled(factor), float(parameter), target)
-
-
-def _scalings(eps: float, exponents: Exponents, target: str) -> tuple[float, float]:
-    """(field factor, parameter) that move the eps-form into ``target``'s form."""
     p, q, g = exponents.p, exponents.q, exponents.gamma
     if target == "lambda":
-        return eps ** (-1.0 / (g - p)), eps ** (-(g - q) / (g - p))
-    if target == "nu":
-        return eps ** (-1.0 / (q - p)), eps ** ((g - q) / (q - p))
-    raise InputError(f"target must be 'lambda' or 'nu', got {target!r}")
-
-
-def _scaled_coefficient(coeff: CoefficientField, factor: float) -> CoefficientField:
-    inner = coeff.evaluator
-    return CoefficientField(
-        lambda *xs: factor * np.asarray(inner(*xs), dtype=float),
-        factor * coeff.lower, factor * coeff.upper, coeff.name,
-    )
-
-
-def scaled_problem(spec: ProblemSpec, target: str) -> ProblemSpec:
-    """The eps = 1 problem whose solutions are the scaled solutions.
-
-    In the lambda-form the gain coefficient absorbs lambda; in the nu-form the
-    loss coefficient absorbs nu.
-    """
-    ex = spec.exponents
-    _, parameter = _scalings(spec.epsilon, ex, target)
-    if target == "lambda":
-        return ProblemSpec(spec.mesh, ex, 1.0, _scaled_coefficient(spec.a, parameter), spec.b)
-    return ProblemSpec(spec.mesh, ex, 1.0, spec.a, _scaled_coefficient(spec.b, parameter))
+        factor, parameter = eps ** (-1.0 / (g - p)), eps ** (-(g - q) / (g - p))
+    elif target == "nu":
+        factor, parameter = eps ** (-1.0 / (q - p)), eps ** ((g - q) / (q - p))
+    else:
+        raise InputError(f"target must be 'lambda' or 'nu', got {target!r}")
+    return ScaledSolution(u.scaled(factor), float(parameter), target)
 
 
 # -- 1D boundary-layer profile (p = 2) ---------------------------------------

@@ -5,9 +5,8 @@ outputs, so each artifact records exactly the inputs that produced it.  JSON
 artifacts are written with sorted keys and CSV numbers with 17 significant
 digits; reruns with the same config and seed are byte-identical.
 
-Exit codes: 0 success, 1 failed invariant checks (``check``), 2 configuration
-error, 3 a requested solve did not converge (partial artifacts are kept),
-4 internal numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 a requested solve did not
+converge (partial artifacts are kept), 4 internal numerical failure.
 """
 
 import argparse
@@ -27,7 +26,6 @@ from .errors import (
 )
 from .problem import (
     CoefficientField,
-    DiscreteField,
     Exponents,
     ProblemSpec,
     affine_coefficient,
@@ -36,21 +34,9 @@ from .problem import (
     constant_coefficient,
     dump_json,
 )
-from .functionals import energy_components, phi, weak_residual
-from .rayleigh import (
-    extremal_constants,
-    fiber_scalings,
-    nonlinear_quotients,
-    ray_quotients,
-    estimate_thresholds,
-)
-from .solver import nehari_diagnostics, solve_ground_state, solve_mountain_pass
-from .asymptotics import (
-    composite_approx_1d,
-    epsilon_sweep,
-    layer_profile_1d,
-    scale_solution,
-)
+from .rayleigh import estimate_thresholds
+from .solver import solve_ground_state, solve_mountain_pass
+from .asymptotics import composite_approx_1d, epsilon_sweep, layer_profile_1d
 
 __all__ = ["main", "run", "resolve_config", "load_config"]
 
@@ -424,169 +410,6 @@ _COMMANDS = {
 }
 
 
-# -- invariant check suite -----------------------------------------------------
-
-
-def _model_problem(resolution: int = 201, epsilon: float = 1e-3) -> ProblemSpec:
-    mesh = build_mesh((0.0, 1.0), resolution)
-    one = constant_coefficient(1.0)
-    return ProblemSpec(mesh, Exponents(2.0, 3.0, 4.0), epsilon, one, one)
-
-
-def _random_interior_field(problem: ProblemSpec, rng, lo: float,
-                           hi: float) -> DiscreteField:
-    vals = rng.uniform(lo, hi, problem.mesh.n_nodes)
-    vals[problem.mesh.boundary_nodes] = 0.0
-    return DiscreteField(problem.mesh, vals)
-
-
-def _check_extremal_constants() -> None:
-    consts = extremal_constants(Exponents(2.0, 3.0, 4.0))
-    assert abs(consts.constraint - 0.25) <= 1e-14, consts
-    assert abs(consts.zero_energy - 2.0 / 9.0) <= 1e-14, consts
-    rng = np.random.default_rng(2024)
-    for _ in range(200):
-        p = rng.uniform(1.01, 4.0)
-        q = p + rng.uniform(0.01, 2.0)
-        g = q + rng.uniform(0.01, 2.0)
-        c = extremal_constants(Exponents(p, q, g))
-        assert 0.0 < c.zero_energy < c.constraint, (p, q, g, c)
-
-
-def _check_quotient_ratio() -> None:
-    rng = np.random.default_rng(11)
-    ex = Exponents(2.0, 3.0, 4.0)
-    consts = extremal_constants(ex)
-    from .functionals import EnergyComponents
-
-    for _ in range(100):
-        comps = EnergyComponents(*rng.uniform(0.1, 5.0, 3))
-        quots = nonlinear_quotients(comps, ex)
-        ratio = quots.zero_energy / quots.constraint
-        assert abs(ratio - consts.zero_energy / consts.constraint) <= 1e-12
-
-
-def _check_fiber_maximum() -> None:
-    from .functionals import EnergyComponents
-
-    ex = Exponents(2.0, 3.0, 4.0)
-    comps = EnergyComponents(1.0, 2.0, 1.0)
-    scalings = fiber_scalings(comps, ex)
-    peak = ray_quotients(comps, scalings.constraint, ex).constraint
-    for s in np.geomspace(0.05, 20.0, 400):
-        val = ray_quotients(comps, float(s), ex).constraint
-        assert val <= peak + 1e-12, (s, val, peak)
-
-
-def _check_energy_identity() -> None:
-    problem = _model_problem()
-    rng = np.random.default_rng(5)
-    u = _random_interior_field(problem, rng, -1.0, 1.0)
-    comps = energy_components(u, problem)
-    ex = problem.exponents
-    recomposed = (problem.epsilon / ex.p) * comps.dirichlet \
-        - comps.gain / ex.q + comps.loss / ex.gamma
-    direct = phi(u, problem)
-    assert abs(recomposed - direct) <= 1e-14 * (1.0 + abs(direct))
-
-
-def _check_gradient_pairing() -> None:
-    problem = _model_problem(101)
-    rng = np.random.default_rng(7)
-    u = _random_interior_field(problem, rng, -1.0, 1.0)
-    v = _random_interior_field(problem, rng, -1.0, 1.0)
-    pairing = float(np.dot(weak_residual(u, problem).values, v.values))
-    h = 1e-6
-    up = u.with_values(u.values + h * v.values)
-    dn = u.with_values(u.values - h * v.values)
-    fd = (phi(up, problem) - phi(dn, problem)) / (2.0 * h)
-    assert abs(pairing - fd) <= 1e-6 * (1.0 + abs(fd)), (pairing, fd)
-
-
-def _check_nehari_pairing() -> None:
-    problem = _model_problem(101)
-    rng = np.random.default_rng(9)
-    u = _random_interior_field(problem, rng, 0.0, 1.0)
-    comps = energy_components(u, problem)
-    lhs = float(np.dot(weak_residual(u, problem).values, u.values))
-    rhs = problem.epsilon * comps.dirichlet - comps.gain + comps.loss
-    assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs)), (lhs, rhs)
-
-
-def _check_quadrature() -> None:
-    mesh = build_mesh((0.0, 1.0), 101)
-    total = mesh.integrate(np.ones_like(mesh.qp_weights))
-    assert abs(total - 1.0) <= 1e-12, total
-    mesh2 = build_mesh(((0.0, 2.0), (0.0, 1.0)), (9, 7))
-    total2 = mesh2.integrate(np.ones_like(mesh2.qp_weights))
-    assert abs(total2 - 2.0) <= 1e-12, total2
-
-
-def _check_ground_state() -> None:
-    problem = _model_problem(201, 1e-3)
-    report = solve_ground_state(problem, tol_res=1e-8, max_iters=5000,
-                                random_restarts=1)
-    assert report.converged, report.residual_norm
-    assert report.energy < 0.0, report.energy
-    assert report.nehari_residual <= 1e-6, report.nehari_residual
-    assert report.fiber_second_derivative > 0.0
-    diag = nehari_diagnostics(report.field, problem)
-    # residual tol 1e-8 leaves |(gain-loss)/dirichlet - eps| at the 1e-5 level
-    assert abs(diag.ray_constraint - problem.epsilon) <= 1e-4 * problem.epsilon, diag
-
-
-def _check_layer_profile() -> None:
-    profile = layer_profile_1d(2.0, 4.0, xi_max=10.0, points=101)
-    expected = np.tanh(profile.xi / np.sqrt(2.0))
-    assert float(np.max(np.abs(profile.values - expected))) <= 1e-6
-
-
-def _check_scaling_round_trip() -> None:
-    problem = _model_problem(101, 0.01)
-    rng = np.random.default_rng(3)
-    u = _random_interior_field(problem, rng, 0.0, 1.0)
-    ex = problem.exponents
-    lam = scale_solution(u, 0.01, ex, "lambda")
-    assert abs(lam.parameter - 10.0) <= 1e-12
-    back = lam.field.scaled(lam.parameter ** (-1.0 / (ex.gamma - ex.q)))
-    err = np.max(np.abs(back.values - u.values))
-    assert err <= 1e-14 * (1.0 + np.max(np.abs(u.values))), err
-
-
-_CHECKS = [
-    ("extremal constants", _check_extremal_constants),
-    ("quotient ratio", _check_quotient_ratio),
-    ("fiber maximum", _check_fiber_maximum),
-    ("energy identity", _check_energy_identity),
-    ("gradient pairing", _check_gradient_pairing),
-    ("constraint pairing", _check_nehari_pairing),
-    ("quadrature partition", _check_quadrature),
-    ("ground state model case", _check_ground_state),
-    ("layer profile closed form", _check_layer_profile),
-    ("scaling round trip", _check_scaling_round_trip),
-]
-
-
-def _cmd_check(out_dir: Path | None) -> int:
-    results = []
-    failed = 0
-    for name, fn in _CHECKS:
-        try:
-            fn()
-        except Exception as exc:  # noqa: BLE001 - each check reports its own failure
-            failed += 1
-            results.append({"name": name, "ok": False, "detail": str(exc)})
-            print(f"FAIL - {name}: {exc}")
-        else:
-            results.append({"name": name, "ok": True, "detail": ""})
-            print(f"ok - {name}")
-    if out_dir is not None:
-        dump_json({"checks": results, "failed": failed},
-                  out_dir / "check_report.json")
-    print(f"{len(_CHECKS) - failed}/{len(_CHECKS)} checks passed")
-    return 1 if failed else 0
-
-
 # -- SVG emission ---------------------------------------------------------------
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -700,12 +523,6 @@ def run(subcommand: str, config: dict, out_dir=None, svg: bool = False,
         threads: int = 1) -> int:
     """Execute one subcommand against a raw config dict; returns the exit code."""
     try:
-        if subcommand == "check":
-            out = None
-            if out_dir is not None:
-                out = Path(out_dir)
-                out.mkdir(parents=True, exist_ok=True)
-            return _cmd_check(out)
         resolved = resolve_config(config)
         if out_dir is None:
             raise ConfigurationError("an output directory is required")
@@ -730,9 +547,9 @@ def main(argv=None) -> int:
                     "small-eps sweeps, and boundary layers.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in (*_COMMANDS, "check"):
+    for name in _COMMANDS:
         sp = sub.add_parser(name)
-        sp.add_argument("--config", required=name != "check",
+        sp.add_argument("--config", required=True,
                         help="path to the JSON experiment config")
         sp.add_argument("--out", default=None,
                         help="directory for artifacts")
@@ -744,17 +561,15 @@ def main(argv=None) -> int:
                         help="emit SVG charts where supported")
     args = parser.parse_args(argv)
 
-    config: dict = {}
-    if args.config is not None:
-        try:
-            config = load_config(args.config)
-        except ConfigurationError as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return 2
-        except OSError as exc:
-            print(f"configuration error: cannot read {args.config}: {exc}",
-                  file=sys.stderr)
-            return 2
+    try:
+        config = load_config(args.config)
+    except ConfigurationError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"configuration error: cannot read {args.config}: {exc}",
+              file=sys.stderr)
+        return 2
     if args.seed is not None:
         solver = config.setdefault("solver", {})
         if isinstance(solver, dict):  # anything else is reported by resolve_config

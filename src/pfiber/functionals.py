@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, DomainError, InputError
+from .errors import ContractViolation, InputError
 from .problem import _BOUNDARY_TOL, DiscreteField, ProblemSpec, _sum_product, squared_norms
 
 __all__ = [
@@ -43,11 +43,8 @@ __all__ = [
     "weak_residual",
     "weak_residual_plus",
     "derivative_forms",
-    "j_pointwise",
     "J_functional",
     "membership_tolerance",
-    "Admissibility",
-    "admissibility",
     "w1p_norm",
 ]
 
@@ -378,15 +375,6 @@ def _phi_plus_block(stack: np.ndarray, spec: ProblemSpec, delta_reg=None,
     return (energies, residuals) if residual else energies
 
 
-def j_pointwise(alpha: float, beta: float, s, q: float, gamma: float):
-    """Pointwise double-well density -(alpha/q) s^q + (beta/gamma) s^gamma, s >= 0."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0):
-        raise InputError("the well density is defined for nonnegative amplitudes")
-    out = -(alpha / q) * s**q + (beta / gamma) * s**gamma
-    return float(out) if out.ndim == 0 else out
-
-
 def J_functional(u: DiscreteField, spec: ProblemSpec) -> float:
     """Integral of the pointwise well at |u|; no boundary condition required."""
     comps = _evaluate(u.values, spec)[1].comps
@@ -398,27 +386,7 @@ def membership_tolerance(spec: ProblemSpec) -> float:
     return 1e-12 * (1.0 + spec.b.upper * spec.mesh.volume)
 
 
-@dataclass(frozen=True)
-class Admissibility:
-    """Whether a field's ray can meet the constraint manifold (gain > tol)."""
-
-    admissible: bool
-    gain: float
-    tol: float
-
-
-def admissibility(u: DiscreteField, spec: ProblemSpec) -> Admissibility:
-    comps = energy_components(u, spec)
-    tol = membership_tolerance(spec)
-    return Admissibility(comps.gain > tol, comps.gain, tol)
-
-
 def w1p_norm(u: DiscreteField, spec: ProblemSpec) -> float:
     """Gradient-seminorm (int |grad u|^p)^(1/p); a norm on zero-trace fields."""
     comps = energy_components(u, spec, check_boundary=False)
     return comps.dirichlet ** (1.0 / spec.exponents.p)
-
-
-def require_nontrivial(comps: EnergyComponents, what: str = "field") -> None:
-    if comps.dirichlet <= 0.0:
-        raise DomainError(f"{what} must be nontrivial (positive gradient energy)")

@@ -43,10 +43,7 @@ __all__ = [
     "make_field",
     "lr_norm",
     "squared_norms",
-    "inject_to_refined",
     "ProblemSpec",
-    "mesh_from_json_dict",
-    "field_from_json_dict",
 ]
 
 _BOUNDARY_TOL = 1e-12
@@ -343,11 +340,6 @@ class Mesh:
         """Diagonal (row-sum) mass vector: entries int phi_i."""
         return self.assemble_point_term(np.ones_like(self.qp_weights))
 
-    def refined(self) -> "Mesh":
-        """Uniformly refined mesh whose nodes contain this mesh's nodes."""
-        res = tuple(2 * (r - 1) + 1 for r in self.resolution)
-        return Mesh(self.bounds, res)
-
     def to_json_dict(self) -> dict:
         return {
             "dimension": self.dimension,
@@ -449,9 +441,6 @@ class DiscreteField:
     def positive_part(self) -> "DiscreteField":
         return DiscreteField(self.mesh, np.maximum(self.values, 0.0))
 
-    def nodal_abs(self) -> "DiscreteField":
-        return DiscreteField(self.mesh, np.abs(self.values))
-
     def max_boundary_value(self) -> float:
         if self.mesh.boundary_nodes.size == 0:
             return 0.0
@@ -497,34 +486,6 @@ def lr_norm(u: DiscreteField, r: float) -> float:
         raise InputError(f"L^r norms require r >= 1, got r={r}")
     vals = np.abs(u.mesh.values_at_qp(u.values))
     return float(u.mesh.integrate(vals**r) ** (1.0 / r))
-
-
-def inject_to_refined(u: DiscreteField, fine: Mesh) -> DiscreteField:
-    """Represent a coarse field exactly on its uniform refinement.
-
-    The refined mesh carries the coarse nodes plus edge midpoints, and the
-    interpolant is linear along every coarse edge (including the diagonal used
-    by the 2D cell split), so nodal injection reproduces the same function.
-    """
-    coarse = u.mesh
-    expected = tuple(2 * (r - 1) + 1 for r in coarse.resolution)
-    if fine.bounds != coarse.bounds or fine.resolution != expected:
-        raise InputError("target mesh is not the uniform refinement of the source mesh")
-    if coarse.dimension == 1:
-        vals = np.empty(fine.n_nodes)
-        vals[0::2] = u.values
-        vals[1::2] = 0.5 * (u.values[:-1] + u.values[1:])
-        return DiscreteField(fine, vals)
-    nx, ny = coarse.resolution
-    cv = u.values.reshape(ny, nx)
-    fx, fy = fine.resolution
-    vals = np.empty((fy, fx))
-    vals[0::2, 0::2] = cv
-    vals[0::2, 1::2] = 0.5 * (cv[:, :-1] + cv[:, 1:])
-    vals[1::2, 0::2] = 0.5 * (cv[:-1, :] + cv[1:, :])
-    # Cell centers sit on the split diagonal from node (i, j) to (i+1, j+1).
-    vals[1::2, 1::2] = 0.5 * (cv[:-1, :-1] + cv[1:, 1:])
-    return DiscreteField(fine, vals.ravel())
 
 
 class ProblemSpec:
@@ -598,34 +559,6 @@ class ProblemSpec:
             self.mesh, self.exponents, epsilon, self.a, self.b,
             _samples=((self.a_qp, self.a_nodes), (self.b_qp, self.b_nodes)),
         )
-
-    def with_coefficients(self, a: CoefficientField, b: CoefficientField) -> "ProblemSpec":
-        return ProblemSpec(self.mesh, self.exponents, self.epsilon, a, b)
-
-
-def mesh_from_json_dict(data: dict) -> Mesh:
-    """Rebuild a mesh from :meth:`Mesh.to_json_dict` output.
-
-    Uniform meshes are fully determined by bounds and resolution; nodes and
-    elements in the snapshot are verified against the rebuilt mesh.
-    """
-    mesh = Mesh([tuple(ax) for ax in data["bounds"]], data["resolution"])
-    nodes = np.asarray(data["nodes"], dtype=float)
-    if nodes.shape != mesh.nodes.shape or not np.allclose(nodes, mesh.nodes,
-                                                          rtol=0, atol=1e-12):
-        raise ConfigurationError("mesh snapshot nodes do not match bounds/resolution")
-    elements = np.asarray(data["elements"])
-    if elements.shape != mesh.elements.shape or not np.array_equal(elements, mesh.elements):
-        raise ConfigurationError("mesh snapshot elements do not match bounds/resolution")
-    return mesh
-
-
-def field_from_json_dict(data: dict, mesh: Mesh | None = None) -> DiscreteField:
-    if mesh is None:
-        if "mesh" not in data:
-            raise ConfigurationError("field snapshot lacks a mesh and none was given")
-        mesh = mesh_from_json_dict(data["mesh"])
-    return DiscreteField(mesh, np.asarray(data["values"], dtype=float))
 
 
 def dump_json(obj: dict, path) -> None:

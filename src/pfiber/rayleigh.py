@@ -239,24 +239,23 @@ def _normalize(values: np.ndarray, mesh: Mesh, p: float):
     return values / scale, grads / scale
 
 
-def _ascend_log_quotient(start: np.ndarray, mesh: Mesh, p: float, quotient, gradient,
-                         solver: InteriorSolver, max_iters: int):
-    """Preconditioned Armijo ascent; returns (best_value, best_field, iters).
+def _ascend_log_quotient(start: np.ndarray, spec: ProblemSpec, solver: InteriorSolver,
+                         max_iters: int):
+    """Preconditioned Armijo ascent of _log_quotient; returns (value, field, iters).
 
-    Iterates are nonnegative zero-trace fields with int |grad u|^p = 1.
-    ``quotient(values, grads)`` gives ``(value, state)`` of a log-quotient of
-    degree zero, or None, from the nodal values and their element gradients,
-    and ``gradient(state)`` its nodal gradient, needed only at the start and
-    at accepted points.  The line search minimizes the negated value.
+    Iterates are nonnegative zero-trace fields with int |grad u|^p = 1.  The
+    nodal gradient is assembled only at the start and at accepted points.
+    The line search minimizes the negated value.
     """
+    mesh, p = spec.mesh, spec.exponents.p
     u = start.copy()
     u[mesh.boundary_nodes] = 0.0
     u, grads = _normalize(np.abs(u), mesh, p)
-    found = quotient(u, grads)
+    found = _log_quotient(u, grads, spec)
     if found is None:
         return None, None, 0
     value, state = found
-    grad = gradient(state)
+    grad = _log_quotient_gradient(state, spec)
     step = 1.0
     stalls = 0
     iters = 0
@@ -270,14 +269,14 @@ def _ascend_log_quotient(start: np.ndarray, mesh: Mesh, p: float, quotient, grad
             cand = np.abs(u + t * direction)
             cand[mesh.boundary_nodes] = 0.0
             cand, cand_grads = _normalize(cand, mesh, p)
-            q = quotient(cand, cand_grads)
+            q = _log_quotient(cand, cand_grads, spec)
             return None if q is None else (-q[0], (cand, q[1]))
 
         found = armijo(trial, -value, -slope, step)
         if found is None:
             break
         t, neg_value, (u, state) = found
-        grad = gradient(state)
+        grad = _log_quotient_gradient(state, spec)
         # As in the descent, no state outlives its gradient.
         state = found = None
         gain = -neg_value - value
@@ -323,9 +322,7 @@ def estimate_thresholds(spec: ProblemSpec, restarts: int = 16, max_iters: int = 
     best_field = None
     total_iters = 0
     for values in starts:
-        value, field, iters = _ascend_log_quotient(
-            values, mesh, spec.exponents.p, lambda u, grads: _log_quotient(u, grads, spec),
-            lambda state: _log_quotient_gradient(state, spec), solver, max_iters)
+        value, field, iters = _ascend_log_quotient(values, spec, solver, max_iters)
         total_iters += iters
         if value is None:
             continue

@@ -33,15 +33,14 @@ from .functionals import (
     _energy_change,
     _energy_scale,
     _evaluate,
-    _gradient_factor,
     _phi_plus_block,
     _residual,
     _resolve_delta,
 )
 from .linalg import (ARMIJO_FACTOR, ARMIJO_SLOPE, MAX_BACKTRACKS, MAX_STEP,
                      InteriorSolver, armijo, preconditioned_direction)
-from .problem import DiscreteField, Exponents, Mesh, ProblemSpec, _sum_product, squared_norms
-from .rayleigh import _ascend_log_quotient, fiber_scalings, ray_quotients
+from .problem import DiscreteField, Exponents, Mesh, ProblemSpec, _sum_product
+from .rayleigh import fiber_scalings, ray_quotients
 
 __all__ = [
     "SolveReport",
@@ -50,9 +49,6 @@ __all__ = [
     "solve_mountain_pass",
     "NehariDiagnostics",
     "nehari_diagnostics",
-    "embedding_constant",
-    "BarrierEstimate",
-    "barrier_estimate",
 ]
 
 # Accepted descent steps in a row that leave the trace energy unchanged before
@@ -525,77 +521,3 @@ def nehari_diagnostics(u: DiscreteField, spec: ProblemSpec) -> NehariDiagnostics
     second = (ex.p - ex.q) * eps * dir_ + (ex.gamma - ex.q) * loss
     ray = ray_quotients(comps, 1.0, ex)
     return NehariDiagnostics(nehari, second, ray.constraint, ray.zero_energy)
-
-
-def embedding_constant(mesh: Mesh, p: float, r: float, restarts: int = 4,
-                       max_iters: int = 200, seed: int = 0) -> float:
-    """Estimate sup ||u||_r / ||grad u||_p over zero-trace fields on the mesh.
-
-    The threshold search's ascent, run on the logarithm of the quotient.  The
-    estimate is a lower bound up to ascent accuracy; callers inflating it for
-    safety should do so explicitly.
-    """
-    if r < 1 or p <= 1:
-        raise InputError("embedding constant needs p > 1 and r >= 1")
-    solver = InteriorSolver(mesh, alpha=1.0, beta=1.0)
-
-    def quotient(values: np.ndarray, grads: np.ndarray):
-        vals = mesh.values_at_qp(values)
-        lr_int = mesh.integrate(vals**r)
-        gnorm_sq = squared_norms(grads)
-        grad_int = _sum_product(mesh.el_measures, gnorm_sq ** (p / 2.0))
-        if lr_int <= 0.0 or grad_int <= 0.0:
-            return None
-        value = np.log(lr_int) / r - np.log(grad_int) / p
-        return value, (vals, lr_int, grads, gnorm_sq, grad_int)
-
-    def gradient(state) -> np.ndarray:
-        # Iterates are nonnegative, so |u|^(r-2) u is u^(r-1).
-        vals, lr_int, grads, gnorm_sq, grad_int = state
-        point_form = mesh.assemble_point_term(vals ** (r - 1.0))
-        factor = _gradient_factor(gnorm_sq, p, 0.0)
-        flux_form = mesh.assemble_flux_term(factor[:, None] * grads)
-        grad = point_form / lr_int - flux_form / grad_int
-        grad[mesh.boundary_nodes] = 0.0
-        return grad
-
-    best = None
-    for i in range(restarts):
-        rng = np.random.default_rng((seed, 7 + i))
-        value, _, _ = _ascend_log_quotient(rng.uniform(0.0, 1.0, mesh.n_nodes), mesh, p,
-                                           quotient, gradient, solver, max_iters)
-        if value is not None and (best is None or value > best):
-            best = value
-    if best is None:
-        raise DomainError("embedding-constant ascent found no usable field")
-    return float(np.exp(best))
-
-
-@dataclass(frozen=True)
-class BarrierEstimate:
-    """Sphere radius and energy floor certifying the mountain-pass geometry.
-
-    On the sphere ||grad u||_p = radius the positive-part energy is at least
-    ``level``; both follow from the embedding bound
-    gain(u) <= sup(a) * C^q * ||grad u||_p^q.
-    """
-
-    radius: float
-    level: float
-    embedding_used: float
-
-
-def barrier_estimate(spec: ProblemSpec, embedding: float | None = None,
-                     safety: float = 1.5, seed: int = 0) -> BarrierEstimate:
-    """Compute the small-sphere barrier below the mountain-pass level."""
-    ex = spec.exponents
-    if embedding is None:
-        embedding = embedding_constant(spec.mesh, ex.p, ex.q, seed=seed)
-    c_used = safety * embedding
-    a_hat = spec.a.upper
-    if a_hat <= 0.0:
-        raise DomainError("the barrier needs a nontrivial gain coefficient")
-    eps = spec.epsilon
-    radius = (eps * ex.q / (2.0 * ex.p * a_hat * c_used**ex.q)) ** (1.0 / (ex.q - ex.p))
-    level = (eps / (2.0 * ex.p)) * radius**ex.p
-    return BarrierEstimate(radius=radius, level=level, embedding_used=c_used)

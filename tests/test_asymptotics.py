@@ -14,11 +14,10 @@ from pfiber.asymptotics import (
     layer_profile_1d,
     limit_profile,
     scale_solution,
-    scaled_problem,
     separation_constant,
 )
 from pfiber.errors import HypothesisViolation, InputError, NumericalError
-from pfiber.functionals import energy_components, weak_residual
+from pfiber.functionals import energy_components
 from pfiber.problem import (
     DiscreteField,
     Exponents,
@@ -285,28 +284,6 @@ def test_scale_solution_input_checks():
         scale_solution(u, 0.0, EX, "lambda")
     with pytest.raises(InputError):
         scale_solution(u, 1.0, EX, "mu")
-    with pytest.raises(InputError):
-        scaled_problem(spec, "mu")
-
-
-def test_scaled_problem_residual_factor():
-    """For p = 2 the scaled field's residual is the original times eps^-(k-1)/(k-2)."""
-    spec = model_spec(n=81, epsilon=0.01)
-    rng = np.random.default_rng(52)
-    u = random_zero_trace(spec, rng)
-    base = weak_residual(u, spec).values
-
-    lam = scale_solution(u, spec.epsilon, EX, "lambda")
-    lam_spec = scaled_problem(spec, "lambda")
-    factor_lam = spec.epsilon ** (-(EX.gamma - 1.0) / (EX.gamma - 2.0))
-    np.testing.assert_allclose(weak_residual(lam.field, lam_spec).values,
-                               factor_lam * base, rtol=1e-10, atol=1e-12)
-
-    nu = scale_solution(u, spec.epsilon, EX, "nu")
-    nu_spec = scaled_problem(spec, "nu")
-    factor_nu = spec.epsilon ** (-(EX.q - 1.0) / (EX.q - 2.0))
-    np.testing.assert_allclose(weak_residual(nu.field, nu_spec).values,
-                               factor_nu * base, rtol=1e-10, atol=1e-12)
 
 
 # -- boundary layer -----------------------------------------------------------

@@ -361,24 +361,6 @@ def test_subcommand_check_failure_writes_no_resolved_config(
     assert not (out / "resolved_config.json").exists()
 
 
-# -- check --------------------------------------------------------------------
-
-
-def test_check_passes_without_out_dir(capsys):
-    assert run("check", {}) == 0
-    out = capsys.readouterr().out
-    assert "10/10 checks passed" in out
-
-
-def test_check_writes_report(tmp_path):
-    out = tmp_path / "run"
-    assert run("check", {}, out_dir=out) == 0
-    doc = json.loads((out / "check_report.json").read_text())
-    assert doc["failed"] == 0
-    assert len(doc["checks"]) == 10
-    assert all(entry["ok"] for entry in doc["checks"])
-
-
 # -- run dispatch and main ----------------------------------------------------
 
 
@@ -506,7 +488,3 @@ def test_main_rejects_nonpositive_threads(tmp_path, capsys):
     assert main(["sweep", "--config", str(path), "--out",
                  str(tmp_path / "run"), "--threads", "0"]) == 2
     assert "--threads" in capsys.readouterr().err
-
-
-def test_main_check_needs_no_config():
-    assert main(["check"]) == 0

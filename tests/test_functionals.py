@@ -3,17 +3,14 @@
 import numpy as np
 import pytest
 
-from pfiber.errors import ContractViolation, DomainError, InputError
+from pfiber.errors import ContractViolation, InputError
 from pfiber.functionals import (
     EnergyComponents,
     J_functional,
-    admissibility,
     energy_components,
-    j_pointwise,
     membership_tolerance,
     phi,
     phi_plus,
-    require_nontrivial,
     w1p_norm,
     weak_residual,
     weak_residual_plus,
@@ -546,32 +543,7 @@ def test_kernel_sums_do_not_depend_on_the_blas_thread_count():
     assert outputs[0] == outputs[1]
 
 
-# -- j_pointwise and J --------------------------------------------------------
-
-
-def test_j_pointwise_values():
-    assert j_pointwise(1.0, 1.0, 1.0, 3.0, 4.0) == pytest.approx(-1.0 / 12.0, abs=1e-15)
-    assert j_pointwise(1.0, 1.0, 0.0, 3.0, 4.0) == 0.0
-    out = j_pointwise(2.0, 1.0, np.array([0.0, 1.0]), 3.0, 4.0)
-    np.testing.assert_allclose(out, [0.0, -2.0 / 3.0 + 0.25], atol=1e-15)
-
-
-def test_j_pointwise_rejects_negative_amplitude():
-    with pytest.raises(InputError):
-        j_pointwise(1.0, 1.0, -0.1, 3.0, 4.0)
-
-
-def test_j_pointwise_minimizer():
-    """rho = (alpha/beta)^(1/(gamma-q)) minimizes the well over s >= 0."""
-    rng = np.random.default_rng(22)
-    q, gamma = 3.0, 4.0
-    for _ in range(20):
-        alpha = rng.uniform(0.5, 2.0)
-        beta = rng.uniform(0.5, 2.0)
-        rho = (alpha / beta) ** (1.0 / (gamma - q))
-        j_min = j_pointwise(alpha, beta, rho, q, gamma)
-        s = rng.uniform(0.0, 5.0, 1000)
-        assert np.all(j_pointwise(alpha, beta, s, q, gamma) >= j_min - 1e-14)
+# -- J ------------------------------------------------------------------------
 
 
 def test_J_of_zero_field():
@@ -596,7 +568,7 @@ def test_J_minimized_by_flat_profile():
         assert J_functional(u, spec) >= floor - 1e-10
 
 
-# -- admissibility and helpers ------------------------------------------------
+# -- helpers ------------------------------------------------------------------
 
 
 def test_membership_tolerance_formula():
@@ -604,19 +576,8 @@ def test_membership_tolerance_formula():
     assert membership_tolerance(spec) == 1e-12 * (1.0 + 1.0 * spec.mesh.volume)
 
 
-def test_admissibility():
-    spec = model_spec(n=21)
-    z = make_field(spec.mesh, lambda x: np.zeros_like(x))
-    res = admissibility(z, spec)
-    assert not res.admissible and res.gain == 0.0
-    u = make_field(spec.mesh, lambda x: x * (1.0 - x))
-    assert admissibility(u, spec).admissible
-
-
 def test_w1p_norm_and_nontriviality():
     spec = model_spec(n=41, p=3.0, q=3.5, gamma=4.0)
     u = make_field(spec.mesh, lambda x: x * (1.0 - x))
     comps = energy_components(u, spec)
     assert w1p_norm(u, spec) == pytest.approx(comps.dirichlet ** (1.0 / 3.0), rel=1e-14)
-    with pytest.raises(DomainError):
-        require_nontrivial(EnergyComponents(0.0, 0.0, 0.0))

@@ -14,11 +14,8 @@ from pfiber.problem import (
     bump_coefficient,
     constant_coefficient,
     dump_json,
-    field_from_json_dict,
-    inject_to_refined,
     lr_norm,
     make_field,
-    mesh_from_json_dict,
     squared_norms,
 )
 
@@ -209,7 +206,6 @@ def test_positive_part_and_abs():
     mesh = build_mesh((0.0, 1.0), 5)
     u = DiscreteField(mesh, np.array([0.0, -1.0, 2.0, -3.0, 0.0]))
     np.testing.assert_array_equal(u.positive_part().values, [0, 0, 2, 0, 0])
-    np.testing.assert_array_equal(u.nodal_abs().values, [0, 1, 2, 3, 0])
 
 
 def test_require_zero_boundary():
@@ -371,77 +367,7 @@ def test_spec_is_immutable():
         spec.epsilon = 2.0
 
 
-# -- refinement and injection -------------------------------------------------
-
-
-def test_refined_doubles_elements():
-    mesh = build_mesh((0.0, 1.0), 5)
-    fine = mesh.refined()
-    assert fine.resolution == (9,)
-    # Coarse nodes appear among fine nodes.
-    np.testing.assert_allclose(fine.nodes[::2, 0], mesh.nodes[:, 0], atol=1e-15)
-
-
-def test_inject_to_refined_preserves_interpolant_1d():
-    mesh = build_mesh((0.0, 1.0), 9)
-    rng = np.random.default_rng(3)
-    # Positive values keep |u|^r polynomial per element, so the quadrature
-    # (exact through degree 5) sees the identical function on both meshes.
-    u = DiscreteField(mesh, rng.uniform(0.5, 2.0, mesh.n_nodes))
-    fine = mesh.refined()
-    v = inject_to_refined(u, fine)
-    for r in (1.0, 2.0, 3.0):
-        assert abs(lr_norm(v, r) - lr_norm(u, r)) <= 1e-12 * (1 + lr_norm(u, r))
-
-
-def test_inject_to_refined_preserves_interpolant_2d():
-    mesh = build_mesh(((0.0, 1.0), (0.0, 1.0)), (4, 3))
-    rng = np.random.default_rng(4)
-    u = DiscreteField(mesh, rng.uniform(0.5, 2.0, mesh.n_nodes))
-    fine = mesh.refined()
-    v = inject_to_refined(u, fine)
-    # Mid-edge rule is degree-2 exact: r = 1, 2 must agree exactly.
-    assert abs(lr_norm(v, 1.0) - lr_norm(u, 1.0)) <= 1e-12 * (1 + lr_norm(u, 1.0))
-    assert abs(lr_norm(v, 2.0) - lr_norm(u, 2.0)) <= 1e-12 * (1 + lr_norm(u, 2.0))
-
-
-def test_inject_rejects_wrong_target():
-    mesh = build_mesh((0.0, 1.0), 9)
-    u = DiscreteField(mesh, np.zeros(9))
-    with pytest.raises(InputError):
-        inject_to_refined(u, build_mesh((0.0, 1.0), 18))
-    with pytest.raises(InputError):
-        inject_to_refined(u, build_mesh((0.0, 2.0), 17))
-
-
 # -- serialization ------------------------------------------------------------
-
-
-def test_mesh_json_round_trip():
-    mesh = build_mesh(((0.0, 1.0), (0.0, 2.0)), (4, 5))
-    back = mesh_from_json_dict(mesh.to_json_dict())
-    np.testing.assert_array_equal(back.nodes, mesh.nodes)
-    np.testing.assert_array_equal(back.elements, mesh.elements)
-    np.testing.assert_array_equal(back.boundary_nodes, mesh.boundary_nodes)
-
-
-def test_mesh_json_rejects_tampered_snapshot():
-    mesh = build_mesh((0.0, 1.0), 5)
-    data = mesh.to_json_dict()
-    data["nodes"][1][0] = 0.3
-    with pytest.raises(ConfigurationError):
-        mesh_from_json_dict(data)
-
-
-def test_field_json_round_trip():
-    mesh = build_mesh((0.0, 1.0), 7)
-    u = make_field(mesh, lambda x: np.sin(3 * x))
-    back = field_from_json_dict(u.to_json_dict())
-    np.testing.assert_array_equal(back.values, u.values)
-    with_mesh = field_from_json_dict(u.to_json_dict(include_mesh=False), mesh)
-    np.testing.assert_array_equal(with_mesh.values, u.values)
-    with pytest.raises(ConfigurationError):
-        field_from_json_dict(u.to_json_dict(include_mesh=False))
 
 
 def test_dump_json_is_deterministic(tmp_path):

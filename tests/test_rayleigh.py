@@ -14,7 +14,6 @@ from pfiber.problem import (
     ProblemSpec,
     build_mesh,
     constant_coefficient,
-    inject_to_refined,
 )
 from pfiber.rayleigh import (
     estimate_thresholds,
@@ -275,12 +274,17 @@ def test_thresholds_shared_supremum():
 
 
 def test_thresholds_monotone_under_refinement():
-    """The coarse maximizer injects into the refined space, so the sup grows."""
+    """The coarse maximizer lies in the finer P1 space, so the sup grows.
+
+    Nodal linear interpolation carries a 1D P1 field onto a mesh that
+    contains its nodes exactly.
+    """
     spec = small_model_spec(n=21)
     coarse = estimate_thresholds(spec, restarts=4, max_iters=200, seed=1)
-    fine_mesh = spec.mesh.refined()
+    fine_mesh = build_mesh((0.0, 1.0), 41)
     fine_spec = ProblemSpec(fine_mesh, EX, 1e-3, spec.a, spec.b)
-    carried = inject_to_refined(coarse.maximizer, fine_mesh)
+    carried = DiscreteField(fine_mesh, np.interp(
+        fine_mesh.nodes[:, 0], spec.mesh.nodes[:, 0], coarse.maximizer.values))
     fine = estimate_thresholds(fine_spec, restarts=4, max_iters=200, seed=1,
                                extra_starts=(carried,))
     assert fine.sup_quotient >= coarse.sup_quotient - 1e-10

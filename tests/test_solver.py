@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pfiber.errors import DomainError, InputError
-from pfiber.functionals import energy_components, phi_plus, w1p_norm, weak_residual
+from pfiber.functionals import energy_components, w1p_norm, weak_residual
 from pfiber.problem import (
     DiscreteField,
     Exponents,
@@ -16,8 +16,6 @@ from pfiber.problem import (
 )
 from pfiber.rayleigh import estimate_thresholds, nonlinear_quotients
 from pfiber.solver import (
-    barrier_estimate,
-    embedding_constant,
     nehari_diagnostics,
     solve_ground_state,
     solve_mountain_pass,
@@ -219,9 +217,8 @@ def test_mountain_pass_model_case(model_second_solution):
 
 
 def test_mountain_pass_level_dominates_barrier(model_second_solution):
-    spec, _, mp = model_second_solution
-    bar = barrier_estimate(spec)
-    assert mp.path_level >= bar.level
+    """The minimized path maximum is no lower than the critical point's energy."""
+    _, _, mp = model_second_solution
     assert mp.path_level >= mp.energy - 1e-15 * abs(mp.energy)
 
 
@@ -317,48 +314,3 @@ def test_nehari_diagnostics_rejects_trivial_field():
     z = make_field(spec.mesh, lambda x: np.zeros_like(x))
     with pytest.raises(DomainError):
         nehari_diagnostics(z, spec)
-
-
-def test_embedding_constant_interval():
-    """Discrete sup ||u||_2/||u'||_2 on (0,1) approaches 1/pi from below."""
-    mesh = build_mesh((0.0, 1.0), 31)
-    c = embedding_constant(mesh, 2.0, 2.0)
-    assert c <= 1.0 / np.pi + 1e-12
-    assert c >= 0.9 / np.pi
-
-
-@pytest.mark.parametrize("p", [1.5, 3.0])
-def test_embedding_constant_against_p_laplacian_eigenvalue(p):
-    """With r = p on (0,1) the constant is lambda_1^(-1/p) in closed form.
-
-    lambda_1 = (p-1) (2 pi / (p sin(pi/p)))^p is the first eigenvalue of the
-    1D p-Laplacian.  The discrete supremum sits below it by c h^2: measured
-    c = 0.160 (p = 1.5) and 0.148 (p = 3) at 101 nodes, with the gap shrinking
-    4.0x and 3.9x per halving of h.  The bound c <= 0.25 and the observed
-    order in [1.8, 2.2] follow from that rate.
-    """
-    exact = (p - 1.0) ** (-1.0 / p) * p * np.sin(np.pi / p) / (2.0 * np.pi)
-    gaps = [exact - embedding_constant(build_mesh((0.0, 1.0), n), p, p) for n in (51, 101)]
-    assert gaps[0] > gaps[1] > 0.0
-    assert gaps[1] <= 0.25 * 0.01**2
-    assert 1.8 <= np.log2(gaps[0] / gaps[1]) <= 2.2
-
-
-def test_barrier_certifies_small_sphere(model_ground_state):
-    spec, _ = model_ground_state
-    bar = barrier_estimate(spec)
-    assert bar.radius > 0.0 and bar.level > 0.0
-    rng = np.random.default_rng(44)
-    for _ in range(100):
-        vals = rng.uniform(-1.0, 1.0, spec.mesh.n_nodes)
-        vals[spec.mesh.boundary_nodes] = 0.0
-        u = DiscreteField(spec.mesh, vals)
-        u = u.scaled(bar.radius / w1p_norm(u, spec))
-        assert phi_plus(u, spec) >= bar.level
-
-
-def test_barrier_needs_gain_coefficient():
-    mesh = build_mesh((0.0, 1.0), 21)
-    spec = ProblemSpec(mesh, EX, 1e-3, constant_coefficient(0.0), ONE)
-    with pytest.raises(DomainError):
-        barrier_estimate(spec)
