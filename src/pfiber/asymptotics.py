@@ -22,7 +22,7 @@ from .problem import (
     Mesh,
     ProblemSpec,
 )
-from .solver import SolveReport, solve_ground_state
+from .solver import solve_ground_state
 
 __all__ = [
     "LimitProfile",

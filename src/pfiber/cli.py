@@ -196,6 +196,11 @@ def _build_coefficient(resolved: dict, domain, label: str) -> CoefficientField:
 
 def resolve_config(raw: dict) -> dict:
     """Materialize every default; validate shapes and orderings up front."""
+    return _resolve(raw)[0]
+
+
+def _resolve(raw: dict) -> tuple[dict, ProblemSpec]:
+    """resolve_config's dict and the problem it describes, built once."""
     unknown = set(raw) - _TOP_KEYS
     if unknown:
         raise ConfigurationError(
@@ -248,8 +253,7 @@ def resolve_config(raw: dict) -> dict:
         **sections,
     }
     # Fail fast on orderings and bound signs before any compute.
-    _make_problem(resolved)
-    return resolved
+    return resolved, _make_problem(resolved)
 
 
 def _make_problem(resolved: dict) -> ProblemSpec:
@@ -270,8 +274,8 @@ def _make_problem(resolved: dict) -> ProblemSpec:
 # -- subcommands --------------------------------------------------------------
 
 
-def _cmd_solve(resolved: dict, out_dir: Path, svg: bool, threads: int) -> int:
-    problem = _make_problem(resolved)
+def _cmd_solve(resolved: dict, problem: ProblemSpec, out_dir: Path, svg: bool,
+              threads: int) -> int:
     dump_json(resolved, out_dir / "resolved_config.json")
     report = solve_ground_state(problem, **resolved["solver"])
     doc = {"epsilon": problem.epsilon, "report": report.to_json_dict()}
@@ -287,8 +291,8 @@ def _cmd_solve(resolved: dict, out_dir: Path, svg: bool, threads: int) -> int:
     return 0
 
 
-def _cmd_second(resolved: dict, out_dir: Path, svg: bool, threads: int) -> int:
-    problem = _make_problem(resolved)
+def _cmd_second(resolved: dict, problem: ProblemSpec, out_dir: Path, svg: bool,
+               threads: int) -> int:
     dump_json(resolved, out_dir / "resolved_config.json")
     ground = solve_ground_state(problem, **resolved["solver"])
     dump_json({"epsilon": problem.epsilon, "report": ground.to_json_dict()},
@@ -309,8 +313,8 @@ def _cmd_second(resolved: dict, out_dir: Path, svg: bool, threads: int) -> int:
     return 0
 
 
-def _cmd_thresholds(resolved: dict, out_dir: Path, svg: bool, threads: int) -> int:
-    problem = _make_problem(resolved)
+def _cmd_thresholds(resolved: dict, problem: ProblemSpec, out_dir: Path, svg: bool,
+                   threads: int) -> int:
     dump_json(resolved, out_dir / "resolved_config.json")
     estimate = estimate_thresholds(problem, **resolved["thresholds"],
                                    seed=resolved["solver"]["seed"])
@@ -320,8 +324,8 @@ def _cmd_thresholds(resolved: dict, out_dir: Path, svg: bool, threads: int) -> i
     return 0
 
 
-def _cmd_sweep(resolved: dict, out_dir: Path, svg: bool, threads: int) -> int:
-    problem = _make_problem(resolved)
+def _cmd_sweep(resolved: dict, problem: ProblemSpec, out_dir: Path, svg: bool,
+              threads: int) -> int:
     if not resolved["eps_list"]:
         raise ConfigurationError("config key 'eps_list': sweep needs a "
                                  "non-empty decreasing list")
@@ -351,8 +355,8 @@ def _cmd_sweep(resolved: dict, out_dir: Path, svg: bool, threads: int) -> int:
     return 0
 
 
-def _cmd_layer(resolved: dict, out_dir: Path, svg: bool, threads: int) -> int:
-    problem = _make_problem(resolved)
+def _cmd_layer(resolved: dict, problem: ProblemSpec, out_dir: Path, svg: bool,
+              threads: int) -> int:
     exp = problem.exponents
     if exp.p != 2.0:
         raise ConfigurationError(
@@ -523,14 +527,14 @@ def run(subcommand: str, config: dict, out_dir=None, svg: bool = False,
         threads: int = 1) -> int:
     """Execute one subcommand against a raw config dict; returns the exit code."""
     try:
-        resolved = resolve_config(config)
+        resolved, problem = _resolve(config)
         if out_dir is None:
             raise ConfigurationError("an output directory is required")
         if subcommand not in _COMMANDS:
             raise ConfigurationError(f"unknown subcommand {subcommand!r}")
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[subcommand](resolved, out, svg, threads)
+        return _COMMANDS[subcommand](resolved, problem, out, svg, threads)
     except (ConfigurationError, InputError, HypothesisViolation) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

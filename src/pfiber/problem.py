@@ -340,16 +340,6 @@ class Mesh:
         """Diagonal (row-sum) mass vector: entries int phi_i."""
         return self.assemble_point_term(np.ones_like(self.qp_weights))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "bounds": [list(ax) for ax in self.bounds],
-            "resolution": list(self.resolution),
-            "nodes": self.nodes.tolist(),
-            "elements": self.elements.tolist(),
-            "boundary_nodes": self.boundary_nodes.tolist(),
-        }
-
 
 def _rows_operator(data: np.ndarray, cols: np.ndarray, n_cols: int) -> sp.csr_matrix:
     """CSR matrix with one row per leading index of ``data``, entries in order.
@@ -453,11 +443,8 @@ class DiscreteField:
                 f"{what} must vanish on the boundary; largest boundary value {worst:g}"
             )
 
-    def to_json_dict(self, include_mesh: bool = True) -> dict:
-        out = {"values": self.values.tolist()}
-        if include_mesh:
-            out["mesh"] = self.mesh.to_json_dict()
-        return out
+    def to_json_dict(self) -> dict:
+        return {"values": self.values.tolist()}
 
 
 def make_field(mesh: Mesh, f: Callable[..., np.ndarray],

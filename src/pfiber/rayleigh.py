@@ -195,10 +195,9 @@ class ThresholdEstimate:
     restarts_used: int
     iterations: int
 
-    def to_json_dict(self, include_maximizer: bool = True) -> dict:
+    def to_json_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "maximizer"}
-        if include_maximizer:
-            out["maximizer"] = self.maximizer.to_json_dict(include_mesh=False)
+        out["maximizer"] = self.maximizer.to_json_dict()
         return out
 
 
@@ -311,7 +310,8 @@ def estimate_thresholds(spec: ProblemSpec, restarts: int = 16, max_iters: int = 
     solver = InteriorSolver(mesh, alpha=1.0, beta=1.0)
     starts: list[np.ndarray] = []
     for extra in extra_starts:
-        if extra.mesh is not mesh and extra.mesh.to_json_dict() != mesh.to_json_dict():
+        # A uniform mesh is fixed by its bounds and node counts.
+        if (extra.mesh.bounds, extra.mesh.resolution) != (mesh.bounds, mesh.resolution):
             raise InputError("extra starts must live on the problem's mesh")
         starts.append(np.asarray(extra.values, dtype=float).copy())
     for i in range(restarts):

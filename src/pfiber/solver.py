@@ -9,13 +9,16 @@ are compared by energy and the zero field wins whenever no candidate goes
 strictly below zero, which is exactly the nonexistence regime.
 
 Second solution.  A min-max over polyline paths from the zero field to the
-ground state.  Knots start clustered around the barrier peak of the straight
-ray, every interior knot takes one Armijo step along the negative weak
-residual of the positive-part energy, and dense samples inside each segment
-are promoted to knots whenever one tops the knot maximum, so the ridge
+ground state.  Knots start clustered around the energy peak along the
+straight ray, every interior knot takes one Armijo step along the negative
+weak residual of the positive-part energy, and dense samples inside each
+segment are promoted to knots whenever one tops the knot maximum, so the ridge
 crossing stays resolved.  Sweeps repeat until the knot carrying the path
 maximum is residual-stationary.  The positive-part nonlinearity makes the
 limiting critical point nonnegative.
+
+Both solvers stop on one rule, _tolerance, and finish through one
+re-evaluation, _finish, of the field they return.
 """
 
 from dataclasses import dataclass, field as dataclass_field, fields
@@ -26,9 +29,8 @@ from .errors import DomainError, InputError
 from .functionals import (
     EnergyComponents,
     energy_components,
-    phi,
+    membership_tolerance,
     phi_plus,
-    weak_residual,
     _BLOCK,
     _energy_change,
     _energy_scale,
@@ -85,18 +87,16 @@ class SolveReport:
     converged: bool
     tol_effective: float
     delta_reg: float
-    multiplicity_flagged: bool = False
     trace: list = dataclass_field(default_factory=list, repr=False)
 
     def is_zero(self) -> bool:
         return not np.any(self.field.values)
 
-    def to_json_dict(self, include_field: bool = True) -> dict:
+    def to_json_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)
                if f.name not in ("field", "trace")}
         out["zero_field"] = self.is_zero()
-        if include_field:
-            out["field"] = self.field.to_json_dict(include_mesh=False)
+        out["field"] = self.field.to_json_dict()
         return out
 
     def trace_to_csv(self, path) -> None:
@@ -112,9 +112,22 @@ def _zero_boundary(values: np.ndarray, mesh: Mesh) -> np.ndarray:
     return out
 
 
+def _tolerance(tol_res: float, energy: float) -> float:
+    """The stop rule: a field is critical when its residual max-norm is at most this."""
+    return tol_res * (1.0 + abs(energy))
+
+
+def _finish(values: np.ndarray, spec: ProblemSpec, tol_res: float, delta_reg: float):
+    """(field, energy, residual max-norm, tolerance, components) of a returned field."""
+    energy, state = _evaluate(values, spec)
+    res_norm = float(np.max(np.abs(_residual(state, spec, delta_reg))))
+    return (DiscreteField(spec.mesh, values), energy, res_norm,
+            _tolerance(tol_res, energy), state.comps)
+
+
 def _descend(start: np.ndarray, spec: ProblemSpec, pre: InteriorSolver,
-             tol_res: float, max_iters: int, delta_reg) -> dict:
-    """Armijo descent from one seed; returns the raw candidate record.
+             tol_res: float, max_iters: int, delta_reg):
+    """Armijo descent from one seed; returns (values, iterations, trace).
 
     The trial step is the spectral (Barzilai-Borwein) secant estimate in the
     preconditioner metric, (s.y)/(y.P^-1 y); backtracking keeps every accepted
@@ -131,8 +144,6 @@ def _descend(start: np.ndarray, spec: ProblemSpec, pre: InteriorSolver,
     energy, state = _evaluate(u, spec)
     step = 1.0
     trace = []
-    converged = False
-    iterations = 0
     flat_steps = 0
     prev_u = prev_residual = prev_pre_grad = None
     for iterations in range(max_iters + 1):
@@ -141,12 +152,10 @@ def _descend(start: np.ndarray, spec: ProblemSpec, pre: InteriorSolver,
         # Only u outlives the residual.  A state kept through the line search
         # would fragment the heap, and the peak RSS grows with every solve.
         state = found = None
-        res_norm = float(np.max(np.abs(residual))) if residual.size else 0.0
+        res_norm = float(np.max(np.abs(residual)))
         trace.append((iterations, energy, res_norm))
-        if res_norm <= tol_res * (1.0 + abs(energy)):
-            converged = True
-            break
-        if iterations == max_iters or flat_steps >= _FLAT_STEPS:
+        if (res_norm <= _tolerance(tol_res, energy) or iterations == max_iters
+                or flat_steps >= _FLAT_STEPS):
             break
         found = preconditioned_direction(pre, residual)
         if found is None:
@@ -178,53 +187,7 @@ def _descend(start: np.ndarray, spec: ProblemSpec, pre: InteriorSolver,
         flat_steps = flat_steps + 1 if energy + change >= energy else 0
         u, energy = state.values, energy + change
         step = min(2.0 * t, MAX_STEP)
-    return {"values": u, "energy": energy, "converged": converged,
-            "iterations": iterations, "trace": trace}
-
-
-def _finalize_candidate(cand: dict, spec: ProblemSpec, tol_res: float,
-                        delta_reg) -> dict:
-    """Apply the final nodal absolute value and refresh the diagnostics."""
-    mesh = spec.mesh
-    values = np.abs(cand["values"])
-    if float(values.max(initial=0.0)) <= 1e-8 * _amplitude(spec):
-        # Nontrivial critical points stay outside the small-sphere barrier;
-        # a field this small can only be the zero basin, and |u| kinks must
-        # not push its re-evaluated residual over tolerance.
-        values = np.zeros_like(values)
-    field = DiscreteField(mesh, values)
-    energy = phi(field, spec)
-    residual = weak_residual(field, spec, delta_reg).values
-    res_norm = float(np.max(np.abs(residual)))
-    tol_eff = tol_res * (1.0 + abs(energy))
-    cand = dict(cand)
-    cand.update(values=values, field=field, energy=energy,
-                res_norm=res_norm, tol_eff=tol_eff,
-                converged=res_norm <= tol_eff)
-    return cand
-
-
-def _zero_report(spec: ProblemSpec, tol_res: float, delta_reg: float,
-                 iterations: int, trace: list) -> SolveReport:
-    field = DiscreteField(spec.mesh, np.zeros(spec.mesh.n_nodes))
-    return SolveReport(
-        field=field, energy=0.0, residual_norm=0.0, nehari_residual=0.0,
-        fiber_second_derivative=0.0, iterations=iterations, converged=True,
-        tol_effective=tol_res, delta_reg=delta_reg, trace=trace,
-    )
-
-
-def _report_from_candidate(cand: dict, spec: ProblemSpec, tol_res: float,
-                           delta_reg: float, multiplicity: bool) -> SolveReport:
-    diag = nehari_diagnostics(cand["field"], spec)
-    return SolveReport(
-        field=cand["field"], energy=cand["energy"],
-        residual_norm=cand["res_norm"], nehari_residual=diag.nehari_residual,
-        fiber_second_derivative=diag.fiber_second_derivative,
-        iterations=cand["iterations"], converged=cand["converged"],
-        tol_effective=cand["tol_eff"], delta_reg=delta_reg,
-        multiplicity_flagged=multiplicity, trace=cand["trace"],
-    )
+    return u, iterations, trace
 
 
 def _amplitude(spec: ProblemSpec) -> float:
@@ -235,8 +198,6 @@ def _amplitude(spec: ProblemSpec) -> float:
 
 
 def _default_seeds(spec: ProblemSpec, seed: int, random_restarts: int) -> list[np.ndarray]:
-    from .functionals import membership_tolerance
-
     mesh = spec.mesh
     seeds = []
     w = _zero_boundary(spec.flat_limit, mesh)
@@ -278,35 +239,44 @@ def solve_ground_state(spec: ProblemSpec, init: DiscreteField | None = None,
     else:
         seeds = _default_seeds(spec, seed, random_restarts)
 
-    candidates = []
-    for idx, start in enumerate(seeds):
-        cand = _descend(start, spec, pre, tol_res, max_iters, delta_reg)
-        cand["seed_index"] = idx
-        candidates.append(_finalize_candidate(cand, spec, tol_res, delta_reg))
+    tiny = 1e-8 * _amplitude(spec)
+    candidates = []    # (field, energy, res_norm, tol, comps, trace), in seed order
+    iterations = 0
+    for start in seeds:
+        values, iters, trace = _descend(start, spec, pre, tol_res, max_iters, delta_reg)
+        iterations += iters
+        values = np.abs(values)
+        if float(values.max(initial=0.0)) <= tiny:
+            # Nontrivial critical points are bounded away from zero; a field
+            # this small can only be the zero basin, and |u| kinks must not
+            # push its re-evaluated residual over tolerance.
+            values = np.zeros_like(values)
+        candidates.append((*_finish(values, spec, tol_res, delta_reg), trace))
 
-    converged = [c for c in candidates if c["converged"]]
-    total_iters = sum(c["iterations"] for c in candidates)
-    if not converged:
-        best = min(candidates, key=lambda c: c["energy"])
-        best = dict(best, iterations=total_iters)
-        return _report_from_candidate(best, spec, tol_res, delta_reg, False)
-
-    best = min(converged, key=lambda c: (c["energy"], c["seed_index"]))
-    comps = energy_components(best["field"], spec)
-    zero_floor = 1e-12 * (1.0 + spec.epsilon * comps.dirichlet + comps.gain + comps.loss)
-    if best["energy"] >= -zero_floor:
-        return _zero_report(spec, tol_res, delta_reg, total_iters, best["trace"])
-
-    tie_tol = 1e-10 * (1.0 + abs(best["energy"]))
-    ties = [c for c in converged if abs(c["energy"] - best["energy"]) <= tie_tol]
-    first = min(ties, key=lambda c: c["seed_index"])
-    value_scale = 1.0 + float(np.max(np.abs(first["values"])))
-    multiplicity = any(
-        float(np.max(np.abs(c["values"] - first["values"]))) > 1e-6 * value_scale
-        for c in ties
+    converged = [c for c in candidates if c[2] <= c[3]]
+    best = min(converged or candidates, key=lambda c: c[1])
+    if converged:
+        comps = best[4]
+        zero_floor = 1e-12 * (1.0 + spec.epsilon * comps.dirichlet + comps.gain + comps.loss)
+        if best[1] >= -zero_floor:
+            return SolveReport(
+                field=DiscreteField(mesh, np.zeros(mesh.n_nodes)), energy=0.0,
+                residual_norm=0.0, nehari_residual=0.0, fiber_second_derivative=0.0,
+                iterations=iterations, converged=True, tol_effective=tol_res,
+                delta_reg=delta_reg, trace=best[5],
+            )
+        # Ties keep the earliest seed.
+        tie_tol = 1e-10 * (1.0 + abs(best[1]))
+        best = next(c for c in converged if abs(c[1] - best[1]) <= tie_tol)
+    field, energy, res_norm, tol_eff, _, trace = best
+    diag = nehari_diagnostics(field, spec)
+    return SolveReport(
+        field=field, energy=energy, residual_norm=res_norm,
+        nehari_residual=diag.nehari_residual,
+        fiber_second_derivative=diag.fiber_second_derivative,
+        iterations=iterations, converged=res_norm <= tol_eff,
+        tol_effective=tol_eff, delta_reg=delta_reg, trace=trace,
     )
-    first = dict(first, iterations=total_iters)
-    return _report_from_candidate(first, spec, tol_res, delta_reg, multiplicity)
 
 
 @dataclass(frozen=True)
@@ -326,10 +296,9 @@ class MountainPassReport:
     tol_effective: float
     delta_reg: float
 
-    def to_json_dict(self, include_field: bool = True) -> dict:
+    def to_json_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "field"}
-        if include_field:
-            out["field"] = self.field.to_json_dict(include_mesh=False)
+        out["field"] = self.field.to_json_dict()
         return out
 
 
@@ -338,8 +307,9 @@ def _ray_peak_scale(comps: EnergyComponents, eps: float,
     """Scale of the energy maximum along the ray through a Nehari point.
 
     With (T, A, B) the components at the endpoint, h(t) = eps T - A t^(q-p)
-    + B t^(g-p) vanishes at t = 1 by the Nehari identity and at the barrier
-    peak t < 1; bisection between a sign change brackets the smaller root.
+    + B t^(g-p) vanishes at t = 1 by the Nehari identity and at the energy
+    peak along the ray, t < 1; bisection between a sign change brackets the
+    smaller root.
     """
     p, q, g = exponents.p, exponents.q, exponents.gamma
     eT, A, B = eps * comps.dirichlet, comps.gain, comps.loss
@@ -381,7 +351,7 @@ def _step_knots(knots: np.ndarray, steps: np.ndarray, energies: np.ndarray,
     k_star = int(np.argmax(energies))
     if 0 < k_star < knots.shape[1] - 1:
         res_norm = float(np.max(np.abs(residuals[:, k_star - 1])))
-        if res_norm <= tol_res * (1.0 + abs(energies[k_star])):
+        if res_norm <= _tolerance(tol_res, energies[k_star]):
             return True
     directions = -pre.apply(residuals)
     slopes = np.einsum("ik,ik->k", residuals, directions)
@@ -405,7 +375,7 @@ def solve_mountain_pass(spec: ProblemSpec, ground_state: SolveReport,
                         max_iters: int = 600) -> MountainPassReport:
     """Min-max over polyline paths joining the zero field to the ground state.
 
-    Initial knots cluster around the barrier peak of the ray through the
+    Initial knots cluster around the energy peak along the ray through the
     endpoint, where the path maximum lives.  Every sweep moves each interior
     knot one Armijo step down the positive-part energy, then re-maximizes
     over knots and dense samples inside each segment; a segment interior that
@@ -453,7 +423,7 @@ def solve_mountain_pass(spec: ProblemSpec, ground_state: SolveReport,
         f = seg_fracs[f]
         return (1.0 - f) * knots[:, j] + f * knots[:, j + 1]
 
-    top = None
+    converged = False
     sweeps = 0
     for sweeps in range(1, max_iters + 1):
         energies = _phi_plus_block(knots, spec)
@@ -474,21 +444,18 @@ def solve_mountain_pass(spec: ProblemSpec, ground_state: SolveReport,
             knots = np.delete(knots, drop, axis=1)
             steps = np.delete(steps, drop)
             energies = np.delete(energies, drop)
-        if _step_knots(knots, steps, energies, spec, pre, delta_reg, tol_res):
-            top = knots[:, int(np.argmax(energies))]
+        converged = _step_knots(knots, steps, energies, spec, pre, delta_reg, tol_res)
+        if converged:
             break
-
-    converged = top is not None
-    if not converged:
-        top = knots[:, int(np.argmax(_phi_plus_block(knots, spec)))]
+    if not converged:    # the steps moved the knots since their energies
+        energies = _phi_plus_block(knots, spec)
+    top = knots[:, int(np.argmax(energies))]
     # The level and the energy come from the single-field kernel, whose sums
     # run in another order than the stack's: so the level of a nonnegative
     # top knot equals the energy of its positive part to the last bit.
     path_level = phi_plus(DiscreteField(mesh, top), spec)
-    field = DiscreteField(mesh, np.maximum(top, 0.0))
-    energy = phi(field, spec)
-    res_norm = float(np.max(np.abs(weak_residual(field, spec, delta_reg).values)))
-    tol_eff = tol_res * (1.0 + abs(energy))
+    field, energy, res_norm, tol_eff, _ = _finish(np.maximum(top, 0.0), spec, tol_res,
+                                                  delta_reg)
     return MountainPassReport(
         field=field, energy=energy, path_level=path_level,
         residual_norm=res_norm, iterations=sweeps,

@@ -249,6 +249,17 @@ def test_second_writes_both_solutions(tmp_path):
     assert second["path_level"] >= second["energy"] - 1e-15
 
 
+def test_second_at_its_sweep_cap_exits_3_with_partial_artifacts(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = model_config(mountain_pass={"max_iters": 1})
+    assert run("second", cfg, out_dir=out) == 3
+    assert "mountain pass did not converge" in capsys.readouterr().err
+    second = json.loads((out / "second_solution.json").read_text())["report"]
+    assert second["converged"] is False
+    assert second["iterations"] == 1
+    assert second["residual_norm"] > second["tol_effective"]
+
+
 # -- thresholds ---------------------------------------------------------------
 
 

@@ -1,6 +1,8 @@
-"""The package's public names."""
+"""The package's public names and imports."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pfiber
 
@@ -12,3 +14,21 @@ def test_public_names_resolve():
     for module in (pfiber, *(importlib.import_module(f"pfiber.{m}") for m in MODULES)):
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
+
+
+def test_no_unused_imports():
+    """Every name a module imports is used in it or listed in its __all__.
+
+    ``__init__`` imports only to re-export, so it is exempt.
+    """
+    for path in sorted(Path(pfiber.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = getattr(importlib.import_module(f"pfiber.{path.stem}"), "__all__", [])
+        unused = sorted(imported - used - set(exported))
+        assert not unused, (path.name, unused)

@@ -371,9 +371,8 @@ def test_spec_is_immutable():
 
 
 def test_dump_json_is_deterministic(tmp_path):
-    mesh = build_mesh((0.0, 1.0), 5)
-    payload = {"b": 2, "a": [1.5, mesh.to_json_dict()]}
+    payload = {"b": 2, "a": [1.5, {"z": [0.0, 0.5], "y": {"x": 1}}]}
     p1, p2 = tmp_path / "one.json", tmp_path / "two.json"
     dump_json(payload, p1)
-    dump_json({"a": [1.5, mesh.to_json_dict()], "b": 2}, p2)
+    dump_json({"a": [1.5, {"y": {"x": 1}, "z": [0.0, 0.5]}], "b": 2}, p2)
     assert p1.read_bytes() == p2.read_bytes()

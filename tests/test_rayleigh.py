@@ -316,8 +316,6 @@ def test_threshold_estimate_serializes():
     data = est.to_json_dict()
     assert data["eps_critical"] == est.eps_critical
     assert len(data["maximizer"]["values"]) == 21
-    slim = est.to_json_dict(include_maximizer=False)
-    assert "maximizer" not in slim
 
 
 def test_ascent_assembles_weak_forms_only_at_accepted_points(monkeypatch):
