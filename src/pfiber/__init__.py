@@ -33,7 +33,6 @@ from .problem import (
     build_mesh,
     bump_coefficient,
     constant_coefficient,
-    dump_json,
     lr_norm,
     make_field,
 )
@@ -49,11 +48,8 @@ from .functionals import (
     weak_residual_plus,
 )
 from .rayleigh import (
-    ExtremalConstants,
-    FiberScalings,
     IntersectionReport,
-    NonlinearQuotients,
-    RayQuotients,
+    RayPair,
     ThresholdEstimate,
     estimate_thresholds,
     extremal_constants,
@@ -94,12 +90,11 @@ __all__ = [
     "ContractViolation", "HypothesisViolation", "NumericalError",
     "Exponents", "CoefficientField", "Mesh", "DiscreteField", "ProblemSpec",
     "build_mesh", "make_field", "lr_norm", "constant_coefficient",
-    "affine_coefficient", "bump_coefficient", "dump_json",
+    "affine_coefficient", "bump_coefficient",
     "EnergyComponents", "energy_components", "phi", "phi_plus",
     "weak_residual", "weak_residual_plus", "J_functional",
     "membership_tolerance", "w1p_norm",
-    "ExtremalConstants", "extremal_constants", "RayQuotients", "ray_quotients",
-    "FiberScalings", "fiber_scalings", "NonlinearQuotients",
+    "RayPair", "extremal_constants", "ray_quotients", "fiber_scalings",
     "nonlinear_quotients", "scale_invariant_quotient", "IntersectionReport",
     "intersection_check", "ThresholdEstimate", "estimate_thresholds",
     "SolveReport", "solve_ground_state", "MountainPassReport",

@@ -4,7 +4,7 @@ As eps -> 0 the ground state flattens onto the pointwise minimizer of the
 well density j_x(s) = -(a(x)/q) s^q + (b(x)/gamma) s^gamma, namely
 (a/b)^(1/(gamma-q)), except inside O(sqrt(eps)) boundary layers.  This module
 provides that profile, the metrics quantifying the approach (bad-set measure,
-L^r errors, energy gaps), the brute-force separation constant that links the
+L^r errors, energy gaps), the separation constant that links the
 bad-set measure to the well-energy gap, per-eps sweeps, the equivalent
 lambda/nu scalings of the equation, and the 1D layer profile obtained by
 integrating the first integral U' = sqrt(2 W(U)) of the p = 2 layer equation.
@@ -132,16 +132,15 @@ def asymptotic_metrics(u: DiscreteField, profile: LimitProfile, spec: ProblemSpe
 
 def separation_constant(exponents: Exponents, a_lower: float, a_upper: float,
                         b_lower: float, b_upper: float, eta: float,
-                        n_box: int = 64, n_s: int = 512) -> float:
-    """Brute-force uniform well-energy margin outside the eta-window.
+                        n_box: int = 64) -> float:
+    """Uniform well-energy margin outside the eta-window around the minimizer.
 
-    Minimizes the well density minus its minimum value over an
-    n_box x n_box coefficient grid and an n_s-point amplitude grid on [0, M]
-    (plus the exact window edges minimizer +/- eta), excluding the window
-    of radius eta around the per-coefficient minimizer.  M is pushed far
-    enough out that the growth bound
-    -(a_upper/q) s^q + (b_lower/gamma) s^gamma already exceeds every well
-    minimum by 1, and the result is capped at 1.
+    For coefficients (alpha, beta) the well -(alpha/q) s^q + (beta/gamma) s^gamma
+    falls on [0, rho] and rises after its minimizer rho = (alpha/beta)^(1/(gamma-q)).
+    So over amplitudes s >= 0 with |s - rho| >= eta its excess over the minimum
+    is least at s = rho + eta, or at s = rho - eta when rho - eta >= 0.  The
+    margin is the least of those excesses over an n_box x n_box grid of the
+    coefficient box.
 
     Raises:
         InputError: invalid bounds, eta <= 0, or a_lower <= 0 (the uniform
@@ -152,43 +151,17 @@ def separation_constant(exponents: Exponents, a_lower: float, a_upper: float,
     if not (0.0 < a_lower <= a_upper) or not (0.0 < b_lower <= b_upper):
         raise InputError("coefficient box needs 0 < lower <= upper on both axes")
     q, g = exponents.q, exponents.gamma
-    root = 1.0 / (g - q)
-
-    alpha_grid, beta_grid = np.meshgrid(
-        np.linspace(a_lower, a_upper, n_box),
-        np.linspace(b_lower, b_upper, n_box),
-        indexing="ij",
-    )
-    alpha = alpha_grid.ravel()[:, None]
-    beta = beta_grid.ravel()[:, None]
-    rho = (alpha / beta) ** root
+    alpha, beta = np.meshgrid(np.linspace(a_lower, a_upper, n_box),
+                              np.linspace(b_lower, b_upper, n_box))
+    rho = (alpha / beta) ** (1.0 / (g - q))
 
     def well(s):
         return -(alpha / q) * s**q + (beta / g) * s**g
 
     well_min = well(rho)
-
-    # Growth bound beyond M: the worst-case density already clears the minima by 1.
-    def well_floor(s):
-        return -(a_upper / q) * s**q + (b_lower / g) * s**g
-
-    m = (a_upper * g / (b_lower * q)) ** root + eta
-    target = 1.0 + float(well_min.max())
-    while well_floor(m) < target:
-        m *= 2.0
-        if m > 1e12:
-            raise InputError("could not bracket the growth region; check exponents")
-
-    s_grid = np.linspace(0.0, m, n_s)[None, :]
-    edges = np.concatenate(
-        [np.clip(rho - eta, 0.0, m), np.clip(rho + eta, 0.0, m)], axis=1
-    )
-    samples = np.concatenate([np.broadcast_to(s_grid, (rho.shape[0], n_s)), edges],
-                             axis=1)
-    gaps = well(samples) - well_min
-    gaps = np.where(np.abs(samples - rho) >= eta, gaps, np.inf)
-    margin = float(np.min(gaps))
-    return min(margin, 1.0)
+    right = well(rho + eta) - well_min
+    left = np.where(rho >= eta, well(np.maximum(rho - eta, 0.0)) - well_min, np.inf)
+    return float(np.minimum(left, right).min())
 
 
 @dataclass(frozen=True)
@@ -210,53 +183,6 @@ class SweepReport:
     eta: float
     r_list: tuple
     limit_value: float
-
-    def column(self, name: str) -> np.ndarray:
-        if name.startswith("l") and name.endswith("_err") and name != "linf_interior_err":
-            r = float(name[1:-4])
-            idx = [i for i, (rr, _) in enumerate(self.rows[0].lr_errors) if rr == r]
-            if not idx:
-                raise InputError(f"no L^r error tracked for r={r}")
-            return np.array([row.lr_errors[idx[0]][1] for row in self.rows])
-        if name == "measure_bad_eta":
-            name = "measure_bad"
-        return np.array([getattr(row, name) for row in self.rows])
-
-    def csv_header(self) -> list[str]:
-        cols = ["eps", "energy", "energy_gap", "J_gap", "measure_bad_eta"]
-        cols += [f"l{r:g}_err" for r, _ in self.rows[0].lr_errors]
-        cols += ["linf_interior_err", "converged"]
-        return cols
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(",".join(self.csv_header()) + "\n")
-            for row in self.rows:
-                cells = ["%.17g" % row.eps, "%.17g" % row.energy,
-                         "%.17g" % row.energy_gap, "%.17g" % row.J_gap,
-                         "%.17g" % row.measure_bad]
-                cells += ["%.17g" % err for _, err in row.lr_errors]
-                cells += ["%.17g" % row.linf_interior_err,
-                          "true" if row.converged else "false"]
-                fh.write(",".join(cells) + "\n")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "eta": self.eta,
-            "r_list": list(self.r_list),
-            "limit_value": self.limit_value,
-            "rows": [
-                {
-                    "eps": row.eps, "energy": row.energy,
-                    "energy_gap": row.energy_gap, "J_gap": row.J_gap,
-                    "measure_bad_eta": row.measure_bad,
-                    "lr_errors": [[r, e] for r, e in row.lr_errors],
-                    "linf_interior_err": row.linf_interior_err,
-                    "converged": row.converged, "iterations": row.iterations,
-                }
-                for row in self.rows
-            ],
-        }
 
 
 def _boundary_distance(mesh: Mesh) -> np.ndarray:
@@ -478,12 +404,6 @@ class LayerProfile:
             raise InputError("profile must be strictly increasing below saturation")
         if np.any((self.values < 0.0) | (self.values >= 1.0)):
             raise InputError("profile values must lie in [0, 1)")
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("xi,U\n")
-            for x, u in zip(self.xi, self.values):
-                fh.write("%.17g,%.17g\n" % (x, u))
 
 
 def layer_profile_1d(q: float, gamma: float, xi_max: float = 40.0,

@@ -1,8 +1,10 @@
 """Batch front door: JSON-configured experiments emitting deterministic artifacts.
 
 Every run materializes all defaults into ``resolved_config.json`` next to its
-outputs, so each artifact records exactly the inputs that produced it.  JSON
-artifacts are written with sorted keys and CSV numbers with 17 significant
+outputs, so each artifact records exactly the inputs that produced it.  The
+solvers return plain frozen records; this module alone decides how they look
+on disk.  JSON artifacts are written with sorted keys, and CSV cells hold
+integers as %d, booleans as true/false and other numbers with 17 significant
 digits; reruns with the same config and seed are byte-identical.
 
 Exit codes: 0 success, 2 configuration error, 3 a requested solve did not
@@ -10,6 +12,7 @@ converge (partial artifacts are kept), 4 internal numerical failure.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -26,13 +29,13 @@ from .errors import (
 )
 from .problem import (
     CoefficientField,
+    DiscreteField,
     Exponents,
     ProblemSpec,
     affine_coefficient,
     build_mesh,
     bump_coefficient,
     constant_coefficient,
-    dump_json,
 )
 from .rayleigh import estimate_thresholds
 from .solver import solve_ground_state, solve_mountain_pass
@@ -271,16 +274,72 @@ def _make_problem(resolved: dict) -> ProblemSpec:
         raise ConfigurationError(str(exc)) from exc
 
 
+# -- artifact writers ---------------------------------------------------------
+
+
+def _record(obj):
+    """The JSON value of a result: dataclass fields by name, a field as its values."""
+    if isinstance(obj, DiscreteField):
+        return {"values": obj.values.tolist()}
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _record(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, (tuple, list)):
+        return [_record(v) for v in obj]
+    return obj
+
+
+def _dump_json(obj: dict, path) -> None:
+    """Write a JSON document deterministically (sorted keys, fixed format)."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "%d" % value if isinstance(value, int) else "%.17g" % value
+
+
+def _write_csv(path, columns: dict) -> None:
+    """Write equal-length columns under a header row of their names."""
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in zip(*columns.values()):
+            fh.write(",".join(map(_cell, row)) + "\n")
+
+
+def _ground_state_doc(report, epsilon: float) -> dict:
+    """ground_state.json: the report without its trace, flagged when it is the zero field."""
+    record = _record(report)
+    del record["trace"]
+    record["zero_field"] = report.is_zero()
+    return {"epsilon": epsilon, "report": record}
+
+
+def _sweep_columns(report) -> dict:
+    """One column per sweep.csv header, in file order; rows follow eps_list."""
+    rows = report.rows
+    columns = {name: [getattr(row, name) for row in rows]
+               for name in ("eps", "energy", "energy_gap", "J_gap")}
+    columns["measure_bad_eta"] = [row.measure_bad for row in rows]
+    for i, (r, _) in enumerate(rows[0].lr_errors):
+        columns[f"l{r:g}_err"] = [row.lr_errors[i][1] for row in rows]
+    columns["linf_interior_err"] = [row.linf_interior_err for row in rows]
+    columns["converged"] = [row.converged for row in rows]
+    return columns
+
+
 # -- subcommands --------------------------------------------------------------
 
 
 def _cmd_solve(resolved: dict, problem: ProblemSpec, out_dir: Path, svg: bool,
               threads: int) -> int:
-    dump_json(resolved, out_dir / "resolved_config.json")
+    _dump_json(resolved, out_dir / "resolved_config.json")
     report = solve_ground_state(problem, **resolved["solver"])
-    doc = {"epsilon": problem.epsilon, "report": report.to_json_dict()}
-    dump_json(doc, out_dir / "ground_state.json")
-    report.trace_to_csv(out_dir / "trace.csv")
+    _dump_json(_ground_state_doc(report, problem.epsilon), out_dir / "ground_state.json")
+    _write_csv(out_dir / "trace.csv",
+               dict(zip(("iteration", "energy", "residual_norm"), zip(*report.trace))))
     if not report.converged:
         print("ground state did not converge; partial artifacts written",
               file=sys.stderr)
@@ -293,17 +352,16 @@ def _cmd_solve(resolved: dict, problem: ProblemSpec, out_dir: Path, svg: bool,
 
 def _cmd_second(resolved: dict, problem: ProblemSpec, out_dir: Path, svg: bool,
                threads: int) -> int:
-    dump_json(resolved, out_dir / "resolved_config.json")
+    _dump_json(resolved, out_dir / "resolved_config.json")
     ground = solve_ground_state(problem, **resolved["solver"])
-    dump_json({"epsilon": problem.epsilon, "report": ground.to_json_dict()},
-              out_dir / "ground_state.json")
+    _dump_json(_ground_state_doc(ground, problem.epsilon), out_dir / "ground_state.json")
     if not ground.converged:
         print("ground state did not converge; no mountain pass attempted",
               file=sys.stderr)
         return 3
     second = solve_mountain_pass(problem, ground, **resolved["mountain_pass"])
-    dump_json({"epsilon": problem.epsilon, "report": second.to_json_dict()},
-              out_dir / "second_solution.json")
+    _dump_json({"epsilon": problem.epsilon, "report": _record(second)},
+               out_dir / "second_solution.json")
     if not second.converged:
         print("mountain pass did not converge; partial artifacts written",
               file=sys.stderr)
@@ -315,10 +373,10 @@ def _cmd_second(resolved: dict, problem: ProblemSpec, out_dir: Path, svg: bool,
 
 def _cmd_thresholds(resolved: dict, problem: ProblemSpec, out_dir: Path, svg: bool,
                    threads: int) -> int:
-    dump_json(resolved, out_dir / "resolved_config.json")
+    _dump_json(resolved, out_dir / "resolved_config.json")
     estimate = estimate_thresholds(problem, **resolved["thresholds"],
                                    seed=resolved["solver"]["seed"])
-    dump_json(estimate.to_json_dict(), out_dir / "thresholds.json")
+    _dump_json(_record(estimate), out_dir / "thresholds.json")
     print(f"thresholds: critical {estimate.eps_critical:.12g}, "
           f"two-solutions {estimate.eps_two_solutions:.12g}")
     return 0
@@ -329,18 +387,21 @@ def _cmd_sweep(resolved: dict, problem: ProblemSpec, out_dir: Path, svg: bool,
     if not resolved["eps_list"]:
         raise ConfigurationError("config key 'eps_list': sweep needs a "
                                  "non-empty decreasing list")
-    dump_json(resolved, out_dir / "resolved_config.json")
+    _dump_json(resolved, out_dir / "resolved_config.json")
     report = epsilon_sweep(
         problem, resolved["eps_list"], **resolved["asymptotics"],
         solver_options=resolved["solver"], threads=threads,
     )
-    report.to_csv(out_dir / "sweep.csv")
-    dump_json(report.to_json_dict(), out_dir / "sweep.json")
+    columns = _sweep_columns(report)
+    _write_csv(out_dir / "sweep.csv", columns)
+    doc = _record(report)
+    for row in doc["rows"]:
+        row["measure_bad_eta"] = row.pop("measure_bad")
+    _dump_json(doc, out_dir / "sweep.json")
     if svg:
-        eps = report.column("eps")
         names = ["energy_gap", "measure_bad_eta", "linf_interior_err"]
         names += [f"l{r:g}_err" for r, _ in report.rows[0].lr_errors]
-        series = [(name, eps, report.column(name)) for name in names]
+        series = [(name, columns["eps"], columns[name]) for name in names]
         _svg_line_chart(series, out_dir / "sweep.svg",
                         title="convergence to the flat limit",
                         x_label="eps", y_label="metric",
@@ -372,8 +433,8 @@ def _cmd_layer(resolved: dict, problem: ProblemSpec, out_dir: Path, svg: bool,
         profile = layer_profile_1d(exp.q, exp.gamma, **lay)
     except NumericalError as exc:  # xi_max beyond the table's reach
         raise ConfigurationError(f"config key 'layer.xi_max': {exc}") from exc
-    dump_json(resolved, out_dir / "resolved_config.json")
-    profile.to_csv(out_dir / "layer_profile.csv")
+    _dump_json(resolved, out_dir / "resolved_config.json")
+    _write_csv(out_dir / "layer_profile.csv", {"xi": profile.xi, "U": profile.values})
 
     doc = {"q": exp.q, "gamma": exp.gamma, **lay,
            "tail_gap": 1.0 - float(profile.values[-1])}
@@ -391,7 +452,7 @@ def _cmd_layer(resolved: dict, problem: ProblemSpec, out_dir: Path, svg: bool,
         }
         if not ground.converged:
             status = 3
-    dump_json(doc, out_dir / "layer_compare.json")
+    _dump_json(doc, out_dir / "layer_compare.json")
     if svg:
         series = [("profile", profile.xi, profile.values)]
         _svg_line_chart(series, out_dir / "layer.svg",

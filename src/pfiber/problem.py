@@ -21,7 +21,6 @@ contractions (Rahman & Valdman, Appl. Math. Comput. 2013), and the same
 products serve one field or an (n_nodes, k) stack of fields.
 """
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -443,9 +442,6 @@ class DiscreteField:
                 f"{what} must vanish on the boundary; largest boundary value {worst:g}"
             )
 
-    def to_json_dict(self) -> dict:
-        return {"values": self.values.tolist()}
-
 
 def make_field(mesh: Mesh, f: Callable[..., np.ndarray],
                zero_boundary: bool = True) -> DiscreteField:
@@ -546,10 +542,3 @@ class ProblemSpec:
             self.mesh, self.exponents, epsilon, self.a, self.b,
             _samples=((self.a_qp, self.a_nodes), (self.b_qp, self.b_nodes)),
         )
-
-
-def dump_json(obj: dict, path) -> None:
-    """Write a JSON document deterministically (sorted keys, fixed format)."""
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")

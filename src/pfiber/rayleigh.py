@@ -21,7 +21,7 @@ negative-energy ground state together with a second positive solution exists
 below ``eps_two_solutions``.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,13 +31,10 @@ from .linalg import MAX_STEP, InteriorSolver, armijo, preconditioned_direction
 from .problem import DiscreteField, Exponents, Mesh, ProblemSpec, _sum_product, squared_norms
 
 __all__ = [
-    "ExtremalConstants",
+    "RayPair",
     "extremal_constants",
-    "RayQuotients",
     "ray_quotients",
-    "FiberScalings",
     "fiber_scalings",
-    "NonlinearQuotients",
     "nonlinear_quotients",
     "scale_invariant_quotient",
     "IntersectionReport",
@@ -48,19 +45,28 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ExtremalConstants:
-    """Peak values of the two ray quotients per unit scale-invariant quotient."""
+class RayPair:
+    """One number for each of the two ray quotients.
+
+    - :func:`extremal_constants`: each quotient's peak value per unit
+      scale-invariant quotient;
+    - :func:`ray_quotients`: both quotients at one point s*u of the ray;
+    - :func:`fiber_scalings`: the scale where the constraint quotient peaks,
+      and the scale where the two quotients cross (zero energy);
+    - :func:`nonlinear_quotients`: each quotient's peak value along the ray,
+      the thresholds seen from one field.
+    """
 
     constraint: float
     zero_energy: float
 
 
-def extremal_constants(exponents: Exponents) -> ExtremalConstants:
+def extremal_constants(exponents: Exponents) -> RayPair:
     p, q, g = exponents.p, exponents.q, exponents.gamma
     m = (q - p) / (g - q)
     constraint = (g - q) / (g - p) * ((q - p) / (g - p)) ** m
     zero_energy = (p * (g - q)) / (q * (g - p)) * ((g * (q - p)) / (q * (g - p))) ** m
-    return ExtremalConstants(constraint, zero_energy)
+    return RayPair(constraint, zero_energy)
 
 
 def _require_components(comps: EnergyComponents) -> None:
@@ -68,14 +74,7 @@ def _require_components(comps: EnergyComponents) -> None:
         raise DomainError("ray quotients need a nontrivial field (dirichlet > 0)")
 
 
-@dataclass(frozen=True)
-class RayQuotients:
-    constraint: float
-    zero_energy: float
-
-
-def ray_quotients(comps: EnergyComponents, s: float,
-                  exponents: Exponents) -> RayQuotients:
+def ray_quotients(comps: EnergyComponents, s: float, exponents: Exponents) -> RayPair:
     """Evaluate both quotients at the point s*u of the ray."""
     _require_components(comps)
     if s <= 0.0:
@@ -84,18 +83,10 @@ def ray_quotients(comps: EnergyComponents, s: float,
     dir_, gain, loss = comps.dirichlet, comps.gain, comps.loss
     constraint = (gain * s ** (q - p) - loss * s ** (g - p)) / dir_
     zero_energy = (p / dir_) * (gain / q * s ** (q - p) - loss / g * s ** (g - p))
-    return RayQuotients(constraint, zero_energy)
+    return RayPair(constraint, zero_energy)
 
 
-@dataclass(frozen=True)
-class FiberScalings:
-    """Scales where the constraint quotient peaks and where the quotients cross."""
-
-    constraint: float
-    zero_energy: float
-
-
-def fiber_scalings(comps: EnergyComponents, exponents: Exponents) -> FiberScalings:
+def fiber_scalings(comps: EnergyComponents, exponents: Exponents) -> RayPair:
     _require_components(comps)
     if comps.gain <= 0.0 or comps.loss <= 0.0:
         raise DomainError("fiber scalings need positive gain and loss terms")
@@ -104,15 +95,7 @@ def fiber_scalings(comps: EnergyComponents, exponents: Exponents) -> FiberScalin
     root = 1.0 / (g - q)
     s_constraint = ((q - p) * gain / ((g - p) * loss)) ** root
     s_zero = (g * (q - p) * gain / (q * (g - p) * loss)) ** root
-    return FiberScalings(s_constraint, s_zero)
-
-
-@dataclass(frozen=True)
-class NonlinearQuotients:
-    """Maximal quotient values along the ray: thresholds seen from one field."""
-
-    constraint: float
-    zero_energy: float
+    return RayPair(s_constraint, s_zero)
 
 
 def scale_invariant_quotient(comps: EnergyComponents, exponents: Exponents) -> float:
@@ -126,11 +109,10 @@ def scale_invariant_quotient(comps: EnergyComponents, exponents: Exponents) -> f
     return comps.gain ** e_gain / (comps.dirichlet * comps.loss ** e_loss)
 
 
-def nonlinear_quotients(comps: EnergyComponents,
-                        exponents: Exponents) -> NonlinearQuotients:
+def nonlinear_quotients(comps: EnergyComponents, exponents: Exponents) -> RayPair:
     ups = scale_invariant_quotient(comps, exponents)
     consts = extremal_constants(exponents)
-    return NonlinearQuotients(consts.constraint * ups, consts.zero_energy * ups)
+    return RayPair(consts.constraint * ups, consts.zero_energy * ups)
 
 
 @dataclass(frozen=True)
@@ -194,11 +176,6 @@ class ThresholdEstimate:
     maximizer: DiscreteField
     restarts_used: int
     iterations: int
-
-    def to_json_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "maximizer"}
-        out["maximizer"] = self.maximizer.to_json_dict()
-        return out
 
 
 def _log_quotient(values: np.ndarray, grads: np.ndarray, spec: ProblemSpec):

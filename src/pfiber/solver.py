@@ -21,7 +21,7 @@ Both solvers stop on one rule, _tolerance, and finish through one
 re-evaluation, _finish, of the field they return.
 """
 
-from dataclasses import dataclass, field as dataclass_field, fields
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -91,19 +91,6 @@ class SolveReport:
 
     def is_zero(self) -> bool:
         return not np.any(self.field.values)
-
-    def to_json_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)
-               if f.name not in ("field", "trace")}
-        out["zero_field"] = self.is_zero()
-        out["field"] = self.field.to_json_dict()
-        return out
-
-    def trace_to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("iteration,energy,residual_norm\n")
-            for it, energy, res in self.trace:
-                fh.write("%d,%.17g,%.17g\n" % (it, energy, res))
 
 
 def _zero_boundary(values: np.ndarray, mesh: Mesh) -> np.ndarray:
@@ -268,12 +255,11 @@ def solve_ground_state(spec: ProblemSpec, init: DiscreteField | None = None,
         # Ties keep the earliest seed.
         tie_tol = 1e-10 * (1.0 + abs(best[1]))
         best = next(c for c in converged if abs(c[1] - best[1]) <= tie_tol)
-    field, energy, res_norm, tol_eff, _, trace = best
-    diag = nehari_diagnostics(field, spec)
+    field, energy, res_norm, tol_eff, comps, trace = best
+    nehari, second = _nehari_numbers(comps, spec)
     return SolveReport(
         field=field, energy=energy, residual_norm=res_norm,
-        nehari_residual=diag.nehari_residual,
-        fiber_second_derivative=diag.fiber_second_derivative,
+        nehari_residual=nehari, fiber_second_derivative=second,
         iterations=iterations, converged=res_norm <= tol_eff,
         tol_effective=tol_eff, delta_reg=delta_reg, trace=trace,
     )
@@ -295,11 +281,6 @@ class MountainPassReport:
     converged: bool
     tol_effective: float
     delta_reg: float
-
-    def to_json_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "field"}
-        out["field"] = self.field.to_json_dict()
-        return out
 
 
 def _ray_peak_scale(comps: EnergyComponents, eps: float,
@@ -464,6 +445,15 @@ def solve_mountain_pass(spec: ProblemSpec, ground_state: SolveReport,
     )
 
 
+def _nehari_numbers(comps: EnergyComponents, spec: ProblemSpec) -> tuple[float, float]:
+    """SolveReport's (nehari_residual, fiber_second_derivative) from a field's components."""
+    ex, eps = spec.exponents, spec.epsilon
+    dir_, gain, loss = comps.dirichlet, comps.gain, comps.loss
+    nehari = abs(eps * dir_ - gain + loss) / (eps * dir_ + gain + loss)
+    second = (ex.p - ex.q) * eps * dir_ + (ex.gamma - ex.q) * loss
+    return nehari, second
+
+
 @dataclass(frozen=True)
 class NehariDiagnostics:
     nehari_residual: float
@@ -481,10 +471,6 @@ def nehari_diagnostics(u: DiscreteField, spec: ProblemSpec) -> NehariDiagnostics
     comps = energy_components(u, spec)
     if comps.dirichlet <= 0.0:
         raise DomainError("Nehari diagnostics need a nontrivial field")
-    ex = spec.exponents
-    dir_, gain, loss = comps.dirichlet, comps.gain, comps.loss
-    eps = spec.epsilon
-    nehari = abs(eps * dir_ - gain + loss) / (eps * dir_ + gain + loss)
-    second = (ex.p - ex.q) * eps * dir_ + (ex.gamma - ex.q) * loss
-    ray = ray_quotients(comps, 1.0, ex)
-    return NehariDiagnostics(nehari, second, ray.constraint, ray.zero_energy)
+    ray = ray_quotients(comps, 1.0, spec.exponents)
+    return NehariDiagnostics(*_nehari_numbers(comps, spec), ray.constraint,
+                             ray.zero_energy)

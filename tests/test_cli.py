@@ -2,13 +2,18 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from pfiber.cli import load_config, main, resolve_config, run
+from pfiber.asymptotics import epsilon_sweep
+from pfiber.cli import _dump_json, _resolve, load_config, main, resolve_config, run
 from pfiber.errors import ConfigurationError
+from pfiber.rayleigh import estimate_thresholds
+from pfiber.solver import solve_ground_state
 
 # Small enough to converge in well under a second per solve.
 MODEL = {
@@ -199,6 +204,27 @@ def test_solve_writes_ground_state_artifacts(tmp_path, capsys):
     assert "ground state: energy" in capsys.readouterr().out
 
 
+def test_report_serialization(tmp_path):
+    """ground_state.json holds the report's fields and its field's values; trace.csv its trace."""
+    out = tmp_path / "run"
+    assert run("solve", model_config(), out_dir=out) == 0
+    resolved, problem = _resolve(model_config())
+    report = solve_ground_state(problem, **resolved["solver"])
+    data = json.loads((out / "ground_state.json").read_text())["report"]
+    assert set(data) == {
+        "energy", "residual_norm", "nehari_residual", "fiber_second_derivative",
+        "iterations", "converged", "tol_effective", "delta_reg", "zero_field", "field",
+    }
+    assert data["converged"] is True
+    assert data["zero_field"] is False
+    assert len(data["field"]["values"]) == 201
+    assert data["field"] == {"values": report.field.values.tolist()}
+    lines = (out / "trace.csv").read_text().splitlines()
+    assert lines[0] == "iteration,energy,residual_norm"
+    assert len(lines) == len(report.trace) + 1
+    assert lines[1].startswith("0,")
+
+
 def test_solve_artifacts_are_byte_identical(tmp_path):
     out1, out2 = tmp_path / "one", tmp_path / "two"
     run("solve", model_config(), out_dir=out1)
@@ -279,6 +305,19 @@ def test_thresholds_artifact_fields(thresholds_doc):
         < thresholds_doc["eps_critical"]
 
 
+def test_threshold_estimate_serializes(tmp_path):
+    cfg = model_config(resolution=21, thresholds={"restarts": 2, "max_iters": 60})
+    out = tmp_path / "run"
+    assert run("thresholds", cfg, out_dir=out) == 0
+    resolved, problem = _resolve(cfg)
+    est = estimate_thresholds(problem, **resolved["thresholds"],
+                              seed=resolved["solver"]["seed"])
+    data = json.loads((out / "thresholds.json").read_text())
+    assert data["eps_critical"] == est.eps_critical
+    assert len(data["maximizer"]["values"]) == 21
+    assert data["maximizer"] == {"values": est.maximizer.values.tolist()}
+
+
 def test_thresholds_ratio_matches_constants(thresholds_doc):
     # c_e/c = 8/9 at (2, 3, 4); both thresholds share one sup estimate.
     ratio = thresholds_doc["eps_two_solutions"] / thresholds_doc["eps_critical"]
@@ -319,6 +358,55 @@ def test_sweep_threads_do_not_change_bytes(tmp_path):
     assert run("sweep", cfg, out_dir=out2, threads=2) == 0
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
     assert (out1 / "sweep.json").read_bytes() == (out2 / "sweep.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def sweep_run(tmp_path_factory):
+    """A two-row sweep's output directory, and the library's report of the same sweep."""
+    cfg = model_config(eps_list=[1e-2, 1e-3])
+    out = tmp_path_factory.mktemp("sweep")
+    assert run("sweep", cfg, out_dir=out) == 0
+    resolved, problem = _resolve(cfg)
+    report = epsilon_sweep(problem, resolved["eps_list"], **resolved["asymptotics"],
+                           solver_options=resolved["solver"])
+    return out, report
+
+
+def test_sweep_csv_schema(sweep_run):
+    out, _ = sweep_run
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[0] == ("eps,energy,energy_gap,J_gap,measure_bad_eta,"
+                        "l1_err,l2_err,linf_interior_err,converged")
+    assert len(lines) == 3
+    assert float(lines[1].split(",")[0]) == 1e-2
+    assert all(line.split(",")[-1] in ("true", "false") for line in lines[1:])
+
+
+def test_sweep_json_round_trip(sweep_run):
+    out, report = sweep_run
+    data = json.loads((out / "sweep.json").read_text())
+    assert data["eta"] == 0.1
+    assert len(data["rows"]) == 2
+    assert data["rows"][0]["eps"] == 1e-2
+    assert [row["measure_bad_eta"] for row in data["rows"]] == [
+        row.measure_bad for row in report.rows]
+    assert "measure_bad" not in data["rows"][0]
+
+
+def test_sweep_csv_numbers_are_the_json_numbers(sweep_run):
+    out, _ = sweep_run
+    header, *lines = (out / "sweep.csv").read_text().splitlines()
+    rows = json.loads((out / "sweep.json").read_text())["rows"]
+    assert len(lines) == len(rows)
+    for line, row in zip(lines, rows):
+        cells = dict(zip(header.split(","), line.split(",")))
+        expected = {name: row[name] for name in (
+            "eps", "energy", "energy_gap", "J_gap", "measure_bad_eta", "linf_interior_err")}
+        expected.update((f"l{r:g}_err", err) for r, err in row["lr_errors"])
+        assert set(cells) == {*expected, "converged"}
+        for name, value in expected.items():
+            assert float(cells[name]).hex() == float(value).hex(), name
+        assert cells["converged"] == ("true" if row["converged"] else "false")
 
 
 def test_sweep_without_eps_list_is_config_error(tmp_path, capsys):
@@ -370,6 +458,50 @@ def test_subcommand_check_failure_writes_no_resolved_config(
     out = tmp_path / "run"
     assert run(subcommand, model_config(**overrides), out_dir=out) == 2
     assert not (out / "resolved_config.json").exists()
+
+
+# -- the artifact set ---------------------------------------------------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# Every subcommand finishes on this config in well under a second.
+TINY = {
+    "epsilon": 1e-2,
+    "resolution": 41,
+    "eps_list": [1e-2, 5e-3],
+    "solver": {"random_restarts": 0},
+    "thresholds": {"restarts": 1, "max_iters": 20},
+    "layer": {"xi_max": 10.0, "points": 21},
+}
+
+
+def readme_artifacts(subcommand):
+    """(always written, written only under --svg) names in the README's artifact table."""
+    for line in README.read_text().splitlines():
+        if line.startswith(f"| `{subcommand}`"):
+            cell = line.split("|")[2]
+            always, _, optional = cell.partition("optional")
+            return set(re.findall(r"`([^`]+)`", always)), set(re.findall(r"`([^`]+)`", optional))
+    raise AssertionError(f"README has no artifact row for {subcommand}")
+
+
+@pytest.mark.parametrize("svg", [False, True])
+@pytest.mark.parametrize("subcommand", ["solve", "second", "thresholds", "sweep", "layer"])
+def test_artifacts_match_the_readme_table(tmp_path, subcommand, svg):
+    always, optional = readme_artifacts(subcommand)
+    assert always
+    out = tmp_path / "run"
+    assert run(subcommand, json.loads(json.dumps(TINY)), out_dir=out, svg=svg) == 0
+    expected = {"resolved_config.json", *always, *(optional if svg else ())}
+    assert {path.name for path in out.iterdir()} == expected
+
+
+def test_dump_json_is_deterministic(tmp_path):
+    payload = {"b": 2, "a": [1.5, {"z": [0.0, 0.5], "y": {"x": 1}}]}
+    p1, p2 = tmp_path / "one.json", tmp_path / "two.json"
+    _dump_json(payload, p1)
+    _dump_json({"a": [1.5, {"y": {"x": 1}, "z": [0.0, 0.5]}], "b": 2}, p2)
+    assert p1.read_bytes() == p2.read_bytes()
 
 
 # -- run dispatch and main ----------------------------------------------------

@@ -13,7 +13,6 @@ from pfiber.problem import (
     build_mesh,
     bump_coefficient,
     constant_coefficient,
-    dump_json,
     lr_norm,
     make_field,
     squared_norms,
@@ -365,14 +364,3 @@ def test_spec_is_immutable():
     spec = model_spec(n=11)
     with pytest.raises(AttributeError):
         spec.epsilon = 2.0
-
-
-# -- serialization ------------------------------------------------------------
-
-
-def test_dump_json_is_deterministic(tmp_path):
-    payload = {"b": 2, "a": [1.5, {"z": [0.0, 0.5], "y": {"x": 1}}]}
-    p1, p2 = tmp_path / "one.json", tmp_path / "two.json"
-    dump_json(payload, p1)
-    dump_json({"a": [1.5, {"y": {"x": 1}, "z": [0.0, 0.5]}], "b": 2}, p2)
-    assert p1.read_bytes() == p2.read_bytes()

@@ -310,14 +310,6 @@ def test_thresholds_validate_restarts_and_starts():
                             extra_starts=(stray,))
 
 
-def test_threshold_estimate_serializes():
-    spec = small_model_spec(n=21)
-    est = estimate_thresholds(spec, restarts=2, max_iters=60, seed=0)
-    data = est.to_json_dict()
-    assert data["eps_critical"] == est.eps_critical
-    assert len(data["maximizer"]["values"]) == 21
-
-
 def test_ascent_assembles_weak_forms_only_at_accepted_points(monkeypatch):
     """Trial points cost a quotient evaluation; weak forms wait for acceptance.
 

@@ -204,24 +204,6 @@ def test_warm_start_accepted(model_ground_state):
     assert again.energy <= report.energy + 1e-14
 
 
-def test_report_serialization(model_ground_state, tmp_path):
-    _, report = model_ground_state
-    data = report.to_json_dict()
-    assert set(data) == {
-        "energy", "residual_norm", "nehari_residual", "fiber_second_derivative",
-        "iterations", "converged", "tol_effective", "delta_reg", "zero_field", "field",
-    }
-    assert data["converged"] is True
-    assert data["zero_field"] is False
-    assert len(data["field"]["values"]) == 201
-    assert data["field"] == {"values": report.field.values.tolist()}
-    path = tmp_path / "trace.csv"
-    report.trace_to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "iteration,energy,residual_norm"
-    assert len(lines) == len(report.trace) + 1
-
-
 # -- mountain pass ------------------------------------------------------------
 
 
