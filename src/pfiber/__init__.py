@@ -61,9 +61,7 @@ from .rayleigh import (
 )
 from .solver import (
     MountainPassReport,
-    NehariDiagnostics,
     SolveReport,
-    nehari_diagnostics,
     solve_ground_state,
     solve_mountain_pass,
 )
@@ -98,7 +96,7 @@ __all__ = [
     "nonlinear_quotients", "scale_invariant_quotient", "IntersectionReport",
     "intersection_check", "ThresholdEstimate", "estimate_thresholds",
     "SolveReport", "solve_ground_state", "MountainPassReport",
-    "solve_mountain_pass", "NehariDiagnostics", "nehari_diagnostics",
+    "solve_mountain_pass",
     "LimitProfile", "limit_profile", "AsymptoticMetrics", "asymptotic_metrics",
     "separation_constant", "SweepRow", "SweepReport", "epsilon_sweep",
     "ScaledSolution", "scale_solution",

@@ -239,20 +239,18 @@ def epsilon_sweep(spec: ProblemSpec, eps_list, eta: float = 0.1,
     margin = 0.1 * float(np.linalg.norm(span))
     interior_mask = _boundary_distance(spec.mesh) >= margin
 
-    def run(i_eps):
-        i, eps = i_eps
-        return i, _sweep_row(spec, eps, profile, eta, r_list, solver_options,
-                             i, interior_mask)
+    def row(i):
+        return _sweep_row(spec, eps_arr[i], profile, eta, r_list, solver_options,
+                          i, interior_mask)
 
-    indexed = list(enumerate(eps_arr))
+    # Both maps return results in input order, so rows follow eps_list.
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(pool.map(run, indexed))
+            rows = tuple(pool.map(row, range(len(eps_arr))))
     else:
-        results = dict(map(run, indexed))
-    rows = tuple(results[i] for i in range(len(eps_arr)))
+        rows = tuple(map(row, range(len(eps_arr))))
     return SweepReport(
         rows=rows, eta=float(eta), r_list=tuple(float(r) for r in r_list),
         limit_value=J_functional(profile.field, spec),

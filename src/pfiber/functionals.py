@@ -16,8 +16,7 @@ critical point nonnegative without changing the negative-energy landscape.
 
 Weak derivatives are assembled against the nodal hat functions.  For p < 2
 the degenerate gradient factor |g|^(p-2) is evaluated as
-(|g|^2 + delta_reg^2)^((p-2)/2); energies passed to finite-difference checks
-can be regularized the same way so the pairing stays exact.
+(|g|^2 + delta^2)^((p-2)/2), with delta = delta_reg(p).
 
 Every function here wraps one private kernel, ``_evaluate``, which takes one
 field or an (n_nodes, k) stack of fields: it returns the energy and a
@@ -48,7 +47,7 @@ __all__ = [
     "w1p_norm",
 ]
 
-DEFAULT_DELTA_REG = 1e-12
+DELTA_REG = 1e-12
 
 
 @dataclass(frozen=True)
@@ -60,17 +59,9 @@ class EnergyComponents:
     loss: float
 
 
-def _gradient_factor(norm_sq: np.ndarray, p: float, delta_reg: float) -> np.ndarray:
-    """|g|^(p-2) from |g|^2, regularized when a delta is supplied."""
-    if delta_reg > 0.0:
-        return (norm_sq + delta_reg**2) ** ((p - 2.0) / 2.0)
-    if p == 2.0:
-        return np.ones_like(norm_sq)
-    # For p > 2 the factor vanishes with the gradient; avoid 0**negative.
-    out = np.zeros_like(norm_sq)
-    nz = norm_sq > 0.0
-    out[nz] = norm_sq[nz] ** ((p - 2.0) / 2.0)
-    return out
+def delta_reg(p: float) -> float:
+    """The delta regularizing |g|^(p-2): DELTA_REG for p < 2, where it blows up, else 0."""
+    return DELTA_REG if p < 2.0 else 0.0
 
 
 def _power(x: np.ndarray, e: float) -> np.ndarray:
@@ -87,14 +78,6 @@ def _power(x: np.ndarray, e: float) -> np.ndarray:
     for _ in range(int(e) - 2):
         out *= x
     return out
-
-
-def _resolve_delta(spec: ProblemSpec, delta_reg) -> float:
-    if delta_reg is None:
-        return DEFAULT_DELTA_REG if spec.exponents.p < 2.0 else 0.0
-    if delta_reg < 0.0:
-        raise InputError("delta_reg must be nonnegative")
-    return float(delta_reg)
 
 
 @dataclass(frozen=True)
@@ -167,15 +150,15 @@ def _evaluate(values: np.ndarray, spec: ProblemSpec, grads=None):
     return _energy(comps, spec), _State(values, grads, factor, signed_q1, pow_gq, comps)
 
 
-def _flux_form(state: _State, spec: ProblemSpec, delta: float) -> np.ndarray:
-    """Assembled int |g|^(p-2) g . grad hat_i, regularized by a positive delta."""
+def _flux_form(state: _State, spec: ProblemSpec) -> np.ndarray:
+    """Assembled int |g|^(p-2) g . grad hat_i, regularized by delta_reg(p)."""
     p = spec.exponents.p
     factor = state.factor
-    if delta == 0.0 and p == 2.0:
+    if p == 2.0:
         flux = state.grads
     else:
-        if delta > 0.0 or factor is None:
-            factor = _gradient_factor(squared_norms(state.grads), p, delta)
+        if factor is None:
+            factor = (squared_norms(state.grads) + delta_reg(p) ** 2) ** ((p - 2.0) / 2.0)
         flux = factor[:, None] * state.grads
     return spec.mesh.assemble_flux_term(flux)
 
@@ -189,8 +172,7 @@ def _point_form(state: _State, spec: ProblemSpec, gain_weight: float = 1.0,
     return spec.mesh.assemble_point_term(density)
 
 
-def _residual(state: _State, spec: ProblemSpec, delta: float,
-              plus: bool = False) -> np.ndarray:
+def _residual(state: _State, spec: ProblemSpec, plus: bool = False) -> np.ndarray:
     """Nodal weak residual eps*flux_form - gain_form + loss_form of a state.
 
     With ``plus`` it is the residual of phi_plus from an _evaluate_plus state.
@@ -199,7 +181,7 @@ def _residual(state: _State, spec: ProblemSpec, delta: float,
     if plus:
         # phi_plus sees a node with u_i <= 0 only through the flux term.
         point *= state.values > 0.0
-    out = spec.epsilon * _flux_form(state, spec, delta) - point
+    out = spec.epsilon * _flux_form(state, spec) - point
     out[spec.mesh.boundary_nodes] = 0.0
     return out
 
@@ -273,17 +255,10 @@ def energy_components(u: DiscreteField, spec: ProblemSpec,
     return _evaluate(u.values, spec)[1].comps
 
 
-def phi(u: DiscreteField, spec: ProblemSpec, delta_reg: float = 0.0) -> float:
-    """Energy of a zero-trace field; positive delta_reg regularizes the p-term."""
+def phi(u: DiscreteField, spec: ProblemSpec) -> float:
+    """Energy of a zero-trace field."""
     u.require_zero_boundary("energy argument")
-    energy, state = _evaluate(u.values, spec)
-    if delta_reg <= 0.0:
-        return energy
-    comps = state.comps
-    norm_sq = squared_norms(state.grads)
-    dirichlet = _sum_product(spec.mesh.el_measures,
-                             (norm_sq + delta_reg**2) ** (spec.exponents.p / 2.0))
-    return _energy(EnergyComponents(dirichlet, comps.gain, comps.loss), spec)
+    return _evaluate(u.values, spec)[0]
 
 
 def phi_plus(u: DiscreteField, spec: ProblemSpec) -> float:
@@ -292,8 +267,8 @@ def phi_plus(u: DiscreteField, spec: ProblemSpec) -> float:
     return _evaluate_plus(u.values, spec)[0]
 
 
-def derivative_forms(u: DiscreteField, spec: ProblemSpec,
-                     delta_reg=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def derivative_forms(u: DiscreteField,
+                     spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weak-form building blocks against the nodal basis, one triple per node.
 
         flux_form_i = int |grad u|^(p-2) grad u . grad hat_i
@@ -305,7 +280,7 @@ def derivative_forms(u: DiscreteField, spec: ProblemSpec,
     eps*flux_form - gain_form + loss_form.  Boundary entries are zeroed.
     """
     state = _evaluate(u.values, spec)[1]
-    flux_form = _flux_form(state, spec, _resolve_delta(spec, delta_reg))
+    flux_form = _flux_form(state, spec)
     gain_form = _point_form(state, spec, 1.0, 0.0)
     loss_form = -_point_form(state, spec, 0.0, 1.0)
     for form in (flux_form, gain_form, loss_form):
@@ -313,19 +288,18 @@ def derivative_forms(u: DiscreteField, spec: ProblemSpec,
     return flux_form, gain_form, loss_form
 
 
-def weak_residual(u: DiscreteField, spec: ProblemSpec, delta_reg=None) -> DiscreteField:
+def weak_residual(u: DiscreteField, spec: ProblemSpec) -> DiscreteField:
     """Nodal weak residual of the energy; zero exactly at critical points."""
     u.require_zero_boundary("residual argument")
     state = _evaluate(u.values, spec)[1]
-    return DiscreteField(u.mesh, _residual(state, spec, _resolve_delta(spec, delta_reg)))
+    return DiscreteField(u.mesh, _residual(state, spec))
 
 
-def weak_residual_plus(u: DiscreteField, spec: ProblemSpec, delta_reg=None) -> DiscreteField:
+def weak_residual_plus(u: DiscreteField, spec: ProblemSpec) -> DiscreteField:
     """Weak residual of phi_plus: the gain/loss terms see the positive part."""
     u.require_zero_boundary("residual argument")
     state = _evaluate_plus(u.values, spec)[1]
-    return DiscreteField(u.mesh, _residual(state, spec, _resolve_delta(spec, delta_reg),
-                                           plus=True))
+    return DiscreteField(u.mesh, _residual(state, spec, plus=True))
 
 
 # Columns per pass of the block kernel.  At 2001 nodes eight columns make
@@ -334,8 +308,7 @@ def weak_residual_plus(u: DiscreteField, spec: ProblemSpec, delta_reg=None) -> D
 _BLOCK = 8
 
 
-def _phi_plus_block(stack: np.ndarray, spec: ProblemSpec, delta_reg=None,
-                    residual: bool = False):
+def _phi_plus_block(stack: np.ndarray, spec: ProblemSpec, residual: bool = False):
     """phi_plus of every column of an (n_nodes, k) stack of nodal fields.
 
     With ``residual`` it returns ``(energies, residuals)``, the second being
@@ -363,7 +336,6 @@ def _phi_plus_block(stack: np.ndarray, spec: ProblemSpec, delta_reg=None,
         raise ContractViolation(
             f"energy argument must vanish on the boundary; largest boundary value {worst:g}"
         )
-    delta = _resolve_delta(spec, delta_reg)
     energies = np.empty(stack.shape[1])
     residuals = np.empty(stack.shape) if residual else None
     for lo in range(0, stack.shape[1], _BLOCK):
@@ -371,7 +343,7 @@ def _phi_plus_block(stack: np.ndarray, spec: ProblemSpec, delta_reg=None,
         cols = slice(lo, lo + block.shape[1])
         energies[cols], state = _evaluate_plus(block, spec)
         if residual:
-            residuals[:, cols] = _residual(state, spec, delta, plus=True)
+            residuals[:, cols] = _residual(state, spec, plus=True)
     return (energies, residuals) if residual else energies
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-from .functionals import EnergyComponents, _evaluate, _flux_form, _point_form, _resolve_delta
+from .functionals import EnergyComponents, _evaluate, _flux_form, _point_form
 from .linalg import MAX_STEP, InteriorSolver, armijo, preconditioned_direction
 from .problem import DiscreteField, Exponents, Mesh, ProblemSpec, _sum_product, squared_norms
 
@@ -196,7 +196,7 @@ def _log_quotient_gradient(state, spec: ProblemSpec) -> np.ndarray:
     e_gain, e_loss = _log_exponents(ex)
     grad = (_point_form(state, spec, e_gain * ex.q / comps.gain,
                         e_loss * ex.gamma / comps.loss)
-            - (ex.p / comps.dirichlet) * _flux_form(state, spec, _resolve_delta(spec, None)))
+            - (ex.p / comps.dirichlet) * _flux_form(state, spec))
     grad[spec.mesh.boundary_nodes] = 0.0
     return grad
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import InputError
 from .functionals import (
     EnergyComponents,
     energy_components,
@@ -37,20 +37,18 @@ from .functionals import (
     _evaluate,
     _phi_plus_block,
     _residual,
-    _resolve_delta,
+    delta_reg,
 )
 from .linalg import (ARMIJO_FACTOR, ARMIJO_SLOPE, MAX_BACKTRACKS, MAX_STEP,
                      InteriorSolver, armijo, preconditioned_direction)
 from .problem import DiscreteField, Exponents, Mesh, ProblemSpec, _sum_product
-from .rayleigh import fiber_scalings, ray_quotients
+from .rayleigh import fiber_scalings
 
 __all__ = [
     "SolveReport",
     "solve_ground_state",
     "MountainPassReport",
     "solve_mountain_pass",
-    "NehariDiagnostics",
-    "nehari_diagnostics",
 ]
 
 # Accepted descent steps in a row that leave the trace energy unchanged before
@@ -104,16 +102,16 @@ def _tolerance(tol_res: float, energy: float) -> float:
     return tol_res * (1.0 + abs(energy))
 
 
-def _finish(values: np.ndarray, spec: ProblemSpec, tol_res: float, delta_reg: float):
+def _finish(values: np.ndarray, spec: ProblemSpec, tol_res: float):
     """(field, energy, residual max-norm, tolerance, components) of a returned field."""
     energy, state = _evaluate(values, spec)
-    res_norm = float(np.max(np.abs(_residual(state, spec, delta_reg))))
+    res_norm = float(np.max(np.abs(_residual(state, spec))))
     return (DiscreteField(spec.mesh, values), energy, res_norm,
             _tolerance(tol_res, energy), state.comps)
 
 
 def _descend(start: np.ndarray, spec: ProblemSpec, pre: InteriorSolver,
-             tol_res: float, max_iters: int, delta_reg):
+             tol_res: float, max_iters: int):
     """Armijo descent from one seed; returns (values, iterations, trace).
 
     The trial step is the spectral (Barzilai-Borwein) secant estimate in the
@@ -134,7 +132,7 @@ def _descend(start: np.ndarray, spec: ProblemSpec, pre: InteriorSolver,
     flat_steps = 0
     prev_u = prev_residual = prev_pre_grad = None
     for iterations in range(max_iters + 1):
-        residual = _residual(state, spec, delta_reg)
+        residual = _residual(state, spec)
         resolution = _RESOLUTION * _energy_scale(state.comps, spec)
         # Only u outlives the residual.  A state kept through the line search
         # would fragment the heap, and the peak RSS grows with every solve.
@@ -217,7 +215,6 @@ def solve_ground_state(spec: ProblemSpec, init: DiscreteField | None = None,
     if tol_res <= 0:
         raise InputError("tol_res must be positive")
     mesh = spec.mesh
-    delta_reg = _resolve_delta(spec, None)
     pre = InteriorSolver(mesh, alpha=spec.epsilon, beta=1.0)
     if init is not None:
         if init.values.shape != (mesh.n_nodes,):
@@ -230,7 +227,7 @@ def solve_ground_state(spec: ProblemSpec, init: DiscreteField | None = None,
     candidates = []    # (field, energy, res_norm, tol, comps, trace), in seed order
     iterations = 0
     for start in seeds:
-        values, iters, trace = _descend(start, spec, pre, tol_res, max_iters, delta_reg)
+        values, iters, trace = _descend(start, spec, pre, tol_res, max_iters)
         iterations += iters
         values = np.abs(values)
         if float(values.max(initial=0.0)) <= tiny:
@@ -238,7 +235,7 @@ def solve_ground_state(spec: ProblemSpec, init: DiscreteField | None = None,
             # this small can only be the zero basin, and |u| kinks must not
             # push its re-evaluated residual over tolerance.
             values = np.zeros_like(values)
-        candidates.append((*_finish(values, spec, tol_res, delta_reg), trace))
+        candidates.append((*_finish(values, spec, tol_res), trace))
 
     converged = [c for c in candidates if c[2] <= c[3]]
     best = min(converged or candidates, key=lambda c: c[1])
@@ -250,18 +247,20 @@ def solve_ground_state(spec: ProblemSpec, init: DiscreteField | None = None,
                 field=DiscreteField(mesh, np.zeros(mesh.n_nodes)), energy=0.0,
                 residual_norm=0.0, nehari_residual=0.0, fiber_second_derivative=0.0,
                 iterations=iterations, converged=True, tol_effective=tol_res,
-                delta_reg=delta_reg, trace=best[5],
+                delta_reg=delta_reg(spec.exponents.p), trace=best[5],
             )
         # Ties keep the earliest seed.
         tie_tol = 1e-10 * (1.0 + abs(best[1]))
         best = next(c for c in converged if abs(c[1] - best[1]) <= tie_tol)
     field, energy, res_norm, tol_eff, comps, trace = best
-    nehari, second = _nehari_numbers(comps, spec)
+    ex, eps = spec.exponents, spec.epsilon
+    dir_, gain, loss = comps.dirichlet, comps.gain, comps.loss
     return SolveReport(
         field=field, energy=energy, residual_norm=res_norm,
-        nehari_residual=nehari, fiber_second_derivative=second,
+        nehari_residual=abs(eps * dir_ - gain + loss) / (eps * dir_ + gain + loss),
+        fiber_second_derivative=(ex.p - ex.q) * eps * dir_ + (ex.gamma - ex.q) * loss,
         iterations=iterations, converged=res_norm <= tol_eff,
-        tol_effective=tol_eff, delta_reg=delta_reg, trace=trace,
+        tol_effective=tol_eff, delta_reg=delta_reg(ex.p), trace=trace,
     )
 
 
@@ -314,8 +313,7 @@ def _ray_peak_scale(comps: EnergyComponents, eps: float,
 
 
 def _step_knots(knots: np.ndarray, steps: np.ndarray, energies: np.ndarray,
-                spec: ProblemSpec, pre: InteriorSolver, delta_reg: float,
-                tol_res: float) -> bool:
+                spec: ProblemSpec, pre: InteriorSolver, tol_res: float) -> bool:
     """Stop at a stationary top knot, or move every interior knot one step.
 
     ``knots`` holds one path knot per column and ``energies`` their
@@ -328,7 +326,7 @@ def _step_knots(knots: np.ndarray, steps: np.ndarray, energies: np.ndarray,
     and ``steps`` are updated in place.
     """
     interior = np.arange(1, knots.shape[1] - 1)
-    _, residuals = _phi_plus_block(knots[:, interior], spec, delta_reg, residual=True)
+    _, residuals = _phi_plus_block(knots[:, interior], spec, residual=True)
     k_star = int(np.argmax(energies))
     if 0 < k_star < knots.shape[1] - 1:
         res_norm = float(np.max(np.abs(residuals[:, k_star - 1])))
@@ -382,7 +380,6 @@ def solve_mountain_pass(spec: ProblemSpec, ground_state: SolveReport,
         raise InputError("mountain-pass endpoint must be a converged negative-energy "
                          "ground state")
     mesh = spec.mesh
-    delta_reg = _resolve_delta(spec, None)
     pre = InteriorSolver(mesh, alpha=spec.epsilon, beta=1.0)
     end = ground_state.field
     t_peak = _ray_peak_scale(energy_components(end, spec), spec.epsilon,
@@ -425,7 +422,7 @@ def solve_mountain_pass(spec: ProblemSpec, ground_state: SolveReport,
             knots = np.delete(knots, drop, axis=1)
             steps = np.delete(steps, drop)
             energies = np.delete(energies, drop)
-        converged = _step_knots(knots, steps, energies, spec, pre, delta_reg, tol_res)
+        converged = _step_knots(knots, steps, energies, spec, pre, tol_res)
         if converged:
             break
     if not converged:    # the steps moved the knots since their energies
@@ -435,42 +432,11 @@ def solve_mountain_pass(spec: ProblemSpec, ground_state: SolveReport,
     # run in another order than the stack's: so the level of a nonnegative
     # top knot equals the energy of its positive part to the last bit.
     path_level = phi_plus(DiscreteField(mesh, top), spec)
-    field, energy, res_norm, tol_eff, _ = _finish(np.maximum(top, 0.0), spec, tol_res,
-                                                  delta_reg)
+    field, energy, res_norm, tol_eff, _ = _finish(np.maximum(top, 0.0), spec, tol_res)
     return MountainPassReport(
         field=field, energy=energy, path_level=path_level,
         residual_norm=res_norm, iterations=sweeps,
         converged=converged and res_norm <= tol_eff,
-        tol_effective=tol_eff, delta_reg=delta_reg,
+        tol_effective=tol_eff, delta_reg=delta_reg(spec.exponents.p),
     )
 
-
-def _nehari_numbers(comps: EnergyComponents, spec: ProblemSpec) -> tuple[float, float]:
-    """SolveReport's (nehari_residual, fiber_second_derivative) from a field's components."""
-    ex, eps = spec.exponents, spec.epsilon
-    dir_, gain, loss = comps.dirichlet, comps.gain, comps.loss
-    nehari = abs(eps * dir_ - gain + loss) / (eps * dir_ + gain + loss)
-    second = (ex.p - ex.q) * eps * dir_ + (ex.gamma - ex.q) * loss
-    return nehari, second
-
-
-@dataclass(frozen=True)
-class NehariDiagnostics:
-    nehari_residual: float
-    fiber_second_derivative: float
-    ray_constraint: float
-    ray_zero_energy: float
-
-
-def nehari_diagnostics(u: DiscreteField, spec: ProblemSpec) -> NehariDiagnostics:
-    """Constraint residual and fiber curvature at s = 1 for a nontrivial field.
-
-    Raises:
-        DomainError: the field is trivial (no gradient energy).
-    """
-    comps = energy_components(u, spec)
-    if comps.dirichlet <= 0.0:
-        raise DomainError("Nehari diagnostics need a nontrivial field")
-    ray = ray_quotients(comps, 1.0, spec.exponents)
-    return NehariDiagnostics(*_nehari_numbers(comps, spec), ray.constraint,
-                             ray.zero_energy)

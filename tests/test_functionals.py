@@ -207,17 +207,16 @@ def test_gradient_matches_finite_differences_p2():
         assert abs(pairing - fd) <= 1e-6 * (1.0 + abs(fd))
 
 
-@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("p", [1.5, 2.5, 3.0])
 def test_gradient_matches_finite_differences_general_p(p):
-    """For p != 2 the residual pairs with the delta-regularized energy."""
+    """For p != 2 the residual pairs with central differences of phi."""
     spec = model_spec(n=101, epsilon=0.5, p=p, q=3.5, gamma=4.5)
-    delta = 1e-12 if p < 2.0 else 0.0
     rng = np.random.default_rng(19)
     for _ in range(20):
         u = random_zero_trace(spec, rng)
         v = random_zero_trace(spec, rng)
-        pairing = float(np.dot(weak_residual(u, spec, delta).values, v.values))
-        fd = fd_directional(lambda w: phi(w, spec, delta), u, v)
+        pairing = float(np.dot(weak_residual(u, spec).values, v.values))
+        fd = fd_directional(lambda w: phi(w, spec), u, v)
         assert abs(pairing - fd) <= 1e-5 * (1.0 + abs(fd))
 
 
@@ -242,10 +241,6 @@ def test_weak_residual_flat_regions_p_below_two():
     u = DiscreteField(spec.mesh, vals)
     r = weak_residual(u, spec)
     assert np.all(np.isfinite(r.values))
-    r0 = weak_residual(u, spec, delta_reg=0.0)
-    assert np.all(np.isfinite(r0.values))
-    with pytest.raises(InputError):
-        weak_residual(u, spec, delta_reg=-1.0)
 
 
 def test_weak_residual_plus_on_signed_fields():
@@ -358,7 +353,7 @@ def test_mesh_kernels_give_each_stack_column_the_single_field_bits(domain, resol
                                           kernel(np.ascontiguousarray(stack[..., j])))
 
 
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])
 @ORACLE_MESHES
 def test_block_kernel_against_p1_oracle(domain, resolution, p):
     """Block energies and residuals of 19 signed fields, checked independently.
@@ -421,7 +416,7 @@ def zero_trace(mesh, values):
     return values
 
 
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])
 @ORACLE_MESHES
 def test_state_kernel_against_p1_oracle(domain, resolution, p):
     """Energy and residual of the state kernel, checked independently.
@@ -429,11 +424,10 @@ def test_state_kernel_against_p1_oracle(domain, resolution, p):
     On positive fields phi equals phi_plus, so the block kernel's P1 oracle
     applies.  phi and weak_residual wrap the kernel and return its bits.
     """
-    from pfiber.functionals import _evaluate, _residual, _resolve_delta
+    from pfiber.functionals import _evaluate, _residual
 
     spec, a, b = oracle_case(domain, resolution, p)
     mesh, ex, eps = spec.mesh, spec.exponents, spec.epsilon
-    delta = _resolve_delta(spec, None)
     rng = np.random.default_rng(43)
     h = 1e-5
     for _ in range(5):
@@ -441,7 +435,7 @@ def test_state_kernel_against_p1_oracle(domain, resolution, p):
         energy, state = _evaluate(u, spec)
         oracle = p1_plus_energy(mesh, u, eps, ex, a, b)
         assert abs(energy - oracle) <= 1e-12 * (1.0 + abs(oracle))
-        residual = _residual(state, spec, delta)
+        residual = _residual(state, spec)
         field = DiscreteField(mesh, u)
         assert phi(field, spec) == energy
         np.testing.assert_array_equal(weak_residual(field, spec).values, residual)
@@ -452,7 +446,7 @@ def test_state_kernel_against_p1_oracle(domain, resolution, p):
         np.testing.assert_array_equal(residual[mesh.boundary_nodes], 0.0)
 
 
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])
 @ORACLE_MESHES
 def test_energy_change_is_first_order_down_to_tiny_steps(domain, resolution, p):
     """phi(u - t d) - phi(u) = -t * slope + O(t^2), for t from 1e-4 to 1e-12.

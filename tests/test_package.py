@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pfiber
@@ -32,3 +33,23 @@ def test_no_unused_imports():
         exported = getattr(importlib.import_module(f"pfiber.{path.stem}"), "__all__", [])
         unused = sorted(imported - used - set(exported))
         assert not unused, (path.name, unused)
+
+
+def test_traced_names_exist():
+    """Every (module, attribute) the benchmark tracer patches is defined.
+
+    A class member is looked up in the class's own namespace.
+    """
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module_name, attr, _ in tracing.TRACED:
+        owner = importlib.import_module(f"pfiber.{module_name}")
+        *classes, name = attr.split(".")
+        for cls in classes:
+            owner = getattr(owner, cls, None)
+        if owner is None or name not in vars(owner):
+            missing.append((module_name, attr))
+    assert not missing, missing

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pfiber.errors import DomainError, InputError
+from pfiber.errors import InputError
 from pfiber.functionals import energy_components, w1p_norm, weak_residual
 from pfiber.problem import (
     DiscreteField,
@@ -12,14 +12,9 @@ from pfiber.problem import (
     build_mesh,
     bump_coefficient,
     constant_coefficient,
-    make_field,
 )
-from pfiber.rayleigh import estimate_thresholds, nonlinear_quotients
-from pfiber.solver import (
-    nehari_diagnostics,
-    solve_ground_state,
-    solve_mountain_pass,
-)
+from pfiber.rayleigh import estimate_thresholds, nonlinear_quotients, ray_quotients
+from pfiber.solver import solve_ground_state, solve_mountain_pass
 
 ONE = constant_coefficient(1.0)
 EX = Exponents(2.0, 3.0, 4.0)
@@ -68,9 +63,9 @@ def test_ray_value_at_tight_convergence(model_ground_state):
     spec, coarse = model_ground_state
     report = solve_ground_state(spec, init=coarse.field, tol_res=1e-12)
     assert report.converged
-    diag = nehari_diagnostics(report.field, spec)
-    assert abs(diag.ray_constraint - spec.epsilon) <= 1e-6 * spec.epsilon
     comps = energy_components(report.field, spec)
+    ray = ray_quotients(comps, 1.0, EX)
+    assert abs(ray.constraint - spec.epsilon) <= 1e-6 * spec.epsilon
     # Loss-term floor at the ground state: B > (gamma(q-p)/(p(gamma-q))) eps T.
     floor = (EX.gamma * (EX.q - EX.p) / (EX.p * (EX.gamma - EX.q)))
     assert comps.loss > floor * spec.epsilon * comps.dirichlet
@@ -297,26 +292,16 @@ def test_mountain_pass_rejects_bad_endpoint(model_ground_state):
         solve_mountain_pass(spec, gs, path_points=2)
 
 
-# -- diagnostics and barrier --------------------------------------------------
+# -- Nehari numbers -----------------------------------------------------------
 
 
-def test_nehari_diagnostics_values():
-    spec = model_spec(n=61)
-    u = make_field(spec.mesh, lambda x: np.sin(np.pi * x))
-    comps = energy_components(u, spec)
-    diag = nehari_diagnostics(u, spec)
+def test_report_nehari_numbers(model_ground_state):
+    """The report's Nehari residual and fiber curvature, from the field's components."""
+    spec, report = model_ground_state
+    comps = energy_components(report.field, spec)
     num = abs(spec.epsilon * comps.dirichlet - comps.gain + comps.loss)
     den = spec.epsilon * comps.dirichlet + comps.gain + comps.loss
-    assert diag.nehari_residual == pytest.approx(num / den, rel=1e-14)
+    assert report.nehari_residual == pytest.approx(num / den, rel=1e-14)
     expected_second = ((EX.p - EX.q) * spec.epsilon * comps.dirichlet
                        + (EX.gamma - EX.q) * comps.loss)
-    assert diag.fiber_second_derivative == pytest.approx(expected_second, rel=1e-14)
-    assert diag.ray_constraint == pytest.approx(
-        (comps.gain - comps.loss) / comps.dirichlet, rel=1e-14)
-
-
-def test_nehari_diagnostics_rejects_trivial_field():
-    spec = model_spec(n=21)
-    z = make_field(spec.mesh, lambda x: np.zeros_like(x))
-    with pytest.raises(DomainError):
-        nehari_diagnostics(z, spec)
+    assert report.fiber_second_derivative == pytest.approx(expected_second, rel=1e-14)
