@@ -131,16 +131,18 @@ def asymptotic_metrics(u: DiscreteField, profile: LimitProfile, spec: ProblemSpe
 
 
 def separation_constant(exponents: Exponents, a_lower: float, a_upper: float,
-                        b_lower: float, b_upper: float, eta: float,
-                        n_box: int = 64) -> float:
+                        b_lower: float, b_upper: float, eta: float) -> float:
     """Uniform well-energy margin outside the eta-window around the minimizer.
 
     For coefficients (alpha, beta) the well -(alpha/q) s^q + (beta/gamma) s^gamma
     falls on [0, rho] and rises after its minimizer rho = (alpha/beta)^(1/(gamma-q)).
     So over amplitudes s >= 0 with |s - rho| >= eta its excess over the minimum
-    is least at s = rho + eta, or at s = rho - eta when rho - eta >= 0.  The
-    margin is the least of those excesses over an n_box x n_box grid of the
-    coefficient box.
+    is least at s = rho + eta, or at s = rho - eta when rho - eta >= 0.  That
+    excess is beta * rho^gamma * W(1 +- eta/rho), W(t) = t^gamma/gamma -
+    t^q/q + 1/q - 1/gamma, which grows with beta at fixed rho.  Every ray of
+    fixed rho enters the coefficient box on the edge alpha = a_lower or the
+    edge beta = b_lower, so the margin is the least excess on those two
+    edges, each searched in one variable by _edge_min.
 
     Raises:
         InputError: invalid bounds, eta <= 0, or a_lower <= 0 (the uniform
@@ -151,17 +153,38 @@ def separation_constant(exponents: Exponents, a_lower: float, a_upper: float,
     if not (0.0 < a_lower <= a_upper) or not (0.0 < b_lower <= b_upper):
         raise InputError("coefficient box needs 0 < lower <= upper on both axes")
     q, g = exponents.q, exponents.gamma
-    alpha, beta = np.meshgrid(np.linspace(a_lower, a_upper, n_box),
-                              np.linspace(b_lower, b_upper, n_box))
-    rho = (alpha / beta) ** (1.0 / (g - q))
 
-    def well(s):
-        return -(alpha / q) * s**q + (beta / g) * s**g
+    def excess(alpha, beta):
+        rho = (alpha / beta) ** (1.0 / (g - q))
 
-    well_min = well(rho)
-    right = well(rho + eta) - well_min
-    left = np.where(rho >= eta, well(np.maximum(rho - eta, 0.0)) - well_min, np.inf)
-    return float(np.minimum(left, right).min())
+        def well(s):
+            return -(alpha / q) * s**q + (beta / g) * s**g
+
+        well_min = well(rho)
+        right = well(rho + eta) - well_min
+        left = np.where(rho >= eta, well(np.maximum(rho - eta, 0.0)) - well_min, np.inf)
+        return np.minimum(left, right)
+
+    return min(_edge_min(lambda beta: excess(a_lower, beta), b_lower, b_upper),
+               _edge_min(lambda alpha: excess(alpha, b_lower), a_lower, a_upper))
+
+
+def _edge_min(f, lo: float, hi: float) -> float:
+    """Least value of the vectorized f on [lo, hi].
+
+    A 257-point grid is zoomed 8 times onto the two cells around its least
+    point, each zoom narrowing the bracket 128-fold, past the last bit.  It
+    finds the least value unless f has a second dip narrower than one cell
+    of the first grid.
+    """
+    best = np.inf
+    for _ in range(8):
+        grid = np.linspace(lo, hi, 257)
+        values = f(grid)
+        k = int(np.argmin(values))
+        best = min(best, float(values[k]))
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, 256)]
+    return best
 
 
 @dataclass(frozen=True)

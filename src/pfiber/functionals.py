@@ -24,12 +24,14 @@ field or an (n_nodes, k) stack of fields: it returns the energy and a
 forms are assembled without a second pass over the field.  The mountain
 pass's ``_phi_plus_block`` runs stacks through it.  ``_energy_change`` gives
 the energy difference of two fields without the cancellation of
-subtracting two rounded energies.
+subtracting two rounded energies, and ``_jacobian`` assembles the interior
+Jacobian of the weak residual for the mountain pass's Newton finish.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ContractViolation, InputError
 from .problem import _BOUNDARY_TOL, DiscreteField, ProblemSpec, _sum_product, squared_norms
@@ -184,6 +186,37 @@ def _residual(state: _State, spec: ProblemSpec, plus: bool = False) -> np.ndarra
     out = spec.epsilon * _flux_form(state, spec) - point
     out[spec.mesh.boundary_nodes] = 0.0
     return out
+
+
+def _jacobian(values: np.ndarray, spec: ProblemSpec) -> sp.csc_matrix:
+    """Interior Jacobian of the plain weak residual at the nodal field ``values``.
+
+    eps * G^T (M H) G - (W B)^T diag(f'(|v|)) B on interior rows and columns,
+    where H is the element block |g|^(p-2) (I + (p-2) g g^T / |g|^2) with
+    |g|^2 regularized by delta_reg(p)^2, and
+    f'(v) = a (q-1) v^(q-2) - b (gamma-1) v^(gamma-2).  For p > 2 an element
+    with g = 0 gets H = 0, the limit of the block.
+    """
+    mesh = spec.mesh
+    ex = spec.exponents
+    grads = mesh.gradients(values)
+    n_el, dim = grads.shape
+    blocks = np.broadcast_to(np.eye(dim), (n_el, dim, dim))
+    if ex.p != 2.0:
+        norm_sq = squared_norms(grads) + delta_reg(ex.p) ** 2
+        inv = np.divide(ex.p - 2.0, norm_sq, out=np.zeros_like(norm_sq), where=norm_sq > 0.0)
+        blocks = blocks + inv[:, None, None] * grads[:, :, None] * grads[:, None, :]
+        blocks = blocks * (norm_sq ** ((ex.p - 2.0) / 2.0))[:, None, None]
+    flux = sp.bsr_matrix((blocks, np.arange(n_el), np.arange(n_el + 1)),
+                         shape=(n_el * dim, n_el * dim))
+    absqp = np.abs(mesh.values_at_qp(values)).ravel()
+    with np.errstate(divide="ignore"):    # q < 2 makes f'(0) infinite
+        slope = ((ex.q - 1.0) * spec.a_qp.ravel() * absqp ** (ex.q - 2.0)
+                 - (ex.gamma - 1.0) * spec.b_qp.ravel() * absqp ** (ex.gamma - 2.0))
+    jac = (spec.epsilon * (mesh._flux_assembly @ (flux @ mesh.gradient_operator))
+           - mesh._point_assembly @ (sp.diags(slope) @ mesh.qp_operator))
+    idx = mesh.interior_nodes
+    return jac[idx][:, idx].tocsc()
 
 
 def _evaluate_plus(values: np.ndarray, spec: ProblemSpec):

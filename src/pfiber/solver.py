@@ -14,8 +14,11 @@ straight ray, every interior knot takes one Armijo step along the negative
 weak residual of the positive-part energy, and dense samples inside each
 segment are promoted to knots whenever one tops the knot maximum, so the ridge
 crossing stays resolved.  Sweeps repeat until the knot carrying the path
-maximum is residual-stationary.  The positive-part nonlinearity makes the
-limiting critical point nonnegative.
+maximum is residual-stationary, or until that knot is close enough for
+Newton's method on the assembled Jacobian to finish the search (Choi &
+McKenna, Nonlinear Anal. 20, 1993); the sweeps are the globalization and
+the fallback.  The positive-part nonlinearity makes the limiting critical
+point nonnegative.
 
 Both solvers stop on one rule, _tolerance, and finish through one
 re-evaluation, _finish, of the field they return.
@@ -35,6 +38,7 @@ from .functionals import (
     _energy_change,
     _energy_scale,
     _evaluate,
+    _jacobian,
     _phi_plus_block,
     _residual,
     delta_reg,
@@ -61,6 +65,16 @@ _FLAT_STEPS = 10
 # energies, each off by a few 1e-16 of that scale, keeps too few digits for
 # the Armijo test (Hager & Zhang, SIAM J. Optim. 16, 2005).
 _RESOLUTION = 1e-13
+
+# The mountain pass hands its top knot to Newton once the knot's residual is
+# within _NEWTON_HANDOFF times the tolerance; after a refusal it tries again
+# only when that residual has fallen _NEWTON_RETRY_DROP times lower, which
+# bounds the number of attempts.  Newton itself takes at most _NEWTON_STEPS
+# steps: from a hand-off on the test and benchmark models it reaches the
+# rounding floor in 4 to 7.
+_NEWTON_HANDOFF = 1e4
+_NEWTON_RETRY_DROP = 10.0
+_NEWTON_STEPS = 10
 
 
 @dataclass(frozen=True)
@@ -268,8 +282,10 @@ def solve_ground_state(spec: ProblemSpec, init: DiscreteField | None = None,
 class MountainPassReport:
     """Outcome of the path min-max for the second solution.
 
-    ``path_level`` is the minimized path maximum of the positive-part energy,
-    the discrete mountain-pass level.
+    ``path_level`` is the path maximum of the positive-part energy when the
+    sweeps stopped, an upper bound of the discrete mountain-pass level.
+    ``iterations`` counts the sweeps and ``newton_steps`` the Newton steps
+    that finished the search, 0 when the sweeps finished it alone.
     """
 
     field: DiscreteField
@@ -277,6 +293,7 @@ class MountainPassReport:
     path_level: float
     residual_norm: float
     iterations: int
+    newton_steps: int
     converged: bool
     tol_effective: float
     delta_reg: float
@@ -313,25 +330,16 @@ def _ray_peak_scale(comps: EnergyComponents, eps: float,
 
 
 def _step_knots(knots: np.ndarray, steps: np.ndarray, energies: np.ndarray,
-                spec: ProblemSpec, pre: InteriorSolver, tol_res: float) -> bool:
-    """Stop at a stationary top knot, or move every interior knot one step.
+                residuals: np.ndarray, spec: ProblemSpec, pre: InteriorSolver) -> None:
+    """Move every interior knot one Armijo step down the positive-part energy.
 
-    ``knots`` holds one path knot per column and ``energies`` their
-    positive-part energies.  The interior knots' residuals come from one
-    block-kernel call and their directions from one preconditioner solve.
-    When the knot carrying the path maximum is residual-stationary, nothing
-    moves and True is returned.  Otherwise every interior knot takes one
-    Armijo step down its direction, backtracking in lockstep over the knots
-    still searching; each knot's search depends only on that knot.  ``knots``
-    and ``steps`` are updated in place.
+    ``knots`` holds one path knot per column, ``energies`` their
+    positive-part energies and ``residuals`` the interior knots' residuals,
+    one column each.  The directions come from one preconditioner solve, and
+    the knots still searching backtrack in lockstep; each knot's search
+    depends only on that knot.  ``knots`` and ``steps`` are updated in place.
     """
     interior = np.arange(1, knots.shape[1] - 1)
-    _, residuals = _phi_plus_block(knots[:, interior], spec, residual=True)
-    k_star = int(np.argmax(energies))
-    if 0 < k_star < knots.shape[1] - 1:
-        res_norm = float(np.max(np.abs(residuals[:, k_star - 1])))
-        if res_norm <= _tolerance(tol_res, energies[k_star]):
-            return True
     directions = -pre.apply(residuals)
     slopes = np.einsum("ik,ik->k", residuals, directions)
     searching = np.flatnonzero(slopes < 0.0)
@@ -346,7 +354,64 @@ def _step_knots(knots: np.ndarray, steps: np.ndarray, energies: np.ndarray,
         knots[:, j[ok]] = cand[:, ok]
         steps[j[ok]] = np.minimum(2.0 * t[ok], MAX_STEP)
         searching, t = searching[~ok], t[~ok] * ARMIJO_FACTOR
-    return False
+
+
+def _newton(start: np.ndarray, spec: ProblemSpec, tol_res: float):
+    """Newton's method on the plain weak residual from ``start``.
+
+    Each step solves the interior Jacobian of _jacobian by SuperLU.  The
+    iteration runs until a step no longer halves the residual max-norm,
+    which is the rounding floor once it converges, or for _NEWTON_STEPS
+    steps; a step that lowers the norm is kept.  Returns (values, energy,
+    steps) of the last field kept, ``steps`` counting the solves, or None
+    unless that field meets _tolerance.
+    """
+    import scipy.sparse.linalg as spla
+
+    idx = spec.mesh.interior_nodes
+    u = _zero_boundary(start, spec.mesh)
+    energy, state = _evaluate(u, spec)
+    residual = _residual(state, spec)
+    res_norm = float(np.max(np.abs(residual)))
+    for steps in range(1, _NEWTON_STEPS + 1):
+        jac = _jacobian(u, spec)
+        if not np.all(np.isfinite(jac.data)):
+            return None
+        try:
+            delta = spla.splu(jac, permc_spec="MMD_AT_PLUS_A").solve(residual[idx])
+        except RuntimeError:    # singular Jacobian
+            return None
+        cand = u.copy()
+        cand[idx] -= delta
+        if not np.all(np.isfinite(cand)):
+            return None
+        cand_energy, state = _evaluate(cand, spec)
+        cand_residual = _residual(state, spec)
+        cand_norm = float(np.max(np.abs(cand_residual)))
+        if cand_norm < res_norm:
+            halved = cand_norm <= 0.5 * res_norm
+            u, energy, residual, res_norm = cand, cand_energy, cand_residual, cand_norm
+            if halved:
+                continue
+        break
+    return (u, energy, steps) if res_norm <= _tolerance(tol_res, energy) else None
+
+
+def _newton_from_top(top: np.ndarray, spec: ProblemSpec, tol_res: float):
+    """(values, Newton steps, path level) of _newton from max(top, 0), or None.
+
+    The path level is phi_plus of the top knot.  Newton's field is refused
+    unless it is nonnegative and nonzero with 0 < energy <= that level: a
+    field above the level is not the critical point the path straddles.
+    """
+    found = _newton(np.maximum(top, 0.0), spec, tol_res)
+    if found is None:
+        return None
+    values, energy, steps = found
+    if values.min() < 0.0 or not values.any():
+        return None
+    level = phi_plus(DiscreteField(spec.mesh, top), spec)
+    return (values, steps, level) if 0.0 < energy <= level else None
 
 
 def solve_mountain_pass(spec: ProblemSpec, ground_state: SolveReport,
@@ -360,13 +425,16 @@ def solve_mountain_pass(spec: ProblemSpec, ground_state: SolveReport,
     over knots and dense samples inside each segment; a segment interior that
     beats every knot is promoted to a knot in place of the lowest-energy one.
     The sweep loop stops when the knot carrying the path maximum is
-    residual-stationary and no sampled point exceeds it.  The returned field
-    is the nodal positive part of that knot, rechecked against the plain
-    residual.
+    residual-stationary and no sampled point exceeds it; the returned field
+    is then the nodal positive part of that knot.  Before the knots move,
+    a top knot within _NEWTON_HANDOFF times the tolerance is handed to
+    _newton_from_top; its field, when accepted, is returned instead and
+    ends the sweeps.  A refused attempt leaves the knots to step exactly as
+    without it.  Either field is rechecked against the plain residual.
 
-    A sweep evaluates its knots and segment samples as column stacks through
-    the block kernel, building the samples a block at a time; _step_knots
-    does the stationarity check and the knot steps.
+    A sweep evaluates its knots, segment samples and interior-knot residuals
+    as column stacks through the block kernel, building the samples a block
+    at a time; _step_knots moves the knots.
 
     Raises:
         InputError: the supplied ground state is unusable as the far endpoint
@@ -402,6 +470,8 @@ def solve_mountain_pass(spec: ProblemSpec, ground_state: SolveReport,
         return (1.0 - f) * knots[:, j] + f * knots[:, j + 1]
 
     converged = False
+    newton = None
+    retry_below = np.inf    # a refused Newton start waits for a 10x lower residual
     sweeps = 0
     for sweeps in range(1, max_iters + 1):
         energies = _phi_plus_block(knots, spec)
@@ -422,21 +492,37 @@ def solve_mountain_pass(spec: ProblemSpec, ground_state: SolveReport,
             knots = np.delete(knots, drop, axis=1)
             steps = np.delete(steps, drop)
             energies = np.delete(energies, drop)
-        converged = _step_knots(knots, steps, energies, spec, pre, tol_res)
-        if converged:
-            break
-    if not converged:    # the steps moved the knots since their energies
-        energies = _phi_plus_block(knots, spec)
-    top = knots[:, int(np.argmax(energies))]
-    # The level and the energy come from the single-field kernel, whose sums
-    # run in another order than the stack's: so the level of a nonnegative
-    # top knot equals the energy of its positive part to the last bit.
-    path_level = phi_plus(DiscreteField(mesh, top), spec)
-    field, energy, res_norm, tol_eff, _ = _finish(np.maximum(top, 0.0), spec, tol_res)
+        _, residuals = _phi_plus_block(knots[:, 1:-1], spec, residual=True)
+        k_star = int(np.argmax(energies))
+        if 0 < k_star < knots.shape[1] - 1:
+            res_norm = float(np.max(np.abs(residuals[:, k_star - 1])))
+            tol = _tolerance(tol_res, energies[k_star])
+            if res_norm <= tol:
+                converged = True
+                break
+            if res_norm <= min(_NEWTON_HANDOFF * tol, retry_below):
+                newton = _newton_from_top(knots[:, k_star], spec, tol_res)
+                if newton is not None:
+                    break
+                retry_below = res_norm / _NEWTON_RETRY_DROP
+        _step_knots(knots, steps, energies, residuals, spec, pre)
+    if newton is not None:
+        values, newton_steps, path_level = newton
+        converged = True
+    else:
+        if not converged:    # the steps moved the knots since their energies
+            energies = _phi_plus_block(knots, spec)
+        top = knots[:, int(np.argmax(energies))]
+        # The level and the energy come from the single-field kernel, whose
+        # sums run in another order than the stack's: so the level of a
+        # nonnegative top knot equals the energy of its positive part to the
+        # last bit.
+        path_level = phi_plus(DiscreteField(mesh, top), spec)
+        values, newton_steps = np.maximum(top, 0.0), 0
+    field, energy, res_norm, tol_eff, _ = _finish(values, spec, tol_res)
     return MountainPassReport(
         field=field, energy=energy, path_level=path_level,
-        residual_norm=res_norm, iterations=sweeps,
+        residual_norm=res_norm, iterations=sweeps, newton_steps=newton_steps,
         converged=converged and res_norm <= tol_eff,
         tol_effective=tol_eff, delta_reg=delta_reg(spec.exponents.p),
     )
-

@@ -153,6 +153,31 @@ def test_separation_constant_is_the_excess_at_the_window_edge(eta):
     assert separation_constant(EX, 1.0, 1.0, 1.0, 1.0, eta) == pytest.approx(exact, rel=1e-12)
 
 
+def test_separation_constant_is_the_least_excess_over_the_box():
+    """Against a brute-force grid of the whole coefficient box.
+
+    With exponents (2, 2.2, 3), a in [0.5, 1.5], b in [0.5, 2] and eta = 0.2
+    the least excess falls between grid points: it is at rho = eta on the
+    edge a = 0.5, where the window's lower edge reaches s = 0 and the excess
+    is a * eta^q * (1/q - 1/gamma).
+    """
+    ex = Exponents(2.0, 2.2, 3.0)
+    q, g, eta = ex.q, ex.gamma, 0.2
+    kappa = separation_constant(ex, 0.5, 1.5, 0.5, 2.0, eta)
+    alpha, beta = np.meshgrid(np.linspace(0.5, 1.5, 1500), np.linspace(0.5, 2.0, 1500))
+    rho = (alpha / beta) ** (1.0 / (g - q))
+
+    def excess(s):
+        return (-(alpha / q) * s**q + (beta / g) * s**g
+                + (alpha / q) * rho**q - (beta / g) * rho**g)
+
+    grid = np.minimum(excess(rho + eta),
+                      np.where(rho >= eta, excess(np.maximum(rho - eta, 0.0)), np.inf))
+    assert kappa <= grid.min()
+    assert grid.min() - kappa <= 1e-3 * kappa
+    assert kappa == pytest.approx(0.5 * eta**q * (1.0 / q - 1.0 / g), rel=1e-9)
+
+
 def test_separation_constant_presets():
     presets = [(1.0, 1.0, 1.0, 1.0), (1.0, 2.0, 1.0, 1.0), (0.5, 1.5, 0.5, 2.0)]
     for box in presets:

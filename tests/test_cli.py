@@ -276,8 +276,14 @@ def test_second_writes_both_solutions(tmp_path):
 
 
 def test_second_at_its_sweep_cap_exits_3_with_partial_artifacts(tmp_path, capsys):
+    """One sweep with a tolerance that no field reaches ends at the cap.
+
+    Newton finishes the model's search after one sweep, so the cap is driven
+    by a tol_res of 1e-20, below the rounding floor of the residual (about
+    1e-18 at 201 nodes): neither the sweeps nor Newton can meet it.
+    """
     out = tmp_path / "run"
-    cfg = model_config(mountain_pass={"max_iters": 1})
+    cfg = model_config(mountain_pass={"max_iters": 1, "tol_res": 1e-20})
     assert run("second", cfg, out_dir=out) == 3
     assert "mountain pass did not converge" in capsys.readouterr().err
     second = json.loads((out / "second_solution.json").read_text())["report"]
