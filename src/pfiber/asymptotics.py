@@ -99,19 +99,19 @@ def asymptotic_metrics(u: DiscreteField, profile: LimitProfile, spec: ProblemSpe
                        eta: float = 0.1, r_list=(1.0, 2.0)) -> AsymptoticMetrics:
     """Evaluate the convergence metrics on the quadrature cloud.
 
+    Every finite r >= 1 is accepted, beyond the paper's 1 <= r < gamma: a
+    positive solution satisfies sup u <= sup limit (test the equation with
+    (u - sup limit)+), so with convergence in measure it converges in every
+    such L^r.
+
     Raises:
-        InputError: eta <= 0, or an r outside [1, gamma); the well density
-            controls |u|^r only below the saturation exponent gamma.
+        InputError: eta <= 0, or an r that is below 1 or not finite.
     """
     if eta <= 0.0:
         raise InputError("the bad-set threshold eta must be positive")
-    ex = spec.exponents
     for r in r_list:
-        if not (1.0 <= r < ex.gamma):
-            raise InputError(
-                f"L^r errors are tracked for 1 <= r < gamma={ex.gamma} "
-                f"(strong convergence region), got r={r}"
-            )
+        if not (1.0 <= r < np.inf):
+            raise InputError(f"L^r errors are tracked for finite r >= 1, got r={r}")
     mesh = u.mesh
     diff_qp = mesh.values_at_qp(u.values - profile.field.values)
     measure_bad = mesh.integrate((np.abs(diff_qp) >= eta).astype(float))

@@ -1,6 +1,6 @@
 """Interior solves of the metric alpha * stiffness + beta * lumped mass, and
-the preconditioned directions and Armijo line search that every descent and
-ascent in the package steps with."""
+the preconditioned directions, secant trial steps and Armijo line search
+that every descent and ascent in the package steps with."""
 
 import functools
 
@@ -10,12 +10,13 @@ import scipy.sparse as sp
 from .errors import NumericalError
 from .problem import Mesh, _sum_product
 
-__all__ = ["InteriorSolver", "armijo", "preconditioned_direction"]
+__all__ = ["InteriorSolver", "armijo", "preconditioned_direction", "secant_step"]
 
 ARMIJO_SLOPE = 1e-4
 ARMIJO_FACTOR = 0.5
 MAX_BACKTRACKS = 60
-# Largest trial step; an accepted step t makes the next trial min(2t, MAX_STEP).
+# Largest trial step; an accepted step t makes the next trial min(2t, MAX_STEP)
+# unless secant_step has a better one.
 MAX_STEP = 1e8
 
 
@@ -103,6 +104,23 @@ def preconditioned_direction(pre: InteriorSolver, grad: np.ndarray):
         if slope <= 0.0:
             return None
     return direction, slope
+
+
+def secant_step(s: np.ndarray, y: np.ndarray, pre_y: np.ndarray, step: float) -> float:
+    """Spectral (Barzilai-Borwein) trial step in the preconditioner metric.
+
+    ``s`` is the change of the iterate, ``y`` the change of the gradient of
+    the function being lowered and ``pre_y`` that of its preconditioned
+    direction, P^-1 y, so no solve is added (Barzilai & Borwein, IMA J.
+    Numer. Anal. 8, 1988; Raydan, SIAM J. Optim. 7, 1997).  Returns
+    (s.y)/(y.P^-1 y) clipped to [1e-12, MAX_STEP] when both
+    products are positive, else ``step``.
+    """
+    sy = _sum_product(s, y)
+    y_pre = _sum_product(y, pre_y)
+    if sy > 0.0 and y_pre > 0.0:
+        return min(max(sy / y_pre, 1e-12), MAX_STEP)
+    return step
 
 
 def armijo(trial, value: float, slope: float, step: float):

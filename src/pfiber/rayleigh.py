@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .functionals import EnergyComponents, _evaluate, _flux_form, _point_form
-from .linalg import MAX_STEP, InteriorSolver, armijo, preconditioned_direction
+from .linalg import MAX_STEP, InteriorSolver, armijo, preconditioned_direction, secant_step
 from .problem import DiscreteField, Exponents, Mesh, ProblemSpec, _sum_product, squared_norms
 
 __all__ = [
@@ -168,6 +168,8 @@ class ThresholdEstimate:
 
     ``eps_critical``      no nontrivial critical points above this value
     ``eps_two_solutions`` two positive solutions below this value
+    ``capped_restarts``   restarts that ran all ``max_iters`` steps without
+                          meeting the stall rule
     """
 
     sup_quotient: float
@@ -176,6 +178,7 @@ class ThresholdEstimate:
     maximizer: DiscreteField
     restarts_used: int
     iterations: int
+    capped_restarts: int
 
 
 def _log_quotient(values: np.ndarray, grads: np.ndarray, spec: ProblemSpec):
@@ -217,11 +220,16 @@ def _normalize(values: np.ndarray, mesh: Mesh, p: float):
 
 def _ascend_log_quotient(start: np.ndarray, spec: ProblemSpec, solver: InteriorSolver,
                          max_iters: int):
-    """Preconditioned Armijo ascent of _log_quotient; returns (value, field, iters).
+    """Preconditioned Armijo ascent of _log_quotient.
+
+    Returns (value, field, iters, capped); ``capped`` is True when the
+    ascent ran all ``max_iters`` steps, stopping neither on its stall rule
+    nor for want of a direction or an accepted step.
 
     Iterates are nonnegative zero-trace fields with int |grad u|^p = 1.  The
     nodal gradient is assembled only at the start and at accepted points.
-    The line search minimizes the negated value.
+    The line search minimizes the negated value, from the trial step of
+    linalg.secant_step as in the ground-state descent.
     """
     mesh, p = spec.mesh, spec.exponents.p
     u = start.copy()
@@ -229,17 +237,24 @@ def _ascend_log_quotient(start: np.ndarray, spec: ProblemSpec, solver: InteriorS
     u, grads = _normalize(np.abs(u), mesh, p)
     found = _log_quotient(u, grads, spec)
     if found is None:
-        return None, None, 0
+        return None, None, 0, False
     value, state = found
     grad = _log_quotient_gradient(state, spec)
     step = 1.0
     stalls = 0
     iters = 0
+    capped = False
+    prev_u = prev_grad = prev_direction = None
     for iters in range(1, max_iters + 1):
         found = preconditioned_direction(solver, grad)
         if found is None:
             break
         direction, slope = found
+        if prev_u is not None:
+            # The line search lowers the negated value, whose gradient and
+            # direction are -grad and -direction.
+            step = secant_step(u - prev_u, prev_grad - grad, prev_direction - direction, step)
+        prev_u, prev_grad, prev_direction = u, grad, direction
 
         def trial(t):
             cand = np.abs(u + t * direction)
@@ -264,7 +279,9 @@ def _ascend_log_quotient(start: np.ndarray, spec: ProblemSpec, solver: InteriorS
                 break
         else:
             stalls = 0
-    return value, DiscreteField(mesh, u), iters
+    else:    # no break: max_iters ended the ascent
+        capped = True
+    return value, DiscreteField(mesh, u), iters, capped
 
 
 def estimate_thresholds(spec: ProblemSpec, restarts: int = 16, max_iters: int = 400,
@@ -298,9 +315,11 @@ def estimate_thresholds(spec: ProblemSpec, restarts: int = 16, max_iters: int = 
     best_value = None
     best_field = None
     total_iters = 0
+    capped_restarts = 0
     for values in starts:
-        value, field, iters = _ascend_log_quotient(values, spec, solver, max_iters)
+        value, field, iters, capped = _ascend_log_quotient(values, spec, solver, max_iters)
         total_iters += iters
+        capped_restarts += capped
         if value is None:
             continue
         # Ties within 1e-12 keep the earliest restart.
@@ -319,4 +338,5 @@ def estimate_thresholds(spec: ProblemSpec, restarts: int = 16, max_iters: int = 
         maximizer=best_field,
         restarts_used=len(starts),
         iterations=total_iters,
+        capped_restarts=capped_restarts,
     )

@@ -44,8 +44,8 @@ from .functionals import (
     delta_reg,
 )
 from .linalg import (ARMIJO_FACTOR, ARMIJO_SLOPE, MAX_BACKTRACKS, MAX_STEP,
-                     InteriorSolver, armijo, preconditioned_direction)
-from .problem import DiscreteField, Exponents, Mesh, ProblemSpec, _sum_product
+                     InteriorSolver, armijo, preconditioned_direction, secant_step)
+from .problem import DiscreteField, Exponents, Mesh, ProblemSpec
 from .rayleigh import fiber_scalings
 
 __all__ = [
@@ -128,8 +128,8 @@ def _descend(start: np.ndarray, spec: ProblemSpec, pre: InteriorSolver,
              tol_res: float, max_iters: int):
     """Armijo descent from one seed; returns (values, iterations, trace).
 
-    The trial step is the spectral (Barzilai-Borwein) secant estimate in the
-    preconditioner metric, (s.y)/(y.P^-1 y); backtracking keeps every accepted
+    The trial step is linalg.secant_step, the spectral (Barzilai-Borwein)
+    estimate in the preconditioner metric; backtracking keeps every accepted
     step monotone.  P^-1 y falls out of the direction solves already done.
     The accepted trial's state gives the next residual.  Where a trial's
     energy is within _RESOLUTION of the current one, the Armijo test uses
@@ -161,12 +161,8 @@ def _descend(start: np.ndarray, spec: ProblemSpec, pre: InteriorSolver,
             break
         pre_grad, slope = found
         if prev_u is not None:
-            s = u - prev_u
-            y = residual - prev_residual
-            sy = _sum_product(s, y)
-            y_pre = _sum_product(y, pre_grad - prev_pre_grad)
-            if sy > 0.0 and y_pre > 0.0:
-                step = min(max(sy / y_pre, 1e-12), MAX_STEP)
+            step = secant_step(u - prev_u, residual - prev_residual,
+                               pre_grad - prev_pre_grad, step)
         prev_u, prev_residual, prev_pre_grad = u, residual, pre_grad
         products = []    # the direction's gradients and quadrature values
 

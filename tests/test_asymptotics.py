@@ -112,10 +112,31 @@ def test_metrics_input_validation():
     u = prof.field
     with pytest.raises(InputError):
         asymptotic_metrics(u, prof, spec, eta=0.0)
-    with pytest.raises(InputError, match="strong"):
-        asymptotic_metrics(u, prof, spec, r_list=(1.0, 4.0))
+    for r in (np.inf, np.nan):
+        with pytest.raises(InputError, match="finite"):
+            asymptotic_metrics(u, prof, spec, r_list=(1.0, r))
     with pytest.raises(InputError):
         asymptotic_metrics(u, prof, spec, r_list=(0.5,))
+
+
+def test_metrics_accept_r_above_gamma_and_grow_with_r():
+    """L^r errors beyond the paper's r < gamma, nondecreasing in r.
+
+    A positive solution lies below sup of the limit, so every finite r >= 1
+    is meaningful; on the unit interval, a probability space, Hoelder's
+    inequality makes ||f||_r nondecreasing in r.
+    """
+    spec = model_spec(n=201, epsilon=1e-2)
+    prof = limit_profile(spec)
+    ground = solve_ground_state(spec)
+    assert ground.converged and ground.energy < 0.0
+    r_list = (1.0, 2.0, 3.0, 4.0, 8.0, 16.0)
+    m = asymptotic_metrics(ground.field, prof, spec, r_list=r_list)
+    assert [r for r, _ in m.lr_errors] == list(r_list)
+    errors = [err for _, err in m.lr_errors]
+    assert errors[0] > 0.0
+    assert all(lo <= hi for lo, hi in zip(errors, errors[1:])), errors
+    assert errors[-1] <= np.max(np.abs(ground.field.values - prof.field.values))
 
 
 def test_gap_identities_on_random_fields():

@@ -324,6 +324,22 @@ def test_threshold_estimate_serializes(tmp_path):
     assert data["maximizer"] == {"values": est.maximizer.values.tolist()}
 
 
+def test_thresholds_reports_capped_restarts(tmp_path, capsys):
+    """A restart cut by thresholds.max_iters is counted and named on stderr."""
+    cfg = model_config(resolution=41, thresholds={"restarts": 4, "max_iters": 5})
+    assert run("thresholds", cfg, out_dir=tmp_path / "capped") == 0
+    data = json.loads((tmp_path / "capped" / "thresholds.json").read_text())
+    assert data["capped_restarts"] == 4
+    err = capsys.readouterr().err
+    assert "4 of 4 restarts stopped at thresholds.max_iters = 5" in err
+
+    cfg = model_config(resolution=41, thresholds={"restarts": 4, "max_iters": 120})
+    assert run("thresholds", cfg, out_dir=tmp_path / "free") == 0
+    data = json.loads((tmp_path / "free" / "thresholds.json").read_text())
+    assert data["capped_restarts"] == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_thresholds_ratio_matches_constants(thresholds_doc):
     # c_e/c = 8/9 at (2, 3, 4); both thresholds share one sup estimate.
     ratio = thresholds_doc["eps_two_solutions"] / thresholds_doc["eps_critical"]

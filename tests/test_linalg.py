@@ -1,4 +1,4 @@
-"""The shared Armijo line search and preconditioned directions."""
+"""The shared Armijo line search, secant trial step and preconditioned directions."""
 
 import gc
 import math
@@ -12,9 +12,11 @@ import scipy.sparse.linalg as spla
 from pfiber.linalg import (
     ARMIJO_FACTOR,
     MAX_BACKTRACKS,
+    MAX_STEP,
     InteriorSolver,
     armijo,
     preconditioned_direction,
+    secant_step,
 )
 from pfiber.problem import build_mesh
 
@@ -75,6 +77,31 @@ def test_preconditioned_direction_and_its_fallbacks():
     assert slope == 5.0
 
     assert preconditioned_direction(pre, np.zeros(mesh.n_nodes)) is None
+
+
+def test_secant_step_inverts_a_multiple_of_the_metric():
+    """On a quadratic with Hessian c * P the secant step is exactly 1/c.
+
+    P^-1 y then equals c * s, so (s.y)/(y.P^-1 y) = 1/c; the step is
+    clipped to [1e-12, MAX_STEP], and a non-positive product keeps the
+    fallback.
+    """
+    mesh = build_mesh((0.0, 1.0), 41)
+    pre = InteriorSolver(mesh, alpha=1.0, beta=1.0)
+    metric = mesh.stiffness + sp.diags(mesh.lumped_mass)
+    rng = np.random.default_rng(4)
+    s = rng.uniform(-1.0, 1.0, mesh.n_nodes)
+    s[mesh.boundary_nodes] = 0.0
+    for c in (0.25, 1.0, 40.0):
+        y = c * (metric @ s)
+        y[mesh.boundary_nodes] = 0.0
+        assert secant_step(s, y, pre.apply(y), 7.0) == pytest.approx(1.0 / c, rel=1e-12)
+    y = metric @ s
+    y[mesh.boundary_nodes] = 0.0
+    assert secant_step(1e-20 * s, y, pre.apply(y), 7.0) == 1e-12
+    assert secant_step(1e20 * s, y, pre.apply(y), 7.0) == MAX_STEP
+    assert secant_step(-s, y, pre.apply(y), 7.0) == 7.0
+    assert secant_step(s, y, -pre.apply(y), 7.0) == 7.0
 
 
 @pytest.mark.parametrize(("domain", "resolution", "tol"), [

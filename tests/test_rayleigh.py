@@ -7,12 +7,13 @@ import pytest
 
 from pfiber import rayleigh
 from pfiber.errors import DomainError, InputError
-from pfiber.functionals import EnergyComponents
+from pfiber.functionals import EnergyComponents, energy_components, phi, weak_residual
 from pfiber.problem import (
     DiscreteField,
     Exponents,
     ProblemSpec,
     build_mesh,
+    bump_coefficient,
     constant_coefficient,
 )
 from pfiber.rayleigh import (
@@ -313,10 +314,12 @@ def test_thresholds_validate_restarts_and_starts():
 def test_ascent_assembles_weak_forms_only_at_accepted_points(monkeypatch):
     """Trial points cost a quotient evaluation; weak forms wait for acceptance.
 
-    Each restart here is the start plus two steps, both accepted, so the
-    calls must read Q F (Q+ F) (Q+ F): one weak-form gradient (F) for the
-    start and one per accepted step, each on the point whose quotient (Q)
-    was just evaluated, and none after a rejected trial (Q Q).
+    Each restart here is the start plus ten steps, all accepted, so the
+    calls must read Q F (Q+ F)^10: one weak-form gradient (F) for the start
+    and one per accepted step, each on the point whose quotient (Q) was just
+    evaluated, and none after a rejected trial (Q Q).  The secant trial step
+    is rarely rejected: ten steps are needed for a rejected trial to show up
+    (one, in the first restart's tenth step).
     """
     events = []
 
@@ -331,7 +334,7 @@ def test_ascent_assembles_weak_forms_only_at_accepted_points(monkeypatch):
     monkeypatch.setattr(rayleigh, "_log_quotient_gradient",
                         counting("F", rayleigh._log_quotient_gradient,
                                  lambda state: state.values))
-    restarts, max_iters = 4, 2
+    restarts, max_iters = 4, 10
     est = estimate_thresholds(small_model_spec(), restarts=restarts,
                               max_iters=max_iters, seed=0)
     assert est.iterations == restarts * max_iters
@@ -343,3 +346,53 @@ def test_ascent_assembles_weak_forms_only_at_accepted_points(monkeypatch):
         if kind == "F":
             assert prev_kind == "Q"
             np.testing.assert_array_equal(values, prev_values)
+
+
+def test_capped_restarts_count_ascents_stopped_by_max_iters():
+    """Five steps leave every restart still climbing; 120 let each one stall.
+
+    At ten steps one restart meets the stall rule on its last step: it used
+    every step but was not stopped by the cap.
+    """
+    spec = small_model_spec()
+    capped = estimate_thresholds(spec, restarts=4, max_iters=5, seed=0)
+    assert capped.iterations == 4 * 5
+    assert capped.capped_restarts == 4
+    edge = estimate_thresholds(spec, restarts=4, max_iters=10, seed=0)
+    assert edge.iterations == 4 * 10
+    assert edge.capped_restarts == 3
+    free = estimate_thresholds(spec, restarts=4, max_iters=120, seed=0)
+    assert free.iterations < 4 * 120
+    assert free.capped_restarts == 0
+
+
+UNIT_SQUARE = ((0.0, 1.0), (0.0, 1.0))
+
+
+@pytest.mark.parametrize(("mesh", "exponents", "a"), [
+    (build_mesh((0.0, 1.0), 2001), Exponents(2.0, 3.0, 4.0), constant_coefficient(1.0)),
+    (build_mesh((0.0, 1.0), 2001), Exponents(3.0, 4.0, 5.0), constant_coefficient(1.0)),
+    (build_mesh(UNIT_SQUARE, 41), Exponents(3.0, 4.0, 5.0),
+     bump_coefficient(0.5, 1.0, UNIT_SQUARE)),
+], ids=["1d_p2", "1d_p3", "2d_p3_bump"])
+def test_scaled_maximizer_is_a_zero_energy_critical_point(mesh, exponents, a):
+    """At eps = eps_two_solutions the maximizer, scaled to zero energy, solves the problem.
+
+    The nonlinear Rayleigh quotient method: the zero-energy quotient of the
+    maximizer's ray peaks at eps_two_solutions, where the ray crosses zero
+    energy, and a maximizer of the quotient is a critical point of the
+    energy there.  The check uses only the public energy and residual.  The
+    energy is zero up to rounding.  The ascent stops when its value stalls
+    at 1e-13 relative, which leaves a gradient of order sqrt(1e-13) ~ 3e-7;
+    the residual sums measured 1.1e-7, 1.9e-6 and 1.1e-7 (1D p = 2, 1D
+    p = 3, 2D), and the bound is a decade above their largest.
+    """
+    spec = ProblemSpec(mesh, exponents, 1e-3, a, constant_coefficient(1.0))
+    est = estimate_thresholds(spec, seed=0)
+    scale = fiber_scalings(energy_components(est.maximizer, spec), exponents).zero_energy
+    at = spec.with_epsilon(est.eps_two_solutions)
+    u = est.maximizer.scaled(scale)
+    comps = energy_components(u, at)
+    size = at.epsilon * comps.dirichlet + comps.gain + comps.loss
+    assert abs(phi(u, at)) <= 1e-14 * size
+    assert np.sum(np.abs(weak_residual(u, at).values)) <= 1e-5 * size
