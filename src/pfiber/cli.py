@@ -106,9 +106,7 @@ _SECTIONS = {
                   "gamma": (_number, 4.0)},
     "solver": {"tol_res": (_positive, 1e-8), "max_iters": (_integer, 50_000),
                "random_restarts": (_integer, 4), "seed": (_integer, 0)},
-    "mountain_pass": {"tol_res": (_positive, 1e-8),
-                      "path_points": (_integer_from(3), 21),
-                      "max_iters": (_integer, 600)},
+    "mountain_pass": {"tol_res": (_positive, 1e-8), "max_iters": (_integer, 600)},
     "thresholds": {"restarts": (_integer_from(1), 16),
                    "max_iters": (_integer, 400)},
     "asymptotics": {"eta": (_positive, 0.1),
@@ -366,8 +364,9 @@ def _cmd_second(resolved: dict, problem: ProblemSpec, out_dir: Path, svg: bool,
         print("mountain pass did not converge; partial artifacts written",
               file=sys.stderr)
         return 3
-    print(f"second solution: energy {second.energy:.12g} at path level "
-          f"{second.path_level:.12g} (ground {ground.energy:.12g})")
+    print(f"second solution: energy {second.energy:.12g} after {second.iterations} "
+          f"descent steps on N- from level {second.path_level:.12g} and "
+          f"{second.newton_steps} Newton steps (ground {ground.energy:.12g})")
     return 0
 
 

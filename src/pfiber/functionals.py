@@ -10,22 +10,23 @@ with the three components
     gain      = int a(x) |u|^q,
     loss      = int b(x) |u|^gamma.
 
-The mountain-pass variant phi_plus replaces u by its positive part inside
+The truncated energy phi_plus replaces u by its positive part inside
 ``gain`` and ``loss`` but keeps the full Dirichlet term, which makes every
 critical point nonnegative without changing the negative-energy landscape.
+No solver uses it: the mountain pass projects onto nonnegative fields
+instead (pfiber.solver).
 
 Weak derivatives are assembled against the nodal hat functions.  For p < 2
 the degenerate gradient factor |g|^(p-2) is evaluated as
 (|g|^2 + delta^2)^((p-2)/2), with delta = delta_reg(p).
 
-Every function here wraps one private kernel, ``_evaluate``, which takes one
-field or an (n_nodes, k) stack of fields: it returns the energy and a
-``_State`` holding the gradients and quadrature powers, from which the weak
-forms are assembled without a second pass over the field.  The mountain
-pass's ``_phi_plus_block`` runs stacks through it.  ``_energy_change`` gives
-the energy difference of two fields without the cancellation of
-subtracting two rounded energies, and ``_jacobian`` assembles the interior
-Jacobian of the weak residual for the mountain pass's Newton finish.
+Every function here wraps one private kernel, ``_evaluate``: it returns the
+energy of a field and a ``_State`` holding the gradients and quadrature
+powers, from which the weak forms are assembled without a second pass over
+the field.  ``_energy_change`` gives the energy difference of two fields
+without the cancellation of subtracting two rounded energies, and
+``_jacobian`` assembles the interior Jacobian of the weak residual for the
+mountain pass's Newton finish.
 """
 
 from dataclasses import dataclass
@@ -33,8 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ContractViolation, InputError
-from .problem import _BOUNDARY_TOL, DiscreteField, ProblemSpec, _sum_product, squared_norms
+from .problem import DiscreteField, ProblemSpec, _sum_product, squared_norms
 
 __all__ = [
     "EnergyComponents",
@@ -84,12 +84,11 @@ def _power(x: np.ndarray, e: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _State:
-    """What one evaluation of a field or a stack computes, kept for its weak forms.
+    """What one evaluation of a field computes, kept for its weak forms.
 
     ``grads`` are the element gradients and ``factor`` is |g|^(p-2) for
     integer p > 2, else None.  At the quadrature points ``signed_q1`` holds
-    |v|^(q-2) v and ``pow_gq`` holds |v|^(gamma-q).  For a stack each array
-    has a trailing column axis, and ``comps`` holds one value per column.
+    |v|^(q-2) v and ``pow_gq`` holds |v|^(gamma-q).
     """
 
     values: np.ndarray
@@ -114,10 +113,9 @@ def _energy_scale(comps: EnergyComponents, spec: ProblemSpec) -> float:
 def _evaluate(values: np.ndarray, spec: ProblemSpec, grads=None):
     """(energy, state) of the nodal field ``values``; ``grads`` may be supplied.
 
-    ``values`` may also be an (n_nodes, k) stack of fields; the energy is
-    then one value per column.  Integer exponents run as products: |v|^q
-    and |v|^gamma are formed from |v|^(q-1), and |g|^p from |g|^(p-2) and
-    |g|^2.  Nonnegative values skip the signs of |v|.
+    Integer exponents run as products: |v|^q and |v|^gamma are formed from
+    |v|^(q-1), and |g|^p from |g|^(p-2) and |g|^2.  Nonnegative values skip
+    the signs of |v|.
     """
     mesh = spec.mesh
     ex = spec.exponents
@@ -168,8 +166,7 @@ def _flux_form(state: _State, spec: ProblemSpec) -> np.ndarray:
 def _point_form(state: _State, spec: ProblemSpec, gain_weight: float = 1.0,
                 loss_weight: float = 1.0) -> np.ndarray:
     """Assembled gain_weight * a|v|^(q-2)v - loss_weight * b|v|^(gamma-2)v, one pass."""
-    cols = (...,) + (None,) * (state.values.ndim - 1)
-    density = gain_weight * spec.a_qp[cols] - loss_weight * spec.b_qp[cols] * state.pow_gq
+    density = gain_weight * spec.a_qp - loss_weight * spec.b_qp * state.pow_gq
     density *= state.signed_q1
     return spec.mesh.assemble_point_term(density)
 
@@ -333,51 +330,6 @@ def weak_residual_plus(u: DiscreteField, spec: ProblemSpec) -> DiscreteField:
     u.require_zero_boundary("residual argument")
     state = _evaluate_plus(u.values, spec)[1]
     return DiscreteField(u.mesh, _residual(state, spec, plus=True))
-
-
-# Columns per pass of the block kernel.  At 2001 nodes eight columns make
-# each quadrature-point array 384 KB, so a block's few live arrays fit a 2 MB
-# L2 cache; sixteen ran the mountain pass no faster and hold twice the memory.
-_BLOCK = 8
-
-
-def _phi_plus_block(stack: np.ndarray, spec: ProblemSpec, residual: bool = False):
-    """phi_plus of every column of an (n_nodes, k) stack of nodal fields.
-
-    With ``residual`` it returns ``(energies, residuals)``, the second being
-    the columns' weak_residual_plus as an (n_nodes, k) array.  Columns pass
-    through _evaluate_plus and _residual _BLOCK at a time, each block
-    C-contiguous.  Each residual column has weak_residual_plus's bits.  A
-    block of several columns sums its energies as a matrix product, in
-    another order than a single field's, so they agree with phi_plus to
-    rounding, not bit for bit.
-
-    Raises:
-        InputError: the stack has the wrong shape or a non-finite entry.
-        ContractViolation: a column does not vanish on the boundary.
-    """
-    mesh = spec.mesh
-    stack = np.asarray(stack, dtype=float)
-    if stack.ndim != 2 or stack.shape[0] != mesh.n_nodes:
-        raise InputError(
-            f"field stack needs {mesh.n_nodes} rows, got shape {stack.shape}"
-        )
-    if not np.all(np.isfinite(stack)):
-        raise InputError("field values must be finite")
-    worst = float(np.max(np.abs(stack[mesh.boundary_nodes]), initial=0.0))
-    if worst > _BOUNDARY_TOL:
-        raise ContractViolation(
-            f"energy argument must vanish on the boundary; largest boundary value {worst:g}"
-        )
-    energies = np.empty(stack.shape[1])
-    residuals = np.empty(stack.shape) if residual else None
-    for lo in range(0, stack.shape[1], _BLOCK):
-        block = np.ascontiguousarray(stack[:, lo:lo + _BLOCK])
-        cols = slice(lo, lo + block.shape[1])
-        energies[cols], state = _evaluate_plus(block, spec)
-        if residual:
-            residuals[:, cols] = _residual(state, spec, plus=True)
-    return (energies, residuals) if residual else energies
 
 
 def J_functional(u: DiscreteField, spec: ProblemSpec) -> float:

@@ -70,20 +70,13 @@ class InteriorSolver:
             # reference cycle, which keeps the mesh and its operators alive
             # until the cyclic garbage collector runs.
             def solve(interior):
-                grid = eigenvalues.shape
-                coeffs = dst(interior.reshape(grid + interior.shape[1:]))
-                lam = eigenvalues.reshape(grid + (1,) * (coeffs.ndim - 2))
-                return dst(coeffs / lam).reshape(interior.shape)
+                return dst(dst(interior.reshape(eigenvalues.shape)) / eigenvalues).ravel()
 
             self._solve = solve
 
     def apply(self, nodal: np.ndarray) -> np.ndarray:
-        """Solve the interior system for a nodal vector or an (n_nodes, k) stack.
-
-        Each column of a stack is one right-hand side, all solved in one call;
-        boundary entries of the result are 0.
-        """
-        out = np.zeros((self.mesh.n_nodes,) + np.shape(nodal)[1:])
+        """Solve the interior system for a nodal vector; boundary entries are 0."""
+        out = np.zeros(self.mesh.n_nodes)
         out[self._idx] = self._solve(nodal[self._idx])
         if not np.all(np.isfinite(out)):
             raise NumericalError("preconditioner solve produced non-finite values")

@@ -17,8 +17,7 @@ operators: B maps nodal values to quadrature values and G maps them to
 element gradients.  Weak forms assemble through the transposes of B and G
 with the quadrature weights and element measures folded in.  So functionals
 and weak forms reduce to a few sparse products and vectorized array
-contractions (Rahman & Valdman, Appl. Math. Comput. 2013), and the same
-products serve one field or an (n_nodes, k) stack of fields.
+contractions (Rahman & Valdman, Appl. Math. Comput. 2013).
 """
 
 from dataclasses import dataclass
@@ -274,28 +273,25 @@ class Mesh:
         ])
 
     # -- evaluation helpers -------------------------------------------------
-    # Each kernel takes one field, or a stack with one field per column of a
-    # trailing axis; a sparse product gives each column a single field's bits.
 
     def values_at_qp(self, nodal: np.ndarray) -> np.ndarray:
-        """Interpolant values on the quadrature cloud, shape (n_el, n_qp[, k])."""
-        return (self.qp_operator @ nodal).reshape(self.qp_weights.shape + nodal.shape[1:])
+        """Interpolant values on the quadrature cloud, shape (n_el, n_qp)."""
+        return (self.qp_operator @ nodal).reshape(self.qp_weights.shape)
 
     def gradients(self, nodal: np.ndarray) -> np.ndarray:
-        """Constant per-element interpolant gradients, shape (n_el, dim[, k])."""
-        return (self.gradient_operator @ nodal).reshape(
-            (self.el_measures.size, self.dimension) + nodal.shape[1:])
+        """Constant per-element interpolant gradients, shape (n_el, dim)."""
+        return (self.gradient_operator @ nodal).reshape(self.el_measures.size, self.dimension)
 
     def integrate(self, qp_values: np.ndarray) -> float:
         return float(np.sum(self.qp_weights * qp_values))
 
     def assemble_point_term(self, qp_density: np.ndarray) -> np.ndarray:
         """Nodal vector with entries sum_qp w * density * basis_i."""
-        return self._point_assembly @ qp_density.reshape((-1,) + qp_density.shape[2:])
+        return self._point_assembly @ qp_density.ravel()
 
     def assemble_flux_term(self, el_flux: np.ndarray) -> np.ndarray:
         """Nodal vector with entries sum_el measure * flux . grad basis_i."""
-        return self._flux_assembly @ el_flux.reshape((-1,) + el_flux.shape[2:])
+        return self._flux_assembly @ el_flux.ravel()
 
     @cached_property
     def qp_operator(self) -> sp.csr_matrix:
@@ -355,23 +351,18 @@ def _rows_operator(data: np.ndarray, cols: np.ndarray, n_cols: int) -> sp.csr_ma
                          shape=(values.shape[0], n_cols))
 
 
-def _sum_product(weights: np.ndarray, values: np.ndarray):
-    """sum(weights * values) for one field, or per column of a stack.
+def _sum_product(weights: np.ndarray, values: np.ndarray) -> float:
+    """sum(weights * values), ``values`` holding one entry per weight.
 
-    ``values`` holds one entry per weight, or one row of k columns per weight.
     A threaded BLAS dot splits sums of more than 10 000 terms by its thread
-    count, so the last bits would depend on the machine.  One field, or a
-    single column, sums in one einsum pass and gives a float; a wider stack
-    sums as a matrix-vector product, whose threads split the columns, not
-    the sums.
+    count, so the last bits would depend on the machine; one einsum pass
+    does not.
     """
-    if values.size == weights.size:
-        return float(np.einsum("i,i->", weights, values.ravel()))
-    return weights @ values.reshape(weights.size, -1)
+    return float(np.einsum("i,i->", weights, values.ravel()))
 
 
 def squared_norms(vectors: np.ndarray) -> np.ndarray:
-    """Row-wise |v|^2 of an (n, dim[, k]) array; of (n, dim), bit for bit einsum("ed,ed->e")."""
+    """Row-wise |v|^2 of an (n, dim) array, bit for bit einsum("ed,ed->e")."""
     out = vectors[:, 0] * vectors[:, 0]
     for d in range(1, vectors.shape[1]):
         out += vectors[:, d] * vectors[:, d]

@@ -8,17 +8,16 @@ interpolated flat-limit profile plus random nonnegative restarts; candidates
 are compared by energy and the zero field wins whenever no candidate goes
 strictly below zero, which is exactly the nonexistence regime.
 
-Second solution.  A min-max over polyline paths from the zero field to the
-ground state.  Knots start clustered around the energy peak along the
-straight ray, every interior knot takes one Armijo step along the negative
-weak residual of the positive-part energy, and dense samples inside each
-segment are promoted to knots whenever one tops the knot maximum, so the ridge
-crossing stays resolved.  Sweeps repeat until the knot carrying the path
-maximum is residual-stationary, or until that knot is close enough for
-Newton's method on the assembled Jacobian to finish the search (Choi &
-McKenna, Nonlinear Anal. 20, 1993); the sweeps are the globalization and
-the fallback.  The positive-part nonlinearity makes the limiting critical
-point nonnegative.
+Second solution.  Along a ray t -> t u, u >= 0, the energy has at most one
+local maximum, on the Nehari branch N-, and one local minimum, on N+, where
+the ground state lies.  The peak selection P(u), the maximum along the ray
+of u's positive part, maps onto N-, and the same preconditioned descent
+run on phi o P finds a critical point of Morse index 1 (the local minimax
+method with L = {0}: Li & Zhou, SIAM J. Sci. Comput. 23, 2001).  It starts
+from P(ground state).  Newton's method on the assembled Jacobian then
+finishes the search, and its field is kept only if it lies on N- below the
+starting level.  N- is bounded away from the zero field, so the search
+cannot collapse onto it.
 
 Both solvers stop on one rule, _tolerance, and finish through one
 re-evaluation, _finish, of the field they return.
@@ -28,24 +27,19 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .functionals import (
-    EnergyComponents,
     energy_components,
     membership_tolerance,
-    phi_plus,
-    _BLOCK,
     _energy_change,
     _energy_scale,
     _evaluate,
     _jacobian,
-    _phi_plus_block,
     _residual,
     delta_reg,
 )
-from .linalg import (ARMIJO_FACTOR, ARMIJO_SLOPE, MAX_BACKTRACKS, MAX_STEP,
-                     InteriorSolver, armijo, preconditioned_direction, secant_step)
-from .problem import DiscreteField, Exponents, Mesh, ProblemSpec
+from .linalg import MAX_STEP, InteriorSolver, armijo, preconditioned_direction, secant_step
+from .problem import DiscreteField, Mesh, ProblemSpec
 from .rayleigh import fiber_scalings
 
 __all__ = [
@@ -66,15 +60,15 @@ _FLAT_STEPS = 10
 # the Armijo test (Hager & Zhang, SIAM J. Optim. 16, 2005).
 _RESOLUTION = 1e-13
 
-# The mountain pass hands its top knot to Newton once the knot's residual is
-# within _NEWTON_HANDOFF times the tolerance; after a refusal it tries again
-# only when that residual has fallen _NEWTON_RETRY_DROP times lower, which
-# bounds the number of attempts.  Newton itself takes at most _NEWTON_STEPS
-# steps: from a hand-off on the test and benchmark models it reaches the
-# rounding floor in 4 to 7.
-_NEWTON_HANDOFF = 1e4
-_NEWTON_RETRY_DROP = 10.0
+# Newton takes at most _NEWTON_STEPS steps: from the descent field on the
+# test and benchmark models it stops after 1 to 5.
 _NEWTON_STEPS = 10
+
+# Largest Nehari defect, relative to eps T + A + B, of a Newton field that
+# the mountain pass accepts as lying on N-.  Accepted fields on the test and
+# benchmark models measure at most 1.1e-6; a field collapsing onto 0
+# measures nearly 1.
+_NEHARI_DEFECT = 1e-3
 
 
 @dataclass(frozen=True)
@@ -125,7 +119,7 @@ def _finish(values: np.ndarray, spec: ProblemSpec, tol_res: float):
 
 
 def _descend(start: np.ndarray, spec: ProblemSpec, pre: InteriorSolver,
-             tol_res: float, max_iters: int):
+             tol_res: float, max_iters: int, project=None):
     """Armijo descent from one seed; returns (values, iterations, trace).
 
     The trial step is linalg.secant_step, the spectral (Barzilai-Borwein)
@@ -137,6 +131,10 @@ def _descend(start: np.ndarray, spec: ProblemSpec, pre: InteriorSolver,
     of the two rounded energies, and the trace energy moves by that change.
     The descent stops unconverged after _FLAT_STEPS accepted steps in a row
     without a strict decrease of the trace energy.
+
+    With ``project``, each trial field is project(u - t d), a trial that it
+    maps to None is rejected like a failed Armijo trial, and the Armijo test
+    takes the difference of the two rounded energies.
     """
     mesh = spec.mesh
     u = _zero_boundary(start, mesh)
@@ -167,9 +165,14 @@ def _descend(start: np.ndarray, spec: ProblemSpec, pre: InteriorSolver,
         products = []    # the direction's gradients and quadrature values
 
         def trial(t):
-            cand_energy, cand = _evaluate(u - t * pre_grad, spec)
+            cand = u - t * pre_grad
+            if project is not None:
+                cand = project(cand)
+                if cand is None:
+                    return None
+            cand_energy, cand = _evaluate(cand, spec)
             change = cand_energy - energy
-            if abs(change) <= resolution:
+            if project is None and abs(change) <= resolution:
                 if not products:
                     products.extend((mesh.gradients(pre_grad), mesh.values_at_qp(pre_grad)))
                 change = _energy_change(u, cand.values, -t, *products, spec)
@@ -276,12 +279,13 @@ def solve_ground_state(spec: ProblemSpec, init: DiscreteField | None = None,
 
 @dataclass(frozen=True)
 class MountainPassReport:
-    """Outcome of the path min-max for the second solution.
+    """Outcome of the descent on the Nehari branch N- for the second solution.
 
-    ``path_level`` is the path maximum of the positive-part energy when the
-    sweeps stopped, an upper bound of the discrete mountain-pass level.
-    ``iterations`` counts the sweeps and ``newton_steps`` the Newton steps
-    that finished the search, 0 when the sweeps finished it alone.
+    ``path_level`` is the energy of the projected ground state, where the
+    descent starts: the maximum of the energy along the ray through the
+    ground state, an upper bound of the mountain-pass level.
+    ``iterations`` counts the descent steps on N- and ``newton_steps`` the
+    Newton steps of an accepted finish, 0 when Newton's field was refused.
     """
 
     field: DiscreteField
@@ -295,61 +299,37 @@ class MountainPassReport:
     delta_reg: float
 
 
-def _ray_peak_scale(comps: EnergyComponents, eps: float,
-                    exponents: Exponents) -> float:
-    """Scale of the energy maximum along the ray through a Nehari point.
+def _peak_projection(values: np.ndarray, spec: ProblemSpec) -> np.ndarray | None:
+    """P(v) = t1 * v+, the energy peak along the ray through v+ = max(v, 0).
 
-    With (T, A, B) the components at the endpoint, h(t) = eps T - A t^(q-p)
-    + B t^(g-p) vanishes at t = 1 by the Nehari identity and at the energy
-    peak along the ray, t < 1; bisection between a sign change brackets the
-    smaller root.
+    With (T, A, B) the components of v+, d/dt phi(t v+) has the sign of
+    h(t) = eps T - A t^(q-p) + B t^(gamma-p).  h falls from eps T > 0 at
+    t = 0+ to its minimum at s_c, the constraint scale of
+    rayleigh.fiber_scalings, and rises beyond it.  So the ray has a peak
+    iff h(s_c) < 0, at the smaller root t1 in (0, s_c), which bisection
+    finds to the last bit.  Returns None where there is no peak.
     """
-    p, q, g = exponents.p, exponents.q, exponents.gamma
-    eT, A, B = eps * comps.dirichlet, comps.gain, comps.loss
+    plus = _zero_boundary(np.maximum(values, 0.0), spec.mesh)
+    comps = _evaluate(plus, spec)[1].comps
+    if not (comps.dirichlet > 0.0 and comps.gain > 0.0 and comps.loss > 0.0):
+        return None
+    ex = spec.exponents
+    e_t, gain, loss = spec.epsilon * comps.dirichlet, comps.gain, comps.loss
 
     def h(t: float) -> float:
-        return eT - A * t ** (q - p) + B * t ** (g - p)
+        return e_t - gain * t ** (ex.q - ex.p) + loss * t ** (ex.gamma - ex.p)
 
-    grid = np.geomspace(1e-10, 1.0 - 1e-9, 400)
-    sign = np.array([h(t) for t in grid])
-    neg = np.nonzero(sign < 0.0)[0]
-    if neg.size == 0:
-        return 1e-2
-    lo, hi = grid[max(neg[0] - 1, 0)], grid[neg[0]]
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
+    lo, hi = 0.0, fiber_scalings(comps, ex).constraint
+    if h(hi) >= 0.0:
+        return None
+    mid = 0.5 * hi
+    while lo < mid < hi:
         if h(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    return float(0.5 * (lo + hi))
-
-
-def _step_knots(knots: np.ndarray, steps: np.ndarray, energies: np.ndarray,
-                residuals: np.ndarray, spec: ProblemSpec, pre: InteriorSolver) -> None:
-    """Move every interior knot one Armijo step down the positive-part energy.
-
-    ``knots`` holds one path knot per column, ``energies`` their
-    positive-part energies and ``residuals`` the interior knots' residuals,
-    one column each.  The directions come from one preconditioner solve, and
-    the knots still searching backtrack in lockstep; each knot's search
-    depends only on that knot.  ``knots`` and ``steps`` are updated in place.
-    """
-    interior = np.arange(1, knots.shape[1] - 1)
-    directions = -pre.apply(residuals)
-    slopes = np.einsum("ik,ik->k", residuals, directions)
-    searching = np.flatnonzero(slopes < 0.0)
-    t = steps[interior[searching]]
-    for _ in range(MAX_BACKTRACKS):
-        if searching.size == 0:
-            break
-        j = interior[searching]
-        cand = knots[:, j] + t * directions[:, searching]
-        ok = (_phi_plus_block(cand, spec)
-              <= energies[j] + ARMIJO_SLOPE * t * slopes[searching])
-        knots[:, j[ok]] = cand[:, ok]
-        steps[j[ok]] = np.minimum(2.0 * t[ok], MAX_STEP)
-        searching, t = searching[~ok], t[~ok] * ARMIJO_FACTOR
+        mid = 0.5 * (lo + hi)
+    return hi * plus
 
 
 def _newton(start: np.ndarray, spec: ProblemSpec, tol_res: float):
@@ -393,132 +373,66 @@ def _newton(start: np.ndarray, spec: ProblemSpec, tol_res: float):
     return (u, energy, steps) if res_norm <= _tolerance(tol_res, energy) else None
 
 
-def _newton_from_top(top: np.ndarray, spec: ProblemSpec, tol_res: float):
-    """(values, Newton steps, path level) of _newton from max(top, 0), or None.
+def _on_peak_branch(values: np.ndarray, energy: float, path_level: float,
+                    spec: ProblemSpec) -> bool:
+    """Whether Newton's field may replace the descent field.
 
-    The path level is phi_plus of the top knot.  Newton's field is refused
-    unless it is nonnegative and nonzero with 0 < energy <= that level: a
-    field above the level is not the critical point the path straddles.
+    It must be nonnegative with 0 < energy <= path_level and lie on N-: in
+    the notation of _peak_projection, h'(1) < 0 and the Nehari defect
+    |h(1)| = |eps T - A + B| is at most _NEHARI_DEFECT times
+    eps T + A + B.  A field near 0 has h'(1) < 0 as well, but a defect
+    near 1, since eps T dominates A and B there.
     """
-    found = _newton(np.maximum(top, 0.0), spec, tol_res)
-    if found is None:
-        return None
-    values, energy, steps = found
-    if values.min() < 0.0 or not values.any():
-        return None
-    level = phi_plus(DiscreteField(spec.mesh, top), spec)
-    return (values, steps, level) if 0.0 < energy <= level else None
+    if values.min() < 0.0 or not 0.0 < energy <= path_level:
+        return False
+    comps = _evaluate(values, spec)[1].comps
+    ex = spec.exponents
+    e_t, gain, loss = spec.epsilon * comps.dirichlet, comps.gain, comps.loss
+    return (abs(e_t - gain + loss) <= _NEHARI_DEFECT * (e_t + gain + loss)
+            and (ex.q - ex.p) * gain > (ex.gamma - ex.p) * loss)
 
 
 def solve_mountain_pass(spec: ProblemSpec, ground_state: SolveReport,
-                        tol_res: float = 1e-8, path_points: int = 21,
-                        max_iters: int = 600) -> MountainPassReport:
-    """Min-max over polyline paths joining the zero field to the ground state.
+                        tol_res: float = 1e-8, max_iters: int = 600) -> MountainPassReport:
+    """Second solution by descent on the Nehari branch N-, finished by Newton.
 
-    Initial knots cluster around the energy peak along the ray through the
-    endpoint, where the path maximum lives.  Every sweep moves each interior
-    knot one Armijo step down the positive-part energy, then re-maximizes
-    over knots and dense samples inside each segment; a segment interior that
-    beats every knot is promoted to a knot in place of the lowest-energy one.
-    The sweep loop stops when the knot carrying the path maximum is
-    residual-stationary and no sampled point exceeds it; the returned field
-    is then the nodal positive part of that knot.  Before the knots move,
-    a top knot within _NEWTON_HANDOFF times the tolerance is handed to
-    _newton_from_top; its field, when accepted, is returned instead and
-    ends the sweeps.  A refused attempt leaves the knots to step exactly as
-    without it.  Either field is rechecked against the plain residual.
-
-    A sweep evaluates its knots, segment samples and interior-knot residuals
-    as column stacks through the block kernel, building the samples a block
-    at a time; _step_knots moves the knots.
+    P = _peak_projection maps a field to the energy peak of its ray, on N-.
+    The descent starts from P(ground state): the ground state lies on N+,
+    the valley of its ray, and has negative energy, so its ray has a peak.
+    It steps as _descend does, each trial field projected by P: a local
+    minimizer of phi o P is a critical point of phi (the local minimax
+    method with L = {0}: Li & Zhou, SIAM J. Sci. Comput. 23, 2001), and on
+    N- the gradient of phi o P is the plain weak residual, so the descent
+    stops on _tolerance.  Then _newton runs once from the descent field.
+    Its field is returned when _on_peak_branch accepts it, the descent
+    field otherwise; either is rechecked by _finish.
 
     Raises:
-        InputError: the supplied ground state is unusable as the far endpoint
+        InputError: the supplied ground state is unusable as the start
             (not converged, or its energy is not negative).
+        NumericalError: rounding leaves the ray through the ground state
+            without a peak.
     """
     if tol_res <= 0:
         raise InputError("tol_res must be positive")
-    if path_points < 3:
-        raise InputError("the path needs at least 3 knots")
     if not ground_state.converged or ground_state.energy >= 0.0 or ground_state.is_zero():
-        raise InputError("mountain-pass endpoint must be a converged negative-energy "
+        raise InputError("mountain-pass start must be a converged negative-energy "
                          "ground state")
-    mesh = spec.mesh
-    pre = InteriorSolver(mesh, alpha=spec.epsilon, beta=1.0)
-    end = ground_state.field
-    t_peak = _ray_peak_scale(energy_components(end, spec), spec.epsilon,
-                             spec.exponents)
-    n_ridge = (path_points - 1) // 2
-    n_lin = path_points - 2 - n_ridge
-    ridge = np.clip(t_peak * np.geomspace(0.2, 5.0, n_ridge), 1e-12, 1.0 - 1e-12)
-    lin = np.linspace(0.0, 1.0, n_lin + 2)[1:-1]
-    ts = np.sort(np.concatenate([[0.0, 1.0], ridge, lin]))
-    knots = end.values[:, None] * ts[None, :]      # one column per knot
-    steps = np.ones(path_points)
-
-    seg_fracs = np.linspace(0.0, 1.0, 10)[1:-1]
-    n_samples = (path_points - 1) * seg_fracs.size
-
-    def samples(idx: np.ndarray) -> np.ndarray:
-        """Segment samples by flat index (segment-major), as columns."""
-        j, f = np.divmod(idx, seg_fracs.size)
-        f = seg_fracs[f]
-        return (1.0 - f) * knots[:, j] + f * knots[:, j + 1]
-
-    converged = False
-    newton = None
-    retry_below = np.inf    # a refused Newton start waits for a 10x lower residual
-    sweeps = 0
-    for sweeps in range(1, max_iters + 1):
-        energies = _phi_plus_block(knots, spec)
-        # Promote a segment-interior maximum so the ridge is always
-        # knot-resolved; argmax keeps the first maximal sample.
-        seg_vals = np.concatenate([
-            _phi_plus_block(samples(np.arange(lo, min(lo + _BLOCK, n_samples))), spec)
-            for lo in range(0, n_samples, _BLOCK)
-        ])
-        best = int(np.argmax(seg_vals))
-        seg_j, seg_val = best // seg_fracs.size, float(seg_vals[best])
-        knot_max = float(energies.max())
-        if seg_val > knot_max + 1e-12 * (1.0 + abs(knot_max)):
-            knots = np.insert(knots, seg_j + 1, samples(np.array([best]))[:, 0], axis=1)
-            steps = np.insert(steps, seg_j + 1, 1.0)
-            energies = np.insert(energies, seg_j + 1, seg_val)
-            drop = 1 + int(np.argmin(energies[1:-1]))
-            knots = np.delete(knots, drop, axis=1)
-            steps = np.delete(steps, drop)
-            energies = np.delete(energies, drop)
-        _, residuals = _phi_plus_block(knots[:, 1:-1], spec, residual=True)
-        k_star = int(np.argmax(energies))
-        if 0 < k_star < knots.shape[1] - 1:
-            res_norm = float(np.max(np.abs(residuals[:, k_star - 1])))
-            tol = _tolerance(tol_res, energies[k_star])
-            if res_norm <= tol:
-                converged = True
-                break
-            if res_norm <= min(_NEWTON_HANDOFF * tol, retry_below):
-                newton = _newton_from_top(knots[:, k_star], spec, tol_res)
-                if newton is not None:
-                    break
-                retry_below = res_norm / _NEWTON_RETRY_DROP
-        _step_knots(knots, steps, energies, residuals, spec, pre)
-    if newton is not None:
-        values, newton_steps, path_level = newton
-        converged = True
-    else:
-        if not converged:    # the steps moved the knots since their energies
-            energies = _phi_plus_block(knots, spec)
-        top = knots[:, int(np.argmax(energies))]
-        # The level and the energy come from the single-field kernel, whose
-        # sums run in another order than the stack's: so the level of a
-        # nonnegative top knot equals the energy of its positive part to the
-        # last bit.
-        path_level = phi_plus(DiscreteField(mesh, top), spec)
-        values, newton_steps = np.maximum(top, 0.0), 0
+    start = _peak_projection(ground_state.field.values, spec)
+    if start is None:
+        raise NumericalError("the ray through the ground state has no energy peak")
+    pre = InteriorSolver(spec.mesh, alpha=spec.epsilon, beta=1.0)
+    values, iterations, trace = _descend(start, spec, pre, tol_res, max_iters,
+                                         project=lambda v: _peak_projection(v, spec))
+    path_level = trace[0][1]    # the energy of the start
+    newton_steps = 0
+    found = _newton(values, spec, tol_res)
+    if found is not None and _on_peak_branch(*found[:2], path_level, spec):
+        values, _, newton_steps = found
     field, energy, res_norm, tol_eff, _ = _finish(values, spec, tol_res)
     return MountainPassReport(
         field=field, energy=energy, path_level=path_level,
-        residual_norm=res_norm, iterations=sweeps, newton_steps=newton_steps,
-        converged=converged and res_norm <= tol_eff,
+        residual_norm=res_norm, iterations=iterations, newton_steps=newton_steps,
+        converged=res_norm <= tol_eff,
         tol_effective=tol_eff, delta_reg=delta_reg(spec.exponents.p),
     )

@@ -58,9 +58,7 @@ def test_resolve_fills_every_default():
     assert resolved["solver"] == {
         "tol_res": 1e-8, "max_iters": 50_000, "random_restarts": 4, "seed": 0,
     }
-    assert resolved["mountain_pass"] == {
-        "tol_res": 1e-8, "path_points": 21, "max_iters": 600,
-    }
+    assert resolved["mountain_pass"] == {"tol_res": 1e-8, "max_iters": 600}
     assert resolved["thresholds"] == {"restarts": 16, "max_iters": 400}
     assert resolved["asymptotics"] == {"eta": 0.1, "r_list": [1.0, 2.0]}
     assert resolved["layer"] == {"xi_max": 40.0, "points": 401,
@@ -144,7 +142,7 @@ def test_resolve_round_trips_every_documented_key():
         },
         "solver": {"tol_res": 1e-9, "max_iters": 123, "random_restarts": 2,
                    "seed": 7},
-        "mountain_pass": {"tol_res": 1e-7, "path_points": 11, "max_iters": 99},
+        "mountain_pass": {"tol_res": 1e-7, "max_iters": 99},
         "thresholds": {"restarts": 3, "max_iters": 77},
         "asymptotics": {"eta": 0.25, "r_list": [1, 3]},
         "layer": {"xi_max": 30, "points": 201, "compare_eps": 1e-4},
@@ -163,7 +161,7 @@ def test_resolve_round_trips_every_documented_key():
         },
         "solver": {"tol_res": 1e-9, "max_iters": 123, "random_restarts": 2,
                    "seed": 7},
-        "mountain_pass": {"tol_res": 1e-7, "path_points": 11, "max_iters": 99},
+        "mountain_pass": {"tol_res": 1e-7, "max_iters": 99},
         "thresholds": {"restarts": 3, "max_iters": 77},
         "asymptotics": {"eta": 0.25, "r_list": [1.0, 3.0]},
         "layer": {"xi_max": 30.0, "points": 201, "compare_eps": 1e-4},
@@ -276,11 +274,11 @@ def test_second_writes_both_solutions(tmp_path):
 
 
 def test_second_at_its_sweep_cap_exits_3_with_partial_artifacts(tmp_path, capsys):
-    """One sweep with a tolerance that no field reaches ends at the cap.
+    """One descent step with a tolerance that no field reaches ends at the cap.
 
-    Newton finishes the model's search after one sweep, so the cap is driven
-    by a tol_res of 1e-20, below the rounding floor of the residual (about
-    1e-18 at 201 nodes): neither the sweeps nor Newton can meet it.
+    Newton finishes the model's search from any descent field, so the cap is
+    driven by a tol_res of 1e-20, below the rounding floor of the residual
+    (about 1e-18 at 201 nodes): neither the descent nor Newton can meet it.
     """
     out = tmp_path / "run"
     cfg = model_config(mountain_pass={"max_iters": 1, "tol_res": 1e-20})
@@ -579,8 +577,9 @@ def test_negative_integers_are_config_errors(tmp_path, capsys, solver, flags,
 @pytest.mark.parametrize(
     ("subcommand", "overrides", "message"),
     [
-        ("second", {"mountain_pass": {"path_points": 2}},
-         "'mountain_pass.path_points': expected an integer >= 3"),
+        # An unknown key fails before any artifact, as a bad count does.
+        ("second", {"mountain_pass": {"path_points": 21}},
+         "'mountain_pass.path_points': unknown key"),
         ("layer", {"layer": {"points": 1}},
          "'layer.points': expected an integer >= 2"),
         ("thresholds", {"thresholds": {"restarts": 0}},

@@ -304,7 +304,7 @@ def test_weak_residual_plus_on_signed_fields():
     assert abs(pairing - fd) <= 1e-6 * (1.0 + abs(fd))
 
 
-# -- block kernel -------------------------------------------------------------
+# -- truncated energy against a P1 oracle -------------------------------------
 
 
 def p1_plus_energy(mesh, values, eps, ex, a, b):
@@ -373,83 +373,54 @@ ORACLE_MESHES = pytest.mark.parametrize("domain, resolution", [
 ])
 
 
-@ORACLE_MESHES
-def test_mesh_kernels_give_each_stack_column_the_single_field_bits(domain, resolution):
-    """Every mesh kernel applied to a stack returns, column by column, the
-    bits of the same kernel applied to that column alone."""
-    mesh = build_mesh(domain, resolution)
-    rng = np.random.default_rng(53)
-    k = 5
-    n_el = mesh.el_measures.size
-    nodal = rng.standard_normal((mesh.n_nodes, k))
-    density = rng.standard_normal(mesh.qp_weights.shape + (k,))
-    flux = rng.standard_normal((n_el, mesh.dimension, k))
-    for kernel, stack in ((mesh.values_at_qp, nodal), (mesh.gradients, nodal),
-                          (mesh.assemble_point_term, density),
-                          (mesh.assemble_flux_term, flux)):
-        out = kernel(stack)
-        assert out.shape[-1] == k
-        for j in range(k):
-            np.testing.assert_array_equal(out[..., j],
-                                          kernel(np.ascontiguousarray(stack[..., j])))
-
-
 @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])
 @ORACLE_MESHES
 def test_block_kernel_against_p1_oracle(domain, resolution, p):
-    """Block energies and residuals of 19 signed fields, checked independently.
+    """phi_plus and weak_residual_plus of 19 signed fields, checked independently.
 
-    Energies must match the oracle's quadrature; residual columns must pair
-    with directions like central differences of the oracle energy.  Each
-    column must also match phi_plus and weak_residual_plus to 1e-13: the
-    block sums run in another order, which moves only the last bits.
+    Energies must match the oracle's quadrature; residuals must pair with
+    directions like central differences of the oracle energy.
     """
-    from pfiber.functionals import _BLOCK, _phi_plus_block
-
     k = 19
-    assert k % _BLOCK, "the last block should be partial"
     spec, a, b = oracle_case(domain, resolution, p)
     mesh, ex, eps = spec.mesh, spec.exponents, spec.epsilon
     rng = np.random.default_rng(41)
     # Nodal magnitudes stay >= 0.05, away from the kink of the positive part;
-    # columns mix all-positive, all-negative and signed fields.
+    # the fields mix all-positive, all-negative and signed ones.
     signs = np.where(rng.random((mesh.n_nodes, k)) < 0.5, -1.0, 1.0)
     signs[:, :3] = 1.0
     signs[:, 3:6] = -1.0
-    stack = signs * rng.uniform(0.05, 1.5, (mesh.n_nodes, k))
-    stack[mesh.boundary_nodes] = 0.0
-    energies, residuals = _phi_plus_block(stack, spec, residual=True)
-    np.testing.assert_array_equal(_phi_plus_block(stack, spec), energies)
-    assert energies.shape == (k,) and residuals.shape == (mesh.n_nodes, k)
+    fields = signs * rng.uniform(0.05, 1.5, (mesh.n_nodes, k))
+    fields[mesh.boundary_nodes] = 0.0
     h = 1e-5
     for i in range(k):
-        u = stack[:, i]
-        oracle = p1_plus_energy(mesh, u, eps, ex, a, b)
-        assert abs(energies[i] - oracle) <= 1e-12 * (1.0 + abs(oracle))
+        u = fields[:, i]
         field = DiscreteField(mesh, u)
-        single = phi_plus(field, spec)
-        assert abs(energies[i] - single) <= 1e-13 * abs(single)
-        single = weak_residual_plus(field, spec).values
-        assert np.max(np.abs(residuals[:, i] - single)) <= 1e-13 * np.max(np.abs(single))
+        energy = phi_plus(field, spec)
+        residual = weak_residual_plus(field, spec).values
+        oracle = p1_plus_energy(mesh, u, eps, ex, a, b)
+        assert abs(energy - oracle) <= 1e-12 * (1.0 + abs(oracle))
         v = rng.uniform(-1.0, 1.0, mesh.n_nodes)
         v[mesh.boundary_nodes] = 0.0
         fd = (p1_plus_energy(mesh, u + h * v, eps, ex, a, b)
               - p1_plus_energy(mesh, u - h * v, eps, ex, a, b)) / (2.0 * h)
-        pairing = float(np.dot(residuals[:, i], v))
+        pairing = float(np.dot(residual, v))
         assert abs(pairing - fd) <= 1e-7 * (1.0 + abs(fd))
-        np.testing.assert_array_equal(residuals[mesh.boundary_nodes, i], 0.0)
+        np.testing.assert_array_equal(residual[mesh.boundary_nodes], 0.0)
 
-    bad = stack.copy()
-    bad[mesh.boundary_nodes[0], 11] = 1e-6
+    bad = fields[:, 11].copy()
+    bad[mesh.boundary_nodes[0]] = 1e-6
     with pytest.raises(ContractViolation):
-        _phi_plus_block(bad, spec)
-    bad = stack.copy()
-    bad[mesh.interior_nodes[0], 17] = np.nan
+        phi_plus(DiscreteField(mesh, bad), spec)
+    with pytest.raises(ContractViolation):
+        weak_residual_plus(DiscreteField(mesh, bad), spec)
+    bad = fields[:, 17].copy()
+    bad[mesh.interior_nodes[0]] = np.nan
     with pytest.raises(InputError):
-        _phi_plus_block(bad, spec, residual=True)
+        weak_residual_plus(DiscreteField(mesh, bad), spec)
 
 
-# -- single-field state kernel -----------------------------------------------
+# -- state kernel -------------------------------------------------------------
 
 
 def zero_trace(mesh, values):
@@ -462,7 +433,7 @@ def zero_trace(mesh, values):
 def test_state_kernel_against_p1_oracle(domain, resolution, p):
     """Energy and residual of the state kernel, checked independently.
 
-    On positive fields phi equals phi_plus, so the block kernel's P1 oracle
+    On positive fields phi equals phi_plus, so phi_plus's P1 oracle
     applies.  phi and weak_residual wrap the kernel and return its bits.
     """
     from pfiber.functionals import _evaluate, _residual
@@ -528,7 +499,7 @@ def test_energy_change_is_first_order_down_to_tiny_steps(domain, resolution, p):
 BLAS_SCRIPT = """
 import hashlib
 import numpy as np
-from pfiber.functionals import _phi_plus_block, energy_components, phi, weak_residual
+from pfiber.functionals import energy_components, phi, weak_residual
 from pfiber.problem import (DiscreteField, Exponents, ProblemSpec, build_mesh,
                             constant_coefficient)
 from pfiber.rayleigh import _normalize
@@ -542,10 +513,6 @@ u = DiscreteField(mesh, values)
 print(repr(phi(u, spec)), energy_components(u, spec))
 print(hashlib.sha256(weak_residual(u, spec).values.tobytes()).hexdigest())
 print(hashlib.sha256(_normalize(values, mesh, 3.0)[0].tobytes()).hexdigest())
-stack = values[:, None] * np.linspace(-0.5, 1.5, 11)
-energies, residuals = _phi_plus_block(stack, spec, residual=True)
-print(energies.tobytes().hex())
-print(hashlib.sha256(residuals.tobytes()).hexdigest())
 line = build_mesh((0.0, 1.0), 20001)
 report = solve_ground_state(ProblemSpec(line, Exponents(2.0, 3.0, 4.0), 1e-3, one, one),
                             random_restarts=0)
@@ -558,8 +525,7 @@ def test_kernel_sums_do_not_depend_on_the_blas_thread_count():
 
     A threaded BLAS dot splits a sum of more than 10 000 terms by its thread
     count.  The 81x81 mesh has 12 800 elements, so energies, residuals and
-    normalized fields, of one field and of a stack of 11, must come out the
-    same under 1 and 2 BLAS threads.  So must the field of a 20001-node
+    normalized fields must come out the same under 1 and 2 BLAS threads.  So must the field of a 20001-node
     solve, whose descent also sums nodal dot products: the directions'
     slopes and the Barzilai-Borwein products.
     """

@@ -127,15 +127,12 @@ def test_sine_solve_against_sparse_lu_on_rectangles(domain, resolution, tol):
         pre = InteriorSolver(mesh, alpha=alpha, beta=beta)
         matrix = (alpha * mesh.stiffness + beta * sp.diags(mesh.lumped_mass)).tocsc()
         matrix = matrix[idx][:, idx]
-        for rhs in (stack[:, 0], stack[:, 1:]):
+        for rhs in stack.T:
             expected = np.zeros_like(rhs)
             expected[idx] = spla.spsolve(matrix, rhs[idx])
             got = pre.apply(rhs)
             assert np.all(got[mesh.boundary_nodes] == 0.0)
             assert np.max(np.abs(got - expected)) <= tol * np.max(np.abs(expected))
-        solved = pre.apply(stack[:, 1:])
-        for j in range(5):
-            np.testing.assert_array_equal(solved[:, j], pre.apply(stack[:, 1 + j]))
 
 
 @pytest.mark.parametrize(("domain", "resolution"), [
