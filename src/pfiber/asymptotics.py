@@ -2,10 +2,10 @@
 
 As eps -> 0 the ground state flattens onto the pointwise minimizer of the
 well density j_x(s) = -(a(x)/q) s^q + (b(x)/gamma) s^gamma, namely
-(a/b)^(1/(gamma-q)), except inside O(sqrt(eps)) boundary layers.  This module
-provides that profile, the metrics quantifying the approach (bad-set measure,
-L^r errors, energy gaps), the separation constant that links the
-bad-set measure to the well-energy gap, per-eps sweeps, the equivalent
+(a/b)^(1/(gamma-q)), except inside boundary layers of width O(eps^(1/p)).
+This module provides that profile, the metrics quantifying the approach
+(bad-set measure, L^r errors, energy gaps), the separation constant that links
+the bad-set measure to the well-energy gap, per-eps sweeps, the equivalent
 lambda/nu scalings of the equation, and the 1D layer profile obtained by
 integrating the first integral U' = sqrt(2 W(U)) of the p = 2 layer equation.
 """

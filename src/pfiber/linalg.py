@@ -1,6 +1,6 @@
 """Interior solves of the metric alpha * stiffness + beta * lumped mass, and
-the preconditioned directions, secant trial steps and Armijo line search
-that every descent and ascent in the package steps with."""
+the one preconditioned Armijo descent loop that the ground state, the
+Nehari-branch descent and the threshold ascent all run."""
 
 import functools
 
@@ -10,14 +10,13 @@ import scipy.sparse as sp
 from .errors import NumericalError
 from .problem import Mesh, _sum_product
 
-__all__ = ["InteriorSolver", "armijo", "preconditioned_direction", "secant_step"]
+__all__ = ["InteriorSolver", "armijo", "descend", "preconditioned_direction", "secant_step",
+           "stalled"]
 
 ARMIJO_SLOPE = 1e-4
 ARMIJO_FACTOR = 0.5
 MAX_BACKTRACKS = 60
-# Largest trial step; an accepted step t makes the next trial min(2t, MAX_STEP)
-# unless secant_step has a better one.
-MAX_STEP = 1e8
+MAX_STEP = 1e8    # largest trial step of descend and secant_step
 
 
 class InteriorSolver:
@@ -119,16 +118,80 @@ def secant_step(s: np.ndarray, y: np.ndarray, pre_y: np.ndarray, step: float) ->
 def armijo(trial, value: float, slope: float, step: float):
     """Armijo backtracking (Pacific J. Math. 1966) from ``step``, negative ``slope``.
 
-    ``trial(t)`` returns ``(value_at_t, payload)``, or None where there is no
-    value.  Of the steps step * ARMIJO_FACTOR^k, k < MAX_BACKTRACKS, returns
-    ``(t, value_at_t, payload)`` for the first with
+    ``trial(t)`` returns a tuple ``(value_at_t, ...)``, or None where there
+    is no value.  Of the steps step * ARMIJO_FACTOR^k, k < MAX_BACKTRACKS,
+    returns ``(t, value_at_t, ...)`` for the first with
     value_at_t <= value + ARMIJO_SLOPE * t * slope, or None.
     """
     t = step
     for _ in range(MAX_BACKTRACKS):
         found = trial(t)
         if found is not None and found[0] <= value + ARMIJO_SLOPE * t * slope:
-            return t, found[0], found[1]
+            return (t, *found)
         found = None    # free the rejected payload before the next trial
         t *= ARMIJO_FACTOR
     return None
+
+
+def descend(start: np.ndarray, evaluate, gradient, stop, pre: InteriorSolver,
+            max_iters: int, relative: bool = False):
+    """Preconditioned Armijo descent of a function f from ``start``.
+
+    - ``evaluate(u, t, d, value)`` is (f, field, payload) at the trial field
+      that the caller makes from u - t d, or None where f has no value; the
+      loop evaluates the start itself, as evaluate(start, 0.0, None, 0.0).
+      With ``relative`` it returns the change f - value in place of f, which
+      the caller may compute without the cancellation of two rounded
+      values: Armijo then compares changes with 0, and the value moves by
+      them.  Otherwise it compares f at the trial with f at u.
+    - ``gradient(payload)`` is the nodal gradient of f at an accepted field.
+    - ``stop(trace)`` is the stop rule at an accepted field.
+
+    Each line search goes along -preconditioned_direction from secant_step,
+    or from twice the last accepted step where there is no secant.  Only
+    the field outlives its gradient, and the start is evaluated here: a
+    payload kept through the line search would fragment the heap, and the
+    peak RSS would grow with every descent.
+
+    Returns (field, value, steps, trace, capped): ``steps`` counts accepted
+    steps, ``trace`` rows are (steps, value, gradient max-norm) at each
+    accepted field, and ``capped`` is True when max_iters ended the
+    descent.  A start without a value returns (start, None, 0, [], False).
+    """
+    found = evaluate(start, 0.0, None, 0.0)
+    if found is None:
+        return start, None, 0, [], False
+    value, u, payload = found
+    step = 1.0
+    trace = []
+    prev = None
+    for steps in range(max_iters + 1):
+        grad = gradient(payload)
+        payload = found = None
+        trace.append((steps, value, float(np.abs(grad).max())))
+        if stop(trace):
+            break
+        if steps == max_iters:
+            return u, value, steps, trace, True
+        found = preconditioned_direction(pre, grad)
+        if found is None:
+            break
+        d, slope = found
+        if prev is not None:
+            step = secant_step(u - prev[0], grad - prev[1], d - prev[2], step)
+        prev = u, grad, d
+        found = armijo(lambda t: evaluate(u, t, d, value),
+                       0.0 if relative else value, -slope, step)
+        if found is None:
+            break
+        t, level, u, payload = found
+        value = value + level if relative else level
+        step = min(2.0 * t, MAX_STEP)
+    return u, value, steps, trace, False
+
+
+def stalled(trace, steps: int, rel: float = 0.0) -> bool:
+    """Whether each of the last ``steps`` trace steps fell by at most rel * (1 + |value|)."""
+    return len(trace) > steps and all(  # newest first: most calls stop at one step
+        trace[i - 1][1] - trace[i][1] <= rel * (1.0 + abs(trace[i][1]))
+        for i in range(-1, -steps - 1, -1))

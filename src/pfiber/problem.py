@@ -426,6 +426,11 @@ class DiscreteField:
             return 0.0
         return float(np.max(np.abs(self.values[self.mesh.boundary_nodes])))
 
+    def require_mesh(self, mesh: Mesh, what: str = "field") -> None:
+        # A uniform mesh is fixed by its bounds and node counts.
+        if (self.mesh.bounds, self.mesh.resolution) != (mesh.bounds, mesh.resolution):
+            raise InputError(f"{what} must live on the problem's mesh")
+
     def require_zero_boundary(self, what: str = "field") -> None:
         worst = self.max_boundary_value()
         if worst > _BOUNDARY_TOL:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .functionals import EnergyComponents, _evaluate, _flux_form, _point_form
-from .linalg import MAX_STEP, InteriorSolver, armijo, preconditioned_direction, secant_step
+from .linalg import InteriorSolver, descend, stalled
 from .problem import DiscreteField, Exponents, Mesh, ProblemSpec, _sum_product, squared_norms
 
 __all__ = [
@@ -220,68 +220,26 @@ def _normalize(values: np.ndarray, mesh: Mesh, p: float):
 
 def _ascend_log_quotient(start: np.ndarray, spec: ProblemSpec, solver: InteriorSolver,
                          max_iters: int):
-    """Preconditioned Armijo ascent of _log_quotient.
+    """linalg.descend of -_log_quotient; returns (value, field, iters, capped).
 
-    Returns (value, field, iters, capped); ``capped`` is True when the
-    ascent ran all ``max_iters`` steps, stopping neither on its stall rule
-    nor for want of a direction or an accepted step.
-
-    Iterates are nonnegative zero-trace fields with int |grad u|^p = 1.  The
-    nodal gradient is assembled only at the start and at accepted points.
-    The line search minimizes the negated value, from the trial step of
-    linalg.secant_step as in the ground-state descent.
+    Each trial field is |u - t d| with zero boundary values, renormalized to
+    int |grad u|^p = 1.  The ascent stops after 3 steps in a row that each
+    raise the value by at most 1e-13 (1 + |value|); ``capped`` is True when
+    max_iters stopped it first.  The value is None where the start has none.
     """
     mesh, p = spec.mesh, spec.exponents.p
-    u = start.copy()
-    u[mesh.boundary_nodes] = 0.0
-    u, grads = _normalize(np.abs(u), mesh, p)
-    found = _log_quotient(u, grads, spec)
-    if found is None:
-        return None, None, 0, False
-    value, state = found
-    grad = _log_quotient_gradient(state, spec)
-    step = 1.0
-    stalls = 0
-    iters = 0
-    capped = False
-    prev_u = prev_grad = prev_direction = None
-    for iters in range(1, max_iters + 1):
-        found = preconditioned_direction(solver, grad)
-        if found is None:
-            break
-        direction, slope = found
-        if prev_u is not None:
-            # The line search lowers the negated value, whose gradient and
-            # direction are -grad and -direction.
-            step = secant_step(u - prev_u, prev_grad - grad, prev_direction - direction, step)
-        prev_u, prev_grad, prev_direction = u, grad, direction
 
-        def trial(t):
-            cand = np.abs(u + t * direction)
-            cand[mesh.boundary_nodes] = 0.0
-            cand, cand_grads = _normalize(cand, mesh, p)
-            q = _log_quotient(cand, cand_grads, spec)
-            return None if q is None else (-q[0], (cand, q[1]))
+    def evaluate(u, t, d, _):
+        cand = np.abs(u if d is None else u - t * d)
+        cand[mesh.boundary_nodes] = 0.0
+        cand, grads = _normalize(cand, mesh, p)
+        found = _log_quotient(cand, grads, spec)
+        return None if found is None else (-found[0], cand, found[1])
 
-        found = armijo(trial, -value, -slope, step)
-        if found is None:
-            break
-        t, neg_value, (u, state) = found
-        grad = _log_quotient_gradient(state, spec)
-        # As in the descent, no state outlives its gradient.
-        state = found = None
-        gain = -neg_value - value
-        value = -neg_value
-        step = min(t * 2.0, MAX_STEP)
-        if gain <= 1e-13 * (1.0 + abs(value)):
-            stalls += 1
-            if stalls >= 3:
-                break
-        else:
-            stalls = 0
-    else:    # no break: max_iters ended the ascent
-        capped = True
-    return value, DiscreteField(mesh, u), iters, capped
+    u, neg_value, iters, _, capped = descend(
+        start, evaluate, lambda state: -_log_quotient_gradient(state, spec),
+        lambda trace: stalled(trace, 3, 1e-13), solver, max_iters)
+    return None if neg_value is None else -neg_value, DiscreteField(mesh, u), iters, capped
 
 
 def estimate_thresholds(spec: ProblemSpec, restarts: int = 16, max_iters: int = 400,
@@ -289,7 +247,7 @@ def estimate_thresholds(spec: ProblemSpec, restarts: int = 16, max_iters: int = 
     """Maximize the scale-invariant quotient over the discrete space.
 
     Multi-start projected gradient ascent on the log-quotient: nodal absolute
-    value and gradient-norm renormalization after every accepted step, ascent
+    value and gradient-norm renormalization of every trial field, ascent
     directions preconditioned by an interior stiffness-plus-mass solve,
     deterministic reduction in restart order with ties broken toward the
     earliest restart.  ``extra_starts`` fields (e.g. solver outputs) are
@@ -304,9 +262,7 @@ def estimate_thresholds(spec: ProblemSpec, restarts: int = 16, max_iters: int = 
     solver = InteriorSolver(mesh, alpha=1.0, beta=1.0)
     starts: list[np.ndarray] = []
     for extra in extra_starts:
-        # A uniform mesh is fixed by its bounds and node counts.
-        if (extra.mesh.bounds, extra.mesh.resolution) != (mesh.bounds, mesh.resolution):
-            raise InputError("extra starts must live on the problem's mesh")
+        extra.require_mesh(mesh, "extra start")
         starts.append(np.asarray(extra.values, dtype=float).copy())
     for i in range(restarts):
         rng = np.random.default_rng((seed, i))

@@ -38,7 +38,7 @@ from .functionals import (
     _residual,
     delta_reg,
 )
-from .linalg import MAX_STEP, InteriorSolver, armijo, preconditioned_direction, secant_step
+from .linalg import InteriorSolver, descend, stalled
 from .problem import DiscreteField, Mesh, ProblemSpec
 from .rayleigh import fiber_scalings
 
@@ -120,72 +120,47 @@ def _finish(values: np.ndarray, spec: ProblemSpec, tol_res: float):
 
 def _descend(start: np.ndarray, spec: ProblemSpec, pre: InteriorSolver,
              tol_res: float, max_iters: int, project=None):
-    """Armijo descent from one seed; returns (values, iterations, trace).
+    """linalg.descend of phi from a zero-trace seed; returns (values, iterations, trace).
 
-    The trial step is linalg.secant_step, the spectral (Barzilai-Borwein)
-    estimate in the preconditioner metric; backtracking keeps every accepted
-    step monotone.  P^-1 y falls out of the direction solves already done.
-    The accepted trial's state gives the next residual.  Where a trial's
-    energy is within _RESOLUTION of the current one, the Armijo test uses
-    the cancellation-free change of _energy_change instead of the difference
-    of the two rounded energies, and the trace energy moves by that change.
-    The descent stops unconverged after _FLAT_STEPS accepted steps in a row
-    without a strict decrease of the trace energy.
-
-    With ``project``, each trial field is project(u - t d), a trial that it
-    maps to None is rejected like a failed Armijo trial, and the Armijo test
-    takes the difference of the two rounded energies.
+    The gradient is the weak residual.  The descent stops on _tolerance, or
+    after _FLAT_STEPS accepted steps in a row without a strict decrease of
+    the trace energy.  Trial values are energy changes: within _RESOLUTION
+    of the current energy, the cancellation-free _energy_change replaces the
+    difference of the two rounded energies.  With ``project``, each trial
+    field is project(u - t d), None has no value, and the change is always
+    that difference.
     """
     mesh = spec.mesh
-    u = _zero_boundary(start, mesh)
-    energy, state = _evaluate(u, spec)
-    step = 1.0
-    trace = []
-    flat_steps = 0
-    prev_u = prev_residual = prev_pre_grad = None
-    for iterations in range(max_iters + 1):
-        residual = _residual(state, spec)
+    resolution = -1.0    # set at each accepted field; none at the start
+    products = []        # the direction's gradients and quadrature values
+
+    def evaluate(u, t, d, energy):
+        cand = u if d is None else u - t * d
+        if d is not None and project is not None:
+            cand = project(cand)
+            if cand is None:
+                return None
+        cand_energy, state = _evaluate(cand, spec)
+        change = cand_energy - energy
+        if project is None and abs(change) <= resolution:
+            if not products:
+                products.extend((mesh.gradients(d), mesh.values_at_qp(d)))
+            change = _energy_change(u, cand, -t, *products, spec)
+        return change, cand, state
+
+    def gradient(state):
+        nonlocal resolution
         resolution = _RESOLUTION * _energy_scale(state.comps, spec)
-        # Only u outlives the residual.  A state kept through the line search
-        # would fragment the heap, and the peak RSS grows with every solve.
-        state = found = None
-        res_norm = float(np.max(np.abs(residual)))
-        trace.append((iterations, energy, res_norm))
-        if (res_norm <= _tolerance(tol_res, energy) or iterations == max_iters
-                or flat_steps >= _FLAT_STEPS):
-            break
-        found = preconditioned_direction(pre, residual)
-        if found is None:
-            break
-        pre_grad, slope = found
-        if prev_u is not None:
-            step = secant_step(u - prev_u, residual - prev_residual,
-                               pre_grad - prev_pre_grad, step)
-        prev_u, prev_residual, prev_pre_grad = u, residual, pre_grad
-        products = []    # the direction's gradients and quadrature values
+        products.clear()
+        return _residual(state, spec)
 
-        def trial(t):
-            cand = u - t * pre_grad
-            if project is not None:
-                cand = project(cand)
-                if cand is None:
-                    return None
-            cand_energy, cand = _evaluate(cand, spec)
-            change = cand_energy - energy
-            if project is None and abs(change) <= resolution:
-                if not products:
-                    products.extend((mesh.gradients(pre_grad), mesh.values_at_qp(pre_grad)))
-                change = _energy_change(u, cand.values, -t, *products, spec)
-            return change, cand
+    def stop(trace):
+        _, energy, res_norm = trace[-1]
+        return res_norm <= _tolerance(tol_res, energy) or stalled(trace, _FLAT_STEPS)
 
-        found = armijo(trial, 0.0, -slope, step)
-        if found is None:
-            break
-        t, change, state = found
-        flat_steps = flat_steps + 1 if energy + change >= energy else 0
-        u, energy = state.values, energy + change
-        step = min(2.0 * t, MAX_STEP)
-    return u, iterations, trace
+    values, _, iterations, trace, _ = descend(start, evaluate, gradient, stop, pre,
+                                              max_iters, relative=True)
+    return values, iterations, trace
 
 
 def _amplitude(spec: ProblemSpec) -> float:
@@ -230,9 +205,8 @@ def solve_ground_state(spec: ProblemSpec, init: DiscreteField | None = None,
     mesh = spec.mesh
     pre = InteriorSolver(mesh, alpha=spec.epsilon, beta=1.0)
     if init is not None:
-        if init.values.shape != (mesh.n_nodes,):
-            raise InputError("init field does not match the problem's mesh")
-        seeds = [init.values]
+        init.require_mesh(mesh, "init field")
+        seeds = [_zero_boundary(init.values, mesh)]
     else:
         seeds = _default_seeds(spec, seed, random_restarts)
 
@@ -409,7 +383,8 @@ def solve_mountain_pass(spec: ProblemSpec, ground_state: SolveReport,
 
     Raises:
         InputError: the supplied ground state is unusable as the start
-            (not converged, or its energy is not negative).
+            (not converged, its energy is not negative, or it lives on
+            another mesh).
         NumericalError: rounding leaves the ray through the ground state
             without a peak.
     """
@@ -418,6 +393,7 @@ def solve_mountain_pass(spec: ProblemSpec, ground_state: SolveReport,
     if not ground_state.converged or ground_state.energy >= 0.0 or ground_state.is_zero():
         raise InputError("mountain-pass start must be a converged negative-energy "
                          "ground state")
+    ground_state.field.require_mesh(spec.mesh, "ground state")
     start = _peak_projection(ground_state.field.values, spec)
     if start is None:
         raise NumericalError("the ray through the ground state has no energy peak")

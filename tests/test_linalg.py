@@ -1,4 +1,5 @@
-"""The shared Armijo line search, secant trial step and preconditioned directions."""
+"""The shared descent loop, Armijo line search, secant trial step and
+preconditioned directions."""
 
 import gc
 import math
@@ -15,8 +16,10 @@ from pfiber.linalg import (
     MAX_STEP,
     InteriorSolver,
     armijo,
+    descend,
     preconditioned_direction,
     secant_step,
+    stalled,
 )
 from pfiber.problem import build_mesh
 
@@ -102,6 +105,126 @@ def test_secant_step_inverts_a_multiple_of_the_metric():
     assert secant_step(1e20 * s, y, pre.apply(y), 7.0) == MAX_STEP
     assert secant_step(-s, y, pre.apply(y), 7.0) == 7.0
     assert secant_step(s, y, -pre.apply(y), 7.0) == 7.0
+
+
+class Quadratic:
+    """f(u) = u.A u / 2 - b.u on zero-trace fields of a 41-node mesh of [0, 1].
+
+    A is the stiffness plus the lumped mass weighted by 1 + 50 x, so the
+    preconditioner's metric, stiffness plus mass, fits it only roughly and
+    the descent takes a few dozen steps.  The minimizer comes from spsolve.
+    """
+
+    def __init__(self):
+        mesh = build_mesh((0.0, 1.0), 41)
+        x = mesh.nodes[:, 0]
+        self.mesh = mesh
+        self.pre = InteriorSolver(mesh, alpha=1.0, beta=1.0)
+        self.matrix = (mesh.stiffness + sp.diags((1.0 + 50.0 * x) * mesh.lumped_mass)).tocsr()
+        self.rhs = 1.0 + np.sin(3.0 * x)
+        self.rhs[mesh.boundary_nodes] = 0.0
+        idx = mesh.interior_nodes
+        self.solution = np.zeros(mesh.n_nodes)
+        self.solution[idx] = spla.spsolve(self.matrix.tocsc()[idx][:, idx], self.rhs[idx])
+        self.accepted = []    # (value, gradient max-norm) at each gradient call
+
+    def value(self, u):
+        return 0.5 * u @ (self.matrix @ u) - self.rhs @ u
+
+    def gradient(self, u):
+        grad = self.matrix @ u - self.rhs
+        grad[self.mesh.boundary_nodes] = 0.0
+        self.accepted.append((self.value(u), np.max(np.abs(grad))))
+        return grad
+
+    def evaluate(self, u, t, d, value):
+        cand = u if d is None else u - t * d
+        return self.value(cand), cand, cand
+
+    def change(self, u, t, d, value):
+        """The exact change t (t d.A d / 2 - grad . d), for ``relative``."""
+        if d is None:
+            return self.value(u) - value, u, u
+        cand = u - t * d
+        grad = self.matrix @ u - self.rhs
+        return t * (0.5 * t * (d @ (self.matrix @ d)) - grad @ d), cand, cand
+
+    def descend(self, start, stop, max_iters=500, relative=False):
+        evaluate = self.change if relative else self.evaluate
+        return descend(start, evaluate, self.gradient, stop, self.pre, max_iters, relative)
+
+
+def below(tol):
+    return lambda trace: trace[-1][2] <= tol
+
+
+def test_descend_converges_at_the_start():
+    quad = Quadratic()
+    u, value, steps, trace, capped = quad.descend(quad.solution, below(1e-10))
+    assert (steps, capped) == (0, False)
+    assert u is quad.solution
+    assert trace == [(0, value, quad.accepted[0][1])]
+
+
+def test_descend_converges_to_the_sparse_solve_in_relative_mode():
+    """Changes without cancellation reach a gradient 1e-13 of the solution."""
+    quad = Quadratic()
+    u, value, steps, trace, capped = quad.descend(
+        np.zeros(quad.mesh.n_nodes), below(1e-13), relative=True)
+    assert 1 < steps < 500 and not capped
+    assert np.max(np.abs(u - quad.solution)) <= 1e-12 * np.max(np.abs(quad.solution))
+    assert trace[-1][2] <= 1e-13
+    # Rows are (iteration, value, gradient max-norm) at each accepted field,
+    # and the value moves by the accepted changes.
+    assert [row[0] for row in trace] == list(range(steps + 1))
+    values = np.array([row[1] for row in trace])
+    assert np.all(np.diff(values) <= 0.0)
+    assert np.abs(values - [a[0] for a in quad.accepted]).max() <= 1e-13 * abs(value)
+    assert [row[2] for row in trace] == [a[1] for a in quad.accepted]
+
+
+def test_descend_stops_flat_at_the_rounding_floor_of_absolute_values():
+    """Compared as rounded values, f stops decreasing near a gradient 1e-6.
+
+    The flat rule ends the descent there; a gradient tolerance alone runs
+    into the cap.  A flat stop on the last allowed step is not capped.
+    """
+    quad = Quadratic()
+    start = np.zeros(quad.mesh.n_nodes)
+    u, value, steps, trace, capped = quad.descend(start, lambda trace: stalled(trace, 3))
+    assert steps < 500 and not capped
+    assert stalled(trace, 3) and not stalled(trace[:-1], 3)
+    values = [row[1] for row in trace]
+    assert values == [a[0] for a in quad.accepted]
+    assert np.all(np.diff(values) <= 0.0)
+    assert 1e-10 < trace[-1][2] and np.max(np.abs(u - quad.solution)) <= 1e-6
+
+    edge = quad.descend(start, lambda trace: stalled(trace, 3), max_iters=steps)
+    assert edge[2:] == (steps, trace, False)
+    np.testing.assert_array_equal(edge[0], u)
+    short = quad.descend(start, lambda trace: stalled(trace, 3), max_iters=steps - 1)
+    assert short[2:] == (steps - 1, trace[:-1], True)
+
+    u, value, steps, trace, capped = quad.descend(start, below(1e-10), max_iters=60)
+    assert (steps, capped, len(trace)) == (60, True, 61)
+    assert trace[-1][2] > 1e-10
+
+
+def test_descend_without_trial_values_accepts_no_step():
+    quad = Quadratic()
+    start = np.zeros(quad.mesh.n_nodes)
+
+    def no_trials(u, t, d, value):
+        return quad.evaluate(u, t, d, value) if d is None else None
+
+    u, value, steps, trace, capped = descend(start, no_trials, quad.gradient, below(0.0),
+                                             quad.pre, 10)
+    assert (u is start, value, steps, capped) == (True, 0.0, 0, False)
+    assert len(trace) == 1
+    # A start without a value ends the loop before any gradient.
+    found = descend(start, lambda *args: None, quad.gradient, below(0.0), quad.pre, 10)
+    assert found[0] is start and found[1:] == (None, 0, [], False)
+    assert len(quad.accepted) == 1
 
 
 @pytest.mark.parametrize(("domain", "resolution", "tol"), [

@@ -366,6 +366,28 @@ def test_capped_restarts_count_ascents_stopped_by_max_iters():
     assert free.capped_restarts == 0
 
 
+def test_iterations_count_accepted_steps(monkeypatch):
+    """``iterations`` counts accepted steps, and every accepted field gets one gradient.
+
+    So it is the number of gradient assemblies less one per restart, for
+    the start.  On this model (4001 nodes, seed 4) a restart also ends on
+    a line search that finds no step, which adds no iteration.
+    """
+    gradients = []
+
+    def counting(state, spec):
+        gradients.append(None)
+        return real(state, spec)
+
+    real = rayleigh._log_quotient_gradient
+    monkeypatch.setattr(rayleigh, "_log_quotient_gradient", counting)
+    spec = ProblemSpec(build_mesh((0.0, 1.0), 4001), EX, 1e-3,
+                       constant_coefficient(1.0), constant_coefficient(1.0))
+    est = estimate_thresholds(spec, seed=4)
+    assert est.capped_restarts == 0
+    assert est.iterations == len(gradients) - est.restarts_used
+
+
 UNIT_SQUARE = ((0.0, 1.0), (0.0, 1.0))
 
 

@@ -156,6 +156,32 @@ def test_solver_input_validation():
         solve_ground_state(spec, init=stray)
 
 
+@pytest.mark.parametrize("case", [
+    "init_other_domain", "mountain_pass_other_resolution",
+    "mountain_pass_other_domain", "extra_start_other_domain",
+])
+def test_fields_from_another_mesh_are_refused(model_ground_state, case):
+    """A supplied field must live on the problem's mesh, [0, 1] with 201 nodes.
+
+    [0, 2] with 201 nodes has the same node count, so only its bounds tell
+    it apart; a 101-node mesh differs in its count.
+    """
+    spec, _ = model_ground_state
+    other_domain = ProblemSpec(build_mesh((0.0, 2.0), 201), EX, 1e-3, ONE, ONE)
+    with pytest.raises(InputError, match="problem's mesh"):
+        if case == "init_other_domain":
+            solve_ground_state(spec, init=DiscreteField(other_domain.mesh,
+                                                        np.ones(201)))
+        elif case == "extra_start_other_domain":
+            estimate_thresholds(spec, restarts=1, max_iters=5, extra_starts=(
+                DiscreteField(other_domain.mesh, np.ones(201)),))
+        else:
+            other = model_spec(n=101) if case.endswith("resolution") else other_domain
+            ground_state = solve_ground_state(other, random_restarts=0)
+            assert ground_state.converged and ground_state.energy < 0.0
+            solve_mountain_pass(spec, ground_state)
+
+
 def test_exhausted_iterations_is_a_report_not_an_exception():
     spec = model_spec(n=101)
     report = solve_ground_state(spec, tol_res=1e-14, max_iters=3)
