@@ -121,8 +121,10 @@ def asymptotic_metrics(u: DiscreteField, profile: LimitProfile, spec: ProblemSpe
     )
     limit_value = J_functional(profile.field, spec)
     # No zero-trace requirement: the metrics are evaluated on the profile too.
-    energy_gap = _evaluate(u.values, spec)[0] - limit_value
-    j_gap = J_functional(u, spec) - limit_value
+    energy, state = _evaluate(u.values, spec)
+    comps, ex = state.comps, spec.exponents
+    energy_gap = energy - limit_value
+    j_gap = comps.loss / ex.gamma - comps.gain / ex.q - limit_value    # J_functional(u)
     return AsymptoticMetrics(
         eta=float(eta), measure_bad=float(measure_bad), lr_errors=lr_errors,
         energy_gap=float(energy_gap), J_gap=float(j_gap),

@@ -7,8 +7,8 @@ on disk.  JSON artifacts are written with sorted keys, and CSV cells hold
 integers as %d, booleans as true/false and other numbers with 17 significant
 digits; reruns with the same config and seed are byte-identical.
 
-Exit codes: 0 success, 2 configuration error, 3 a requested solve did not
-converge (partial artifacts are kept), 4 internal numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 a solve did not converge or
+second met a zero ground state (partial artifacts are kept), 4 internal numerical failure.
 """
 
 import argparse
@@ -357,6 +357,10 @@ def _cmd_second(resolved: dict, problem: ProblemSpec, out_dir: Path, svg: bool,
         print("ground state did not converge; no mountain pass attempted",
               file=sys.stderr)
         return 3
+    if ground.is_zero():
+        print("ground state is the zero field (is epsilon above eps_critical?); "
+              "no mountain pass attempted", file=sys.stderr)
+        return 3
     second = solve_mountain_pass(problem, ground, **resolved["mountain_pass"])
     _dump_json({"epsilon": problem.epsilon, "report": _record(second)},
                out_dir / "second_solution.json")
@@ -391,6 +395,9 @@ def _cmd_sweep(resolved: dict, problem: ProblemSpec, out_dir: Path, svg: bool,
     if not resolved["eps_list"]:
         raise ConfigurationError("config key 'eps_list': sweep needs a "
                                  "non-empty decreasing list")
+    if problem.a.lower <= 0.0:
+        raise ConfigurationError("config key 'coefficients.a': the flat limit of sweep "
+                                 "needs a positive lower bound")
     _dump_json(resolved, out_dir / "resolved_config.json")
     report = epsilon_sweep(
         problem, resolved["eps_list"], **resolved["asymptotics"],
@@ -433,6 +440,10 @@ def _cmd_layer(resolved: dict, problem: ProblemSpec, out_dir: Path, svg: bool,
         )
     lay = dict(resolved["layer"])
     compare_eps = lay.pop("compare_eps")
+    a, b = problem.a, problem.b
+    if compare_eps is not None and {a.lower, a.upper, b.lower, b.upper} != {1.0}:
+        raise ConfigurationError("config key 'layer.compare_eps': the composite "
+                                 "U(d/sqrt(eps)) solves the layer equation for a = b = 1")
     try:
         profile = layer_profile_1d(exp.q, exp.gamma, **lay)
     except NumericalError as exc:  # xi_max beyond the table's reach

@@ -13,8 +13,8 @@ with the three components
 The truncated energy phi_plus replaces u by its positive part inside
 ``gain`` and ``loss`` but keeps the full Dirichlet term, which makes every
 critical point nonnegative without changing the negative-energy landscape.
-No solver uses it: the mountain pass projects onto nonnegative fields
-instead (pfiber.solver).
+No solver uses it (the mountain pass projects onto nonnegative fields); it
+and weak_residual_plus stay only because the benchmark's tracer names them.
 
 Weak derivatives are assembled against the nodal hat functions.  For p < 2
 the degenerate gradient factor |g|^(p-2) is evaluated as
@@ -91,7 +91,6 @@ class _State:
     |v|^(q-2) v and ``pow_gq`` holds |v|^(gamma-q).
     """
 
-    values: np.ndarray
     grads: np.ndarray
     factor: np.ndarray | None
     signed_q1: np.ndarray
@@ -147,7 +146,7 @@ def _evaluate(values: np.ndarray, spec: ProblemSpec, grads=None):
     dens *= pow_gq
     loss = _sum_product(spec._weights_b, dens)
     comps = EnergyComponents(dirichlet, gain, loss)
-    return _energy(comps, spec), _State(values, grads, factor, signed_q1, pow_gq, comps)
+    return _energy(comps, spec), _State(grads, factor, signed_q1, pow_gq, comps)
 
 
 def _flux_form(state: _State, spec: ProblemSpec) -> np.ndarray:
@@ -171,16 +170,9 @@ def _point_form(state: _State, spec: ProblemSpec, gain_weight: float = 1.0,
     return spec.mesh.assemble_point_term(density)
 
 
-def _residual(state: _State, spec: ProblemSpec, plus: bool = False) -> np.ndarray:
-    """Nodal weak residual eps*flux_form - gain_form + loss_form of a state.
-
-    With ``plus`` it is the residual of phi_plus from an _evaluate_plus state.
-    """
-    point = _point_form(state, spec)
-    if plus:
-        # phi_plus sees a node with u_i <= 0 only through the flux term.
-        point *= state.values > 0.0
-    out = spec.epsilon * _flux_form(state, spec) - point
+def _residual(state: _State, spec: ProblemSpec) -> np.ndarray:
+    """Nodal weak residual eps*flux_form - gain_form + loss_form of a state."""
+    out = spec.epsilon * _flux_form(state, spec) - _point_form(state, spec)
     out[spec.mesh.boundary_nodes] = 0.0
     return out
 
@@ -216,11 +208,6 @@ def _jacobian(values: np.ndarray, spec: ProblemSpec) -> sp.csc_matrix:
     return jac[idx][:, idx].tocsc()
 
 
-def _evaluate_plus(values: np.ndarray, spec: ProblemSpec):
-    """_evaluate for phi_plus: the gradients of ``values``, the powers of its positive part."""
-    return _evaluate(np.maximum(values, 0.0), spec, spec.mesh.gradients(values))
-
-
 def _power_change(x: np.ndarray, y: np.ndarray, dx: np.ndarray, e: float) -> np.ndarray:
     """x^e - y^e for x, y >= 0, given dx = x - y, without cancellation.
 
@@ -247,28 +234,28 @@ def _power_change(x: np.ndarray, y: np.ndarray, dx: np.ndarray, e: float) -> np.
     return np.where(pos, y**e * np.expm1(e * rel), x**e)
 
 
-def _energy_change(old: np.ndarray, new: np.ndarray, step: float, dir_grads: np.ndarray,
-                   dir_qp: np.ndarray, spec: ProblemSpec) -> float:
-    """phi(new) - phi(old) for nodal fields new = old + step * d, without cancellation.
+def _energy_change(old: np.ndarray, new: np.ndarray, step: float, direction: np.ndarray,
+                   spec: ProblemSpec) -> float:
+    """phi(new) - phi(old) for nodal fields new = old + step * direction, without cancellation.
 
-    ``dir_grads`` and ``dir_qp`` are the direction's element gradients and
-    quadrature values, so the field's changes are known without rounding.
-    Each term is a difference of powers formed by _power_change, so the
-    result stays accurate where the two energies agree to every digit.
+    The field's changes come from the direction's element gradients and
+    quadrature values, so they are known without rounding.  Each term is a
+    difference of powers formed by _power_change, so the result stays
+    accurate where the two energies agree to every digit.
     """
     mesh = spec.mesh
     ex = spec.exponents
     old_grads = mesh.gradients(old)
-    d_grads = step * dir_grads
+    d_grads = step * mesh.gradients(direction)
     d_sq = squared_norms(d_grads) + 2.0 * np.sum(d_grads * old_grads, axis=1)
     dirichlet = _sum_product(mesh.el_measures, _power_change(
         squared_norms(mesh.gradients(new)), squared_norms(old_grads), d_sq, ex.p / 2.0))
     x, y = mesh.values_at_qp(new), mesh.values_at_qp(old)
-    # Where the sign holds, |x| - |y| is +-step * dir_qp; where it flips, no
+    # Where the sign holds, |x| - |y| is +-step * B d; where it flips, no
     # digits cancel.
     flips = np.signbit(x) != np.signbit(y)
     dx = np.copysign(1.0, y)
-    dx *= dir_qp
+    dx *= mesh.values_at_qp(direction)
     dx *= step
     x, y = np.abs(x, out=x), np.abs(y, out=y)
     np.subtract(x, y, out=dx, where=flips)
@@ -277,11 +264,9 @@ def _energy_change(old: np.ndarray, new: np.ndarray, step: float, dir_grads: np.
     return _energy(EnergyComponents(dirichlet, gain, loss), spec)
 
 
-def energy_components(u: DiscreteField, spec: ProblemSpec,
-                      check_boundary: bool = True) -> EnergyComponents:
+def energy_components(u: DiscreteField, spec: ProblemSpec) -> EnergyComponents:
     """Compute (dirichlet, gain, loss) for a zero-trace field."""
-    if check_boundary:
-        u.require_zero_boundary("energy argument")
+    u.require_zero_boundary("energy argument")
     return _evaluate(u.values, spec)[1].comps
 
 
@@ -294,7 +279,7 @@ def phi(u: DiscreteField, spec: ProblemSpec) -> float:
 def phi_plus(u: DiscreteField, spec: ProblemSpec) -> float:
     """Energy with the positive part in the gain and loss terms only."""
     u.require_zero_boundary("energy argument")
-    return _evaluate_plus(u.values, spec)[0]
+    return _evaluate(np.maximum(u.values, 0.0), spec, u.mesh.gradients(u.values))[0]
 
 
 def derivative_forms(u: DiscreteField,
@@ -328,8 +313,11 @@ def weak_residual(u: DiscreteField, spec: ProblemSpec) -> DiscreteField:
 def weak_residual_plus(u: DiscreteField, spec: ProblemSpec) -> DiscreteField:
     """Weak residual of phi_plus: the gain/loss terms see the positive part."""
     u.require_zero_boundary("residual argument")
-    state = _evaluate_plus(u.values, spec)[1]
-    return DiscreteField(u.mesh, _residual(state, spec, plus=True))
+    state = _evaluate(np.maximum(u.values, 0.0), spec, u.mesh.gradients(u.values))[1]
+    # phi_plus sees a node with u_i <= 0 only through the flux term.
+    out = spec.epsilon * _flux_form(state, spec) - _point_form(state, spec) * (u.values > 0.0)
+    out[u.mesh.boundary_nodes] = 0.0
+    return DiscreteField(u.mesh, out)
 
 
 def J_functional(u: DiscreteField, spec: ProblemSpec) -> float:
@@ -345,5 +333,4 @@ def membership_tolerance(spec: ProblemSpec) -> float:
 
 def w1p_norm(u: DiscreteField, spec: ProblemSpec) -> float:
     """Gradient-seminorm (int |grad u|^p)^(1/p); a norm on zero-trace fields."""
-    comps = energy_components(u, spec, check_boundary=False)
-    return comps.dirichlet ** (1.0 / spec.exponents.p)
+    return _evaluate(u.values, spec)[1].comps.dirichlet ** (1.0 / spec.exponents.p)

@@ -85,17 +85,12 @@ class InteriorSolver:
 def preconditioned_direction(pre: InteriorSolver, grad: np.ndarray):
     """(d, grad . d > 0): stepping along -d lowers a function with gradient ``grad``.
 
-    d is P^-1 grad, or ``grad`` itself when P^-1 grad has no positive slope;
-    None when neither has.
+    d is P^-1 grad; None when it has no positive slope, which for a gradient
+    with zero boundary entries means grad = 0, since P is SPD on the interior.
     """
     direction = pre.apply(grad)
     slope = _sum_product(grad, direction)
-    if slope <= 0.0:
-        direction = grad
-        slope = _sum_product(grad, grad)
-        if slope <= 0.0:
-            return None
-    return direction, slope
+    return (direction, slope) if slope > 0.0 else None
 
 
 def secant_step(s: np.ndarray, y: np.ndarray, pre_y: np.ndarray, step: float) -> float:

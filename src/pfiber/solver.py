@@ -125,15 +125,11 @@ def _descend(start: np.ndarray, spec: ProblemSpec, pre: InteriorSolver,
     The gradient is the weak residual.  The descent stops on _tolerance, or
     after _FLAT_STEPS accepted steps in a row without a strict decrease of
     the trace energy.  Trial values are energy changes: within _RESOLUTION
-    of the current energy, the cancellation-free _energy_change replaces the
-    difference of the two rounded energies.  With ``project``, each trial
-    field is project(u - t d), None has no value, and the change is always
-    that difference.
+    of the trial's energy scale, the cancellation-free _energy_change
+    replaces the difference of the two rounded energies.  With ``project``,
+    each trial field is project(u - t d), None has no value, and the change
+    is always that difference.
     """
-    mesh = spec.mesh
-    resolution = -1.0    # set at each accepted field; none at the start
-    products = []        # the direction's gradients and quadrature values
-
     def evaluate(u, t, d, energy):
         cand = u if d is None else u - t * d
         if d is not None and project is not None:
@@ -142,24 +138,17 @@ def _descend(start: np.ndarray, spec: ProblemSpec, pre: InteriorSolver,
                 return None
         cand_energy, state = _evaluate(cand, spec)
         change = cand_energy - energy
-        if project is None and abs(change) <= resolution:
-            if not products:
-                products.extend((mesh.gradients(d), mesh.values_at_qp(d)))
-            change = _energy_change(u, cand, -t, *products, spec)
+        if (d is not None and project is None
+                and abs(change) <= _RESOLUTION * _energy_scale(state.comps, spec)):
+            change = _energy_change(u, cand, -t, d, spec)
         return change, cand, state
-
-    def gradient(state):
-        nonlocal resolution
-        resolution = _RESOLUTION * _energy_scale(state.comps, spec)
-        products.clear()
-        return _residual(state, spec)
 
     def stop(trace):
         _, energy, res_norm = trace[-1]
         return res_norm <= _tolerance(tol_res, energy) or stalled(trace, _FLAT_STEPS)
 
-    values, _, iterations, trace, _ = descend(start, evaluate, gradient, stop, pre,
-                                              max_iters, relative=True)
+    values, _, iterations, trace, _ = descend(start, evaluate, lambda s: _residual(s, spec),
+                                              stop, pre, max_iters, relative=True)
     return values, iterations, trace
 
 

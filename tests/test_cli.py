@@ -354,6 +354,19 @@ def test_solve_at_twice_critical_reports_zero_field(thresholds_doc, tmp_path):
     assert report["energy"] == 0.0
 
 
+def test_second_at_twice_critical_exits_3_without_a_second_solution(
+        thresholds_doc, tmp_path, capsys):
+    """A zero ground state has no peak to start from: exit 3, not a config error."""
+    cfg = model_config(resolution=101,
+                       epsilon=2.0 * thresholds_doc["eps_critical"])
+    out = tmp_path / "run"
+    assert run("second", cfg, out_dir=out) == 3
+    assert "ground state is the zero field" in capsys.readouterr().err
+    report = json.loads((out / "ground_state.json").read_text())["report"]
+    assert report["zero_field"] is True
+    assert not (out / "second_solution.json").exists()
+
+
 # -- sweep --------------------------------------------------------------------
 
 
@@ -471,6 +484,11 @@ def test_layer_rejects_2d_domain(tmp_path, capsys):
         ("sweep", {}),
         ("layer", {"exponents": {"p": 1.5, "q": 3.0, "gamma": 4.0}}),
         ("layer", {"domain": [[0.0, 1.0], [0.0, 1.0]], "resolution": [9, 9]}),
+        ("layer", {"layer": {"compare_eps": 1e-3},
+                   "coefficients": {"a": {"kind": "constant", "value": 2.0}}}),
+        ("sweep", {"eps_list": [1e-2, 5e-3],
+                   "coefficients": {"a": {"kind": "affine", "offset": 0.0,
+                                          "slopes": [1.0]}}}),
     ],
 )
 def test_subcommand_check_failure_writes_no_resolved_config(

@@ -323,17 +323,19 @@ def test_ascent_assembles_weak_forms_only_at_accepted_points(monkeypatch):
     """
     events = []
 
-    def counting(kind, real, values_of):
-        def wrapped(arg, *args, **kwargs):
-            events.append((kind, values_of(arg).copy()))
-            return real(arg, *args, **kwargs)
+    def counting(kind, real, grads_of):
+        def wrapped(*args):
+            events.append((kind, grads_of(*args).copy()))
+            return real(*args)
         return wrapped
 
+    # A point is identified by its element gradients.
     monkeypatch.setattr(rayleigh, "_log_quotient",
-                        counting("Q", rayleigh._log_quotient, lambda values: values))
+                        counting("Q", rayleigh._log_quotient,
+                                 lambda values, grads, spec: grads))
     monkeypatch.setattr(rayleigh, "_log_quotient_gradient",
                         counting("F", rayleigh._log_quotient_gradient,
-                                 lambda state: state.values))
+                                 lambda state, spec: state.grads))
     restarts, max_iters = 4, 10
     est = estimate_thresholds(small_model_spec(), restarts=restarts,
                               max_iters=max_iters, seed=0)

@@ -225,6 +225,20 @@ def test_warm_start_accepted(model_ground_state):
     assert again.energy <= report.energy + 1e-14
 
 
+def test_zero_start_is_critical_after_no_step():
+    """The zero field is a critical point: the descent from it takes no step.
+
+    Its energy is 0, so the start itself lies within the Armijo test's
+    cancellation threshold; only a trial field needs the exact change.
+    """
+    spec = model_spec()
+    report = solve_ground_state(spec, init=DiscreteField(spec.mesh, np.zeros(201)))
+    assert report.converged
+    assert report.is_zero()
+    assert report.iterations == 0
+    assert report.energy == 0.0
+
+
 # -- mountain pass ------------------------------------------------------------
 
 
