@@ -43,12 +43,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LimitProfile:
-    """Nodal interpolant of the flat limit (a/b)^(1/(gamma-q)) and its bounds."""
+    """Nodal interpolant of the flat limit (a/b)^(1/(gamma-q)), its bounds and J of it."""
 
     field: DiscreteField
     rho_minus: float
     rho_plus: float
     equation_residual_max: float
+    limit_value: float
 
 
 def limit_profile(spec: ProblemSpec) -> LimitProfile:
@@ -73,7 +74,9 @@ def limit_profile(spec: ProblemSpec) -> LimitProfile:
         spec.a_nodes * values ** (ex.q - 1.0)
         - spec.b_nodes * values ** (ex.gamma - 1.0)
     )
-    return LimitProfile(field, rho_minus, rho_plus, float(residual.max()))
+    # J does not depend on eps, so one value serves every row of a sweep.
+    return LimitProfile(field, rho_minus, rho_plus, float(residual.max()),
+                        float(J_functional(field, spec)))
 
 
 @dataclass(frozen=True)
@@ -119,16 +122,15 @@ def asymptotic_metrics(u: DiscreteField, profile: LimitProfile, spec: ProblemSpe
         (float(r), mesh.integrate(np.abs(diff_qp) ** r) ** (1.0 / r))
         for r in r_list
     )
-    limit_value = J_functional(profile.field, spec)
     # No zero-trace requirement: the metrics are evaluated on the profile too.
     energy, state = _evaluate(u.values, spec)
     comps, ex = state.comps, spec.exponents
-    energy_gap = energy - limit_value
-    j_gap = comps.loss / ex.gamma - comps.gain / ex.q - limit_value    # J_functional(u)
+    energy_gap = energy - profile.limit_value
+    j_gap = comps.loss / ex.gamma - comps.gain / ex.q - profile.limit_value  # J_functional(u)
     return AsymptoticMetrics(
         eta=float(eta), measure_bad=float(measure_bad), lr_errors=lr_errors,
         energy_gap=float(energy_gap), J_gap=float(j_gap),
-        limit_value=float(limit_value),
+        limit_value=profile.limit_value,
     )
 
 
@@ -278,7 +280,7 @@ def epsilon_sweep(spec: ProblemSpec, eps_list, eta: float = 0.1,
         rows = tuple(map(row, range(len(eps_arr))))
     return SweepReport(
         rows=rows, eta=float(eta), r_list=tuple(float(r) for r in r_list),
-        limit_value=J_functional(profile.field, spec),
+        limit_value=profile.limit_value,
     )
 
 

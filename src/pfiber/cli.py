@@ -79,6 +79,15 @@ def _nonempty_numbers(value, path: str) -> list[float]:
     return _numbers(value, path)
 
 
+def _r_list(value, path: str) -> list[float]:
+    """Checker for r_list: each entry names its own sweep.csv column l{r:g}_err."""
+    values = _nonempty_numbers(value, path)
+    if len({f"{r:g}" for r in values}) < len(values):
+        raise ConfigurationError(f"config key '{path}': expected entries that differ "
+                                 "in 6 significant digits, one sweep.csv column each")
+    return values
+
+
 def _positive(value, path: str) -> float:
     value = _number(value, path)
     if not value > 0.0:
@@ -99,23 +108,50 @@ def _decreasing_positive_numbers(value, path: str) -> list[float]:
     return values
 
 
-# Each section maps key -> (checker, default).  Subcommands pass a resolved
-# section to the solvers as keyword arguments, so keys are parameter names.
-_SECTIONS = {
-    "exponents": {"p": (_number, 2.0), "q": (_number, 3.0),
-                  "gamma": (_number, 4.0)},
-    "solver": {"tol_res": (_positive, 1e-8), "max_iters": (_integer, 50_000),
-               "random_restarts": (_integer, 4), "seed": (_integer, 0)},
-    "mountain_pass": {"tol_res": (_positive, 1e-8), "max_iters": (_integer, 600)},
-    "thresholds": {"restarts": (_integer_from(1), 16),
-                   "max_iters": (_integer, 400)},
-    "asymptotics": {"eta": (_positive, 0.1),
-                    "r_list": (_nonempty_numbers, [1.0, 2.0])},
-    "layer": {"xi_max": (_positive, 40.0), "points": (_integer_from(2), 401),
-              "compare_eps": (_positive_or_null, None)},
-}
-_SCALARS = {"epsilon": (_number, 1e-3),
-            "eps_list": (_decreasing_positive_numbers, [])}
+def _domain(value, path: str) -> list:
+    if isinstance(value, list) and len(value) == 2:
+        if all(isinstance(v, (int, float)) for v in value):
+            return [_number(v, path) for v in value]
+        if all(isinstance(v, list) and len(v) == 2 for v in value):
+            return [[_number(x, path) for x in v] for v in value]
+    raise ConfigurationError(
+        f"config key '{path}': expected [x0, x1] or [[x0, x1], [y0, y1]]")
+
+
+def _resolution(value, path: str):
+    counts = value if isinstance(value, list) else [value]
+    if not all(isinstance(r, int) and not isinstance(r, bool) for r in counts):
+        raise ConfigurationError(
+            f"config key '{path}': expected an integer or list of integers")
+    return value
+
+
+def _expect_map(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"config key '{path}': expected an object")
+    return value
+
+
+# A schema maps key -> (checker, default); a key whose default is _NO_DEFAULT
+# stays out of the result when the config omits it.
+_NO_DEFAULT = object()
+
+
+def _apply_schema(raw, schema: dict, path: str, unknown: str = "unknown key") -> dict:
+    """Check an object against a schema, refusing the first unknown key."""
+    prefix = f"{path}." if path else ""
+    extra = sorted(set(_expect_map(raw, path or "<root>")) - set(schema))
+    if extra:
+        raise ConfigurationError(f"config key '{prefix}{extra[0]}': {unknown}")
+    return {key: check(raw.get(key, default), prefix + key)
+            for key, (check, default) in schema.items()
+            if key in raw or default is not _NO_DEFAULT}
+
+
+def _section(schema: dict, unknown: str = "unknown key"):
+    """Checker for an object whose keys follow ``schema``."""
+    return lambda value, path: _apply_schema(value, schema, path, unknown)
+
 
 # Coefficient kind -> (parameter schema, builder(*parameters, domain, name)).
 _COEFF_KINDS = {
@@ -127,29 +163,43 @@ _COEFF_KINDS = {
                         bump_coefficient),
 }
 
-_TOP_KEYS = {*_SECTIONS, *_SCALARS, "domain", "resolution", "coefficients"}
 
-
-def _expect_map(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigurationError(f"config key '{path}': expected an object")
-    return value
-
-
-def _apply_schema(raw: dict, schema: dict, prefix: str) -> dict:
-    return {key: check(raw.get(key, default), prefix + key)
-            for key, (check, default) in schema.items()}
-
-
-def _resolve_section(raw: dict, name: str) -> dict:
-    section = _expect_map(raw.get(name, {}), name)
-    out = _apply_schema(section, _SECTIONS[name], f"{name}.")
-    extra = set(section) - set(out)
-    if extra:
+def _coefficient(value, path: str) -> dict:
+    """Checker for one coefficient: its kind, then that kind's parameters and bounds."""
+    kind = _expect_map(value, path).get("kind", "constant")
+    if not isinstance(kind, str) or kind not in _COEFF_KINDS:
         raise ConfigurationError(
-            f"config key '{name}.{sorted(extra)[0]}': unknown key"
+            f"config key '{path}.kind': unknown kind {kind!r}; "
+            f"choose one of {', '.join(_COEFF_KINDS)}"
         )
-    return out
+    schema = {"kind": (lambda v, p: v, kind), **_COEFF_KINDS[kind][0],
+              "lower": (_number, _NO_DEFAULT), "upper": (_number, _NO_DEFAULT)}
+    return _apply_schema(value, schema, path, f"unknown parameter for kind {kind!r}")
+
+
+# The whole config, checked in this order.  Subcommands pass a resolved
+# section to the solvers as keyword arguments, so its keys are parameter names.
+_CONFIG = {
+    "exponents": (_section({"p": (_number, 2.0), "q": (_number, 3.0),
+                            "gamma": (_number, 4.0)}), {}),
+    "epsilon": (_positive, 1e-3),
+    "eps_list": (_decreasing_positive_numbers, []),
+    "domain": (_domain, [0.0, 1.0]),
+    # Its default depends on the domain; _resolve fills it in.
+    "resolution": (_resolution, _NO_DEFAULT),
+    "coefficients": (_section({"a": (_coefficient, {}), "b": (_coefficient, {})},
+                              "only 'a' and 'b' are recognized"), {}),
+    "solver": (_section({"tol_res": (_positive, 1e-8), "max_iters": (_integer, 50_000),
+                         "random_restarts": (_integer, 4), "seed": (_integer, 0)}), {}),
+    "mountain_pass": (_section({"tol_res": (_positive, 1e-8),
+                                "max_iters": (_integer, 600)}), {}),
+    "thresholds": (_section({"restarts": (_integer_from(1), 16),
+                             "max_iters": (_integer, 400)}), {}),
+    "asymptotics": (_section({"eta": (_positive, 0.1),
+                              "r_list": (_r_list, [1.0, 2.0])}), {}),
+    "layer": (_section({"xi_max": (_positive, 40.0), "points": (_integer_from(2), 401),
+                        "compare_eps": (_positive_or_null, None)}), {}),
+}
 
 
 def load_config(path) -> dict:
@@ -162,29 +212,6 @@ def load_config(path) -> dict:
             f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"
         ) from exc
     return _expect_map(raw, "<root>")
-
-
-def _resolve_coefficient(raw: dict, label: str) -> dict:
-    path = f"coefficients.{label}"
-    entry = _expect_map(raw.get(label, {}), path)
-    kind = entry.get("kind", "constant")
-    if not isinstance(kind, str) or kind not in _COEFF_KINDS:
-        raise ConfigurationError(
-            f"config key '{path}.kind': unknown kind {kind!r}; "
-            f"choose one of {', '.join(_COEFF_KINDS)}"
-        )
-    out = {"kind": kind,
-           **_apply_schema(entry, _COEFF_KINDS[kind][0], f"{path}.")}
-    for bound in ("lower", "upper"):
-        if bound in entry:
-            out[bound] = _number(entry[bound], f"{path}.{bound}")
-    extra = set(entry) - set(out)
-    if extra:
-        raise ConfigurationError(
-            f"config key '{path}.{sorted(extra)[0]}': unknown parameter for "
-            f"kind {kind!r}"
-        )
-    return out
 
 
 def _build_coefficient(resolved: dict, domain, label: str) -> CoefficientField:
@@ -202,57 +229,13 @@ def resolve_config(raw: dict) -> dict:
 
 def _resolve(raw: dict) -> tuple[dict, ProblemSpec]:
     """resolve_config's dict and the problem it describes, built once."""
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ConfigurationError(
-            f"config key '{sorted(unknown)[0]}': unknown top-level key"
-        )
-    exponents = _resolve_section(raw, "exponents")
-
-    domain = raw.get("domain", [0.0, 1.0])
-    if not isinstance(domain, list):
-        raise ConfigurationError("config key 'domain': expected a list")
-    if len(domain) == 2 and all(isinstance(v, (int, float)) for v in domain):
-        domain_res = [_number(v, "domain") for v in domain]
-        default_res = 201
-    elif len(domain) == 2 and all(isinstance(v, list) and len(v) == 2 for v in domain):
-        domain_res = [[_number(x, "domain") for x in v] for v in domain]
-        default_res = [41, 41]
-    else:
-        raise ConfigurationError(
-            "config key 'domain': expected [x0, x1] or [[x0, x1], [y0, y1]]"
-        )
-
-    resolution = raw.get("resolution", default_res)
-    counts = resolution if isinstance(resolution, list) else [resolution]
-    if not all(isinstance(r, int) and not isinstance(r, bool) for r in counts):
-        raise ConfigurationError(
-            "config key 'resolution': expected an integer or list of integers"
-        )
-
-    coeffs_raw = _expect_map(raw.get("coefficients", {}), "coefficients")
-    unknown = set(coeffs_raw) - {"a", "b"}
-    if unknown:
-        raise ConfigurationError(
-            f"config key 'coefficients.{sorted(unknown)[0]}': only 'a' and 'b' "
-            "are recognized"
-        )
-    coefficients = {label: _resolve_coefficient(coeffs_raw, label) for label in "ab"}
-
-    sections = {name: _resolve_section(raw, name) for name in _SECTIONS
-                if name != "exponents"}
-    gamma = exponents["gamma"]
-    if not all(1.0 <= r < gamma for r in sections["asymptotics"]["r_list"]):
+    resolved = _apply_schema(raw, _CONFIG, "", "unknown top-level key")
+    resolved.setdefault("resolution",
+                        [41, 41] if isinstance(resolved["domain"][0], list) else 201)
+    gamma = resolved["exponents"]["gamma"]
+    if not all(1.0 <= r < gamma for r in resolved["asymptotics"]["r_list"]):
         raise ConfigurationError(
             f"config key 'asymptotics.r_list': expected numbers in [1, gamma={gamma:g})")
-    resolved = {
-        "exponents": exponents,
-        **_apply_schema(raw, _SCALARS, ""),
-        "domain": domain_res,
-        "resolution": resolution,
-        "coefficients": coefficients,
-        **sections,
-    }
     # Fail fast on orderings and bound signs before any compute.
     return resolved, _make_problem(resolved)
 

@@ -249,6 +249,19 @@ def test_sweep_rows_and_trends(small_sweep):
     assert report.limit_value == pytest.approx(-1.0 / 12.0, abs=1e-13)
 
 
+def test_sweep_evaluates_the_limit_energy_once(monkeypatch):
+    """J of the flat limit depends on neither eps nor the row."""
+    import pfiber.asymptotics
+
+    calls = []
+    real = pfiber.asymptotics.J_functional
+    monkeypatch.setattr(pfiber.asymptotics, "J_functional",
+                        lambda u, spec: calls.append(spec.epsilon) or real(u, spec))
+    report = epsilon_sweep(model_spec(n=101), [1e-2, 5e-3, 2e-3, 1e-3])
+    assert len(report.rows) == 4
+    assert len(calls) == 1
+
+
 def test_sweep_squeeze_inequality(small_sweep):
     # J(limit) <= J(u_eps) <= phi(u_eps) row by row.
     for row in small_sweep.rows:

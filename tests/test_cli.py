@@ -104,6 +104,9 @@ def test_resolve_2d_domain_default_resolution():
         ({"layer": {"compare": 1e-4}}, "'layer.compare': unknown key"),
         ({"exponents": {"P": 3}}, "'exponents.P': unknown key"),
         ({"coefficients": {"a": {"kind": ["x"]}}}, "unknown kind"),
+        # An absent bound is derived; an explicit null is not a bound.
+        ({"coefficients": {"a": {"lower": None}}},
+         "'coefficients.a.lower': expected a number"),
     ],
 )
 def test_resolve_rejects_bad_config(raw, fragment):
@@ -290,6 +293,16 @@ def test_second_at_its_sweep_cap_exits_3_with_partial_artifacts(tmp_path, capsys
     assert second["residual_norm"] > second["tol_effective"]
 
 
+def test_second_without_a_converged_ground_state_exits_3(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = model_config(solver={"max_iters": 1, "random_restarts": 0})
+    assert run("second", cfg, out_dir=out) == 3
+    assert "no mountain pass attempted" in capsys.readouterr().err
+    report = json.loads((out / "ground_state.json").read_text())["report"]
+    assert report["converged"] is False
+    assert not (out / "second_solution.json").exists()
+
+
 # -- thresholds ---------------------------------------------------------------
 
 
@@ -442,6 +455,17 @@ def test_sweep_csv_numbers_are_the_json_numbers(sweep_run):
         assert cells["converged"] == ("true" if row["converged"] else "false")
 
 
+def test_sweep_with_a_non_converged_row_exits_3_with_artifacts(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = model_config(eps_list=[1e-2, 1e-3],
+                       solver={"max_iters": 3, "random_restarts": 0})
+    assert run("sweep", cfg, out_dir=out) == 3
+    assert "non-converged rows" in capsys.readouterr().err
+    rows = json.loads((out / "sweep.json").read_text())["rows"]
+    assert not all(row["converged"] for row in rows)
+    assert len((out / "sweep.csv").read_text().splitlines()) == 3
+
+
 def test_sweep_without_eps_list_is_config_error(tmp_path, capsys):
     assert run("sweep", model_config(), out_dir=tmp_path / "run") == 2
     assert "eps_list" in capsys.readouterr().err
@@ -464,6 +488,16 @@ def test_layer_profile_and_comparison(tmp_path):
     # eps = 1e-3 on 201 nodes: layers are resolved but not sharp.
     assert doc["comparison"]["sup_diff"] < 0.1
     assert (out / "layer.svg").read_text().startswith("<svg")
+
+
+def test_layer_comparison_without_convergence_exits_3(tmp_path, capsys):
+    cfg = model_config(layer={"xi_max": 20.0, "points": 201, "compare_eps": 1e-3},
+                       solver={"max_iters": 3, "random_restarts": 0})
+    out = tmp_path / "run"
+    assert run("layer", cfg, out_dir=out) == 3
+    assert "layer comparison solve did not converge" in capsys.readouterr().err
+    doc = json.loads((out / "layer_compare.json").read_text())
+    assert doc["comparison"]["ground_converged"] is False
 
 
 def test_layer_rejects_p_not_two(tmp_path, capsys):
@@ -633,12 +667,20 @@ def test_negative_integers_are_config_errors(tmp_path, capsys, solver, flags,
          "'asymptotics.r_list': expected numbers in [1, gamma=4)"),
         ("sweep", {"eps_list": [1e-2], "asymptotics": {"r_list": [1.0, 4.0]}},
          "'asymptotics.r_list': expected numbers in [1, gamma=4)"),
+        # Both would write their L^r error under one sweep.csv column, l1_err.
+        ("sweep", {"eps_list": [1e-2],
+                   "asymptotics": {"r_list": [1.0, 1.000000001, 2.0]}},
+         "'asymptotics.r_list': expected entries that differ in 6 significant digits"),
+        ("sweep", {"eps_list": [1e-2], "asymptotics": {"r_list": [1.0, 1.0]}},
+         "'asymptotics.r_list': expected entries that differ in 6 significant digits"),
+        ("solve", {"epsilon": 0.0}, "'epsilon': expected a positive number"),
     ],
     ids=["path_points", "layer_points", "restarts", "eps_rising",
          "eps_repeated", "eps_zero", "eps_negative", "tol_res_zero",
          "mp_tol_res_negative", "xi_max_zero", "compare_eps_negative",
          "xi_max_infinite", "xi_max_huge", "eta_infinite", "domain_overflows",
-         "eta_zero", "r_below_one", "r_at_gamma"],
+         "eta_zero", "r_below_one", "r_at_gamma", "r_columns_collide",
+         "r_repeated", "epsilon_zero"],
 )
 def test_bad_counts_and_eps_lists_fail_before_any_artifact(
         tmp_path, capsys, subcommand, overrides, message):
@@ -655,6 +697,15 @@ def test_main_seed_flag_with_non_object_solver(tmp_path, capsys):
     assert main(["solve", "--config", str(path), "--out",
                  str(tmp_path / "run"), "--seed", "3"]) == 2
     assert "config key 'solver': expected an object" in capsys.readouterr().err
+
+
+def test_main_malformed_config_exits_2_before_any_output(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{\n  "epsilon": ,\n}\n')
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+    assert f"{path}:2:14" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_missing_config_file(tmp_path, capsys):

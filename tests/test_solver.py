@@ -356,6 +356,19 @@ def test_mountain_pass_keeps_the_descent_field_when_newton_is_refused(
     assert np.max(mp.field.values) > 0.5 * np.max(finished.field.values)
 
 
+def test_peak_projection_refuses_rays_without_a_peak():
+    """Above eps_critical no ray peaks; a field with no positive part has no ray."""
+    import pfiber.solver
+
+    spec = model_spec()
+    x = spec.mesh.nodes[:, 0]
+    bump = np.maximum(0.0, 1.0 - ((x - 0.5) / 0.2) ** 2)
+    assert pfiber.solver._peak_projection(bump, spec) is not None
+    assert pfiber.solver._peak_projection(bump, model_spec(epsilon=1.0)) is None
+    assert pfiber.solver._peak_projection(np.zeros_like(x), spec) is None
+    assert pfiber.solver._peak_projection(-bump, spec) is None
+
+
 def test_mountain_pass_converges_at_p_below_two():
     """1D (1.5, 2.5, 3.5), 201 nodes: Newton finishes the N- descent.
 
