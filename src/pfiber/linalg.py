@@ -5,7 +5,6 @@ Nehari-branch descent and the threshold ascent all run."""
 import functools
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NumericalError
 from .problem import Mesh, _sum_product
@@ -27,14 +26,17 @@ class InteriorSolver:
     alpha * int grad v . grad w + beta * int v w restricted to zero-trace
     fields, which keeps step quality independent of the mesh resolution.
 
-    In 1D the tridiagonal matrix is factorized once by SuperLU.  In 2D no
-    factorization is needed.  Every cell of the uniform rectangle splits
-    along its lower-left -> upper-right diagonal, where the P1 couplings are
-    -cot(90 deg)/2 = 0, so the stiffness is exactly the 5-point stencil and the
-    lumped mass is hx * hy at every interior node.  The orthonormal DST-I
-    along each axis diagonalizes that matrix, and it is its own inverse: a
-    solve is two transforms and a division by the eigenvalues (Buzbee, Golub
-    & Nielson, SIAM J. Numer. Anal. 1970).
+    In 1D the matrix is tridiagonal and positive definite, with
+    2 alpha / h + beta h on the diagonal and -alpha / h beside it: LAPACK's
+    dpttrf factorizes it once as L D L^T, and dpttrs solves by two
+    bidiagonal sweeps.  In 2D no factorization is needed.  Every cell of the
+    uniform rectangle splits along its lower-left -> upper-right diagonal,
+    where the P1 couplings are -cot(90 deg)/2 = 0, so the stiffness is
+    exactly the 5-point stencil and the lumped mass is hx * hy at every
+    interior node.  The orthonormal DST-I along each axis diagonalizes that
+    matrix, and it is its own inverse: a solve is two transforms and a
+    division by the eigenvalues (Buzbee, Golub & Nielson, SIAM J. Numer.
+    Anal. 1970).
     """
 
     def __init__(self, mesh: Mesh, alpha: float, beta: float):
@@ -42,16 +44,26 @@ class InteriorSolver:
             raise NumericalError("preconditioner weights must be nonnegative, not both zero")
         self.mesh = mesh
         self._idx = mesh.interior_nodes
+        # Each branch stores a closure, not a method: a bound method stored on
+        # self is a reference cycle, which keeps the mesh and its operators
+        # alive until the cyclic garbage collector runs.
         if mesh.dimension == 1:
-            import scipy.sparse.linalg as spla
+            from scipy.linalg import lapack
 
-            op = alpha * mesh.stiffness + beta * sp.diags(mesh.lumped_mass)
-            interior = op.tocsc()[self._idx][:, self._idx]
-            try:
-                # The matrix is symmetric: order by minimum degree on A^T + A.
-                self._solve = spla.splu(interior.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
-            except RuntimeError as exc:  # singular factorization
-                raise NumericalError(f"preconditioner factorization failed: {exc}") from exc
+            (x0, x1), = mesh.bounds
+            n, = mesh.resolution
+            h = (x1 - x0) / (n - 1)
+            # scipy's wrappers want an off-diagonal of at least one entry, also
+            # for a single interior node, where LAPACK reads none.
+            diag, off, info = lapack.dpttrf(np.full(n - 2, 2.0 * alpha / h + beta * h),
+                                            np.full(max(n - 3, 1), -alpha / h))
+            if info != 0:
+                raise NumericalError(f"preconditioner factorization failed: info = {info}")
+
+            def solve(interior):    # apply passes a fresh copy: overwrite it
+                return lapack.dpttrs(diag, off, interior, overwrite_b=True)[0]
+
+            self._solve = solve
         else:
             import scipy.fft
 
@@ -65,9 +77,6 @@ class InteriorSolver:
                            + beta * hx * hy)
             dst = functools.partial(scipy.fft.dstn, type=1, axes=(0, 1), norm="ortho")
 
-            # A closure, not a method: a bound method stored on self is a
-            # reference cycle, which keeps the mesh and its operators alive
-            # until the cyclic garbage collector runs.
             def solve(interior):
                 return dst(dst(interior.reshape(eigenvalues.shape)) / eigenvalues).ravel()
 

@@ -61,8 +61,10 @@ _FLAT_STEPS = 10
 _RESOLUTION = 1e-13
 
 # Newton takes at most _NEWTON_STEPS steps: from the descent field on the
-# test and benchmark models it stops after 1 to 5.
+# test and benchmark models it stops after 1 to 8.  A step whose full length
+# does not lower the residual max-norm is halved up to _NEWTON_HALVINGS times.
 _NEWTON_STEPS = 10
+_NEWTON_HALVINGS = 3
 
 # Largest Nehari defect, relative to eps T + A + B, of a Newton field that
 # the mountain pass accepts as lying on N-.  Accepted fields on the test and
@@ -296,14 +298,16 @@ def _peak_projection(values: np.ndarray, spec: ProblemSpec) -> np.ndarray | None
 
 
 def _newton(start: np.ndarray, spec: ProblemSpec, tol_res: float):
-    """Newton's method on the plain weak residual from ``start``.
+    """Damped Newton's method on the plain weak residual from ``start``.
 
-    Each step solves the interior Jacobian of _jacobian by SuperLU.  The
-    iteration runs until a step no longer halves the residual max-norm,
-    which is the rounding floor once it converges, or for _NEWTON_STEPS
-    steps; a step that lowers the norm is kept.  Returns (values, energy,
-    steps) of the last field kept, ``steps`` counting the solves, or None
-    unless that field meets _tolerance.
+    Each step solves the interior Jacobian of _jacobian by SuperLU, then
+    tries the full step and, while the residual max-norm does not fall,
+    up to _NEWTON_HALVINGS halvings of it; the first trial that lowers the
+    norm is kept.  The iteration stops when no trial lowers the norm, which
+    is the rounding floor once it converges, when a kept step does not halve
+    the norm and its field meets _tolerance, or after _NEWTON_STEPS steps.
+    Returns (values, energy, steps) of the last field kept, ``steps``
+    counting the solves, or None unless that field meets _tolerance.
     """
     import scipy.sparse.linalg as spla
 
@@ -320,19 +324,23 @@ def _newton(start: np.ndarray, spec: ProblemSpec, tol_res: float):
             delta = spla.splu(jac, permc_spec="MMD_AT_PLUS_A").solve(residual[idx])
         except RuntimeError:    # singular Jacobian
             return None
-        cand = u.copy()
-        cand[idx] -= delta
-        if not np.all(np.isfinite(cand)):
-            return None
-        cand_energy, state = _evaluate(cand, spec)
-        cand_residual = _residual(state, spec)
-        cand_norm = float(np.max(np.abs(cand_residual)))
-        if cand_norm < res_norm:
-            halved = cand_norm <= 0.5 * res_norm
-            u, energy, residual, res_norm = cand, cand_energy, cand_residual, cand_norm
-            if halved:
-                continue
-        break
+        for _ in range(_NEWTON_HALVINGS + 1):
+            cand = u.copy()
+            cand[idx] -= delta
+            if not np.all(np.isfinite(cand)):
+                return None
+            cand_energy, state = _evaluate(cand, spec)
+            cand_residual = _residual(state, spec)
+            cand_norm = float(np.max(np.abs(cand_residual)))
+            if cand_norm < res_norm:
+                break
+            delta = 0.5 * delta
+        else:
+            break
+        halved = cand_norm <= 0.5 * res_norm
+        u, energy, residual, res_norm = cand, cand_energy, cand_residual, cand_norm
+        if not halved and res_norm <= _tolerance(tol_res, energy):
+            break
     return (u, energy, steps) if res_norm <= _tolerance(tol_res, energy) else None
 
 

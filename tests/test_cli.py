@@ -30,19 +30,34 @@ def model_config(**overrides):
     return cfg
 
 
+BACKENDS = ("scipy.fft", "scipy.linalg", "scipy.sparse.linalg")
+
+
+def _loaded_backends(script):
+    """The BACKENDS loaded after ``script`` runs in a fresh interpreter."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    script += f"; print([m for m in {BACKENDS!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip().splitlines()[-1]
+
+
 def test_cli_import_leaves_solver_backends_unloaded():
     """Every run pays for what ``import pfiber.cli`` loads.
 
     The 2D preconditioner imports ``scipy.fft`` and the 1D one
-    ``scipy.sparse.linalg`` when a solver is built, so a run loads only the
-    one it uses, and config errors exit before either loads.
+    ``scipy.linalg`` when a solver is built, and Newton ``scipy.sparse.linalg``,
+    so a run loads only what it uses, and config errors exit before any loads.
     """
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    assert _loaded_backends("import pfiber.cli, sys") == "[]"
+
+
+def test_1d_solve_loads_lapack_but_no_sparse_solver(tmp_path):
+    """A 1D ``solve`` factorizes by LAPACK alone; only Newton, in ``second``,
+    loads ``scipy.sparse.linalg``."""
     script = ("import pfiber.cli, sys; "
-              "print(sorted({'scipy.fft', 'scipy.sparse.linalg'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+              f"pfiber.cli.run('solve', {TINY!r}, out_dir={str(tmp_path)!r})")
+    assert _loaded_backends(script) == "['scipy.linalg']"
 
 
 # -- resolve_config -----------------------------------------------------------

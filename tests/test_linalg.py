@@ -226,6 +226,38 @@ def test_descend_without_trial_values_accepts_no_step():
 
 
 @pytest.mark.parametrize(("domain", "resolution", "tol"), [
+    ((0.0, 1.0), 2001, 4e-11),
+    ((0.0, 1.0), 4001, 7e-11),
+    ((-1.0, 3.0), 101, 6e-14),
+    ((0.0, 1e-3), 41, 5e-14),
+    # One interior node: the tridiagonal matrix has no off-diagonal.
+    ((0.0, 1.0), 3, 4e-15),
+], ids=["2001", "4001", "101_wide", "41_short", "3"])
+def test_tridiagonal_solve_against_sparse_lu_on_intervals(domain, resolution, tol):
+    """The 1D solve against spsolve of the assembled interior matrix.
+
+    The difference is relative to the largest entry of the solution; the
+    tolerances are 10 times the largest one measured over the four weight
+    pairs, rounded up (3.2e-12, 6.1e-12, 5.8e-15, 4.7e-15 and 3.5e-16).
+    SuperLU's own solve differs from spsolve by up to 3.1e-12 at 4001 nodes.
+    """
+    mesh = build_mesh(domain, resolution)
+    idx = mesh.interior_nodes
+    rng = np.random.default_rng(7)
+    stack = rng.standard_normal((mesh.n_nodes, 6))
+    for alpha, beta in [(1e-3, 1.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)]:
+        pre = InteriorSolver(mesh, alpha=alpha, beta=beta)
+        matrix = (alpha * mesh.stiffness + beta * sp.diags(mesh.lumped_mass)).tocsc()
+        matrix = matrix[idx][:, idx]
+        for rhs in stack.T:
+            expected = np.zeros_like(rhs)
+            expected[idx] = spla.spsolve(matrix, rhs[idx])
+            got = pre.apply(rhs)
+            assert np.all(got[mesh.boundary_nodes] == 0.0)
+            assert np.max(np.abs(got - expected)) <= tol * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize(("domain", "resolution", "tol"), [
     (((0.0, 1.0), (0.0, 1.0)), (81, 81), 5e-13),
     (((0.0, 2.0), (-1.0, 0.5)), (31, 17), 2e-13),
     # hx = 0.05 and hy = 1.25e-4: the stencil's weights hx/hy and hy/hx

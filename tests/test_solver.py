@@ -386,6 +386,58 @@ def test_mountain_pass_converges_at_p_below_two():
     assert recheck <= mp.tol_effective
 
 
+@pytest.fixture(scope="module")
+def slow_newton_second_solution():
+    """The converged second solution of 1D (1.5, 2.5, 3.5) on 101 nodes."""
+    spec = ProblemSpec(build_mesh((0.0, 1.0), 101), Exponents(1.5, 2.5, 3.5), 1e-3,
+                       ONE, ONE)
+    mp = solve_mountain_pass(spec, solve_ground_state(spec, random_restarts=0))
+    assert mp.converged
+    return spec, mp
+
+
+@pytest.mark.parametrize(("mode", "ratios"), [(3, (0.5, 0.7)), (5, (1.2, 1.6))],
+                         ids=["slow_step", "overshoot"])
+def test_damped_newton_converges_from_a_perturbed_second_solution(
+        slow_newton_second_solution, mode, ratios):
+    """Damped Newton from the second solution plus 1% of its maximum times
+    sin(mode pi x), at p = 1.5.
+
+    The full first step lowers the residual max-norm by a factor of 0.60
+    (mode 3), so not by half, or raises it by 1.39 (mode 5); either way the
+    norm stays far above the tolerance.  Newton must neither stop there nor
+    take the overshooting step, and must converge back to the second
+    solution.
+    """
+    import scipy.sparse.linalg as spla
+
+    from pfiber.functionals import _jacobian
+    from pfiber.solver import _newton
+
+    spec, mp = slow_newton_second_solution
+    x = spec.mesh.nodes[:, 0]
+    start = mp.field.values + 0.01 * mp.field.values.max() * np.sin(mode * np.pi * x)
+    start[spec.mesh.boundary_nodes] = 0.0
+
+    def residual(values):
+        return weak_residual(DiscreteField(spec.mesh, values), spec).values
+
+    idx = spec.mesh.interior_nodes
+    full = start.copy()
+    full[idx] -= spla.spsolve(_jacobian(start, spec), residual(start)[idx])
+    full_norm = np.max(np.abs(residual(full)))
+    assert ratios[0] < full_norm / np.max(np.abs(residual(start))) < ratios[1]
+    assert full_norm > 100.0 * mp.tol_effective
+
+    found = _newton(start, spec, 1e-8)
+    assert found is not None
+    values, energy, steps = found
+    assert 1 < steps <= 10
+    assert np.max(np.abs(residual(values))) <= mp.tol_effective
+    assert abs(energy - mp.energy) <= 1e-12 * mp.energy
+    assert np.max(np.abs(values - mp.field.values)) <= 1e-6 * mp.field.values.max()
+
+
 def test_mountain_pass_2d_p3_bump():
     """Second solution on a square with p = 3 and a bump gain coefficient.
 
