@@ -24,9 +24,12 @@ Every function here wraps one private kernel, ``_evaluate``: it returns the
 energy of a field and a ``_State`` holding the gradients and quadrature
 powers, from which the weak forms are assembled without a second pass over
 the field.  ``_energy_change`` gives the energy difference of two fields
-without the cancellation of subtracting two rounded energies, and
-``_jacobian`` assembles the interior Jacobian of the weak residual for the
-mountain pass's Newton finish.
+without the cancellation of subtracting two rounded energies.
+``_jacobian`` assembles the sparse interior Jacobian of the weak residual,
+which the mountain pass's Newton finish factors in 2D, and
+``_jacobian_band`` its three diagonals, which the finish solves on an
+interval; both take the element block and the quadrature slope from
+``_hessian_blocks`` and ``_slope``.
 """
 
 from dataclasses import dataclass
@@ -177,35 +180,71 @@ def _residual(state: _State, spec: ProblemSpec) -> np.ndarray:
     return out
 
 
+def _hessian_blocks(grads: np.ndarray, p: float) -> np.ndarray:
+    """Element blocks H = |g|^(p-2) (I + (p-2) g g^T / |g|^2) of the flux's derivative.
+
+    |g|^2 is regularized by delta_reg(p)^2, and (p-2) / |g|^2 is 0 where
+    |g|^2 = 0, so for p > 2 an element with g = 0 gets H = 0, the limit of
+    the block.  Shape (n_el, dim, dim).
+    """
+    n_el, dim = grads.shape
+    blocks = np.broadcast_to(np.eye(dim), (n_el, dim, dim))
+    if p != 2.0:
+        norm_sq = squared_norms(grads) + delta_reg(p) ** 2
+        inv = np.divide(p - 2.0, norm_sq, out=np.zeros_like(norm_sq), where=norm_sq > 0.0)
+        blocks = blocks + inv[:, None, None] * grads[:, :, None] * grads[:, None, :]
+        blocks = blocks * (norm_sq ** ((p - 2.0) / 2.0))[:, None, None]
+    return blocks
+
+
+def _slope(values: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+    """f'(v) = a (q-1) |v|^(q-2) - b (gamma-1) |v|^(gamma-2) on the quadrature cloud."""
+    ex = spec.exponents
+    absqp = np.abs(spec.mesh.values_at_qp(values))
+    with np.errstate(divide="ignore"):    # q < 2 makes f'(0) infinite
+        return ((ex.q - 1.0) * spec.a_qp * absqp ** (ex.q - 2.0)
+                - (ex.gamma - 1.0) * spec.b_qp * absqp ** (ex.gamma - 2.0))
+
+
 def _jacobian(values: np.ndarray, spec: ProblemSpec) -> sp.csc_matrix:
     """Interior Jacobian of the plain weak residual at the nodal field ``values``.
 
-    eps * G^T (M H) G - (W B)^T diag(f'(|v|)) B on interior rows and columns,
-    where H is the element block |g|^(p-2) (I + (p-2) g g^T / |g|^2) with
-    |g|^2 regularized by delta_reg(p)^2, and
-    f'(v) = a (q-1) v^(q-2) - b (gamma-1) v^(gamma-2).  For p > 2 an element
-    with g = 0 gets H = 0, the limit of the block.
+    eps * G^T (M H) G - (W B)^T diag(f') B on interior rows and columns,
+    with H the _hessian_blocks and f' the _slope.  The 2D Newton step
+    factors it by SuperLU; on an interval _jacobian_band gives the same
+    matrix as its three diagonals.
     """
     mesh = spec.mesh
-    ex = spec.exponents
     grads = mesh.gradients(values)
     n_el, dim = grads.shape
-    blocks = np.broadcast_to(np.eye(dim), (n_el, dim, dim))
-    if ex.p != 2.0:
-        norm_sq = squared_norms(grads) + delta_reg(ex.p) ** 2
-        inv = np.divide(ex.p - 2.0, norm_sq, out=np.zeros_like(norm_sq), where=norm_sq > 0.0)
-        blocks = blocks + inv[:, None, None] * grads[:, :, None] * grads[:, None, :]
-        blocks = blocks * (norm_sq ** ((ex.p - 2.0) / 2.0))[:, None, None]
-    flux = sp.bsr_matrix((blocks, np.arange(n_el), np.arange(n_el + 1)),
-                         shape=(n_el * dim, n_el * dim))
-    absqp = np.abs(mesh.values_at_qp(values)).ravel()
-    with np.errstate(divide="ignore"):    # q < 2 makes f'(0) infinite
-        slope = ((ex.q - 1.0) * spec.a_qp.ravel() * absqp ** (ex.q - 2.0)
-                 - (ex.gamma - 1.0) * spec.b_qp.ravel() * absqp ** (ex.gamma - 2.0))
+    flux = sp.bsr_matrix((_hessian_blocks(grads, spec.exponents.p), np.arange(n_el),
+                          np.arange(n_el + 1)), shape=(n_el * dim, n_el * dim))
+    slope = sp.diags(_slope(values, spec).ravel())
     jac = (spec.epsilon * (mesh._flux_assembly @ (flux @ mesh.gradient_operator))
-           - mesh._point_assembly @ (sp.diags(slope) @ mesh.qp_operator))
+           - mesh._point_assembly @ (slope @ mesh.qp_operator))
     idx = mesh.interior_nodes
     return jac[idx][:, idx].tocsc()
+
+
+def _jacobian_band(values: np.ndarray, spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(diagonal, off-diagonal) of _jacobian on an interval, from element quantities.
+
+    Element e couples its vertices e and e + 1 by
+    eps |e| H_e grad hat_i grad hat_j - sum_qp w f'(v) hat_i hat_j, with H
+    the _hessian_blocks and f' the _slope.  Interior node i sums the
+    entries of elements i - 1 and i; the matrix is symmetric, so one
+    off-diagonal, of the n - 3 interior pairs, serves both sides.
+    """
+    mesh = spec.mesh
+    flux = (spec.epsilon * mesh.el_measures
+            * _hessian_blocks(mesh.gradients(values), spec.exponents.p)[:, 0, 0])
+    weighted = mesh.qp_weights * _slope(values, spec)
+    basis, grad_basis = mesh.basis_at_qp, mesh.grad_basis[:, :, 0]
+
+    def element(i, j):
+        return flux * grad_basis[:, i] * grad_basis[:, j] - weighted @ (basis[:, i] * basis[:, j])
+
+    return element(1, 1)[:-1] + element(0, 0)[1:], element(0, 1)[1:-1]
 
 
 def _power_change(x: np.ndarray, y: np.ndarray, dx: np.ndarray, e: float) -> np.ndarray:

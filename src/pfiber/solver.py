@@ -14,10 +14,11 @@ the ground state lies.  The peak selection P(u), the maximum along the ray
 of u's positive part, maps onto N-, and the same preconditioned descent
 run on phi o P finds a critical point of Morse index 1 (the local minimax
 method with L = {0}: Li & Zhou, SIAM J. Sci. Comput. 23, 2001).  It starts
-from P(ground state).  Newton's method on the assembled Jacobian then
-finishes the search, and its field is kept only if it lies on N- below the
-starting level.  N- is bounded away from the zero field, so the search
-cannot collapse onto it.
+from P(ground state).  Newton's method on the assembled Jacobian, whose
+three diagonals LAPACK solves on an interval, then finishes the search,
+and its field is kept only if it lies on N- below the starting level.
+N- is bounded away from the zero field, so the search cannot collapse onto
+it.
 
 Both solvers stop on one rule, _tolerance, and finish through one
 re-evaluation, _finish, of the field they return.
@@ -35,6 +36,7 @@ from .functionals import (
     _energy_scale,
     _evaluate,
     _jacobian,
+    _jacobian_band,
     _residual,
     delta_reg,
 )
@@ -297,32 +299,59 @@ def _peak_projection(values: np.ndarray, spec: ProblemSpec) -> np.ndarray | None
     return hi * plus
 
 
+def _newton_step(u: np.ndarray, rhs: np.ndarray, spec: ProblemSpec) -> np.ndarray | None:
+    """The solution of J(u) x = rhs on interior nodes, or None.
+
+    J is the interior Jacobian of the weak residual; None marks a J that is
+    not finite or is exactly singular.  Split per dimension: on an interval
+    J is tridiagonal, and LAPACK's dgtsv solves its _jacobian_band by LU
+    with partial pivoting, with no sparse matrix.  In 2D SuperLU factors
+    the sparse _jacobian.  ``rhs`` is overwritten.
+    """
+    if spec.mesh.dimension == 1:
+        from scipy.linalg import lapack
+
+        diag, off = _jacobian_band(u, spec)
+        if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+            return None
+        # scipy's wrapper wants an off-diagonal of at least one entry, also
+        # for a single interior node, where LAPACK reads none.
+        if off.size == 0:
+            off = np.zeros(1)
+        *_, x, info = lapack.dgtsv(off, diag, off, rhs, overwrite_d=True, overwrite_b=True)
+        return x if info == 0 else None
+    import scipy.sparse.linalg as spla
+
+    jac = _jacobian(u, spec)
+    if not np.all(np.isfinite(jac.data)):
+        return None
+    try:
+        return spla.splu(jac, permc_spec="MMD_AT_PLUS_A").solve(rhs)
+    except RuntimeError:    # singular Jacobian
+        return None
+
+
 def _newton(start: np.ndarray, spec: ProblemSpec, tol_res: float):
     """Damped Newton's method on the plain weak residual from ``start``.
 
-    Each step solves the interior Jacobian of _jacobian by SuperLU, then
+    Each step solves the interior Jacobian by _newton_step, then
     tries the full step and, while the residual max-norm does not fall,
     up to _NEWTON_HALVINGS halvings of it; the first trial that lowers the
     norm is kept.  The iteration stops when no trial lowers the norm, which
     is the rounding floor once it converges, when a kept step does not halve
     the norm and its field meets _tolerance, or after _NEWTON_STEPS steps.
     Returns (values, energy, steps) of the last field kept, ``steps``
-    counting the solves, or None unless that field meets _tolerance.
+    counting the solves, or None unless that field meets _tolerance; also
+    None at a Jacobian that _newton_step cannot solve.
     """
-    import scipy.sparse.linalg as spla
-
     idx = spec.mesh.interior_nodes
     u = _zero_boundary(start, spec.mesh)
     energy, state = _evaluate(u, spec)
     residual = _residual(state, spec)
     res_norm = float(np.max(np.abs(residual)))
     for steps in range(1, _NEWTON_STEPS + 1):
-        jac = _jacobian(u, spec)
-        if not np.all(np.isfinite(jac.data)):
-            return None
-        try:
-            delta = spla.splu(jac, permc_spec="MMD_AT_PLUS_A").solve(residual[idx])
-        except RuntimeError:    # singular Jacobian
+        delta = _newton_step(u, residual[idx], spec)
+        if delta is None:
             return None
         for _ in range(_NEWTON_HALVINGS + 1):
             cand = u.copy()

@@ -46,17 +46,20 @@ def test_cli_import_leaves_solver_backends_unloaded():
     """Every run pays for what ``import pfiber.cli`` loads.
 
     The 2D preconditioner imports ``scipy.fft`` and the 1D one
-    ``scipy.linalg`` when a solver is built, and Newton ``scipy.sparse.linalg``,
-    so a run loads only what it uses, and config errors exit before any loads.
+    ``scipy.linalg`` when a solver is built, and a 2D Newton
+    ``scipy.sparse.linalg``, so a run loads only what it uses, and config
+    errors exit before any loads.
     """
     assert _loaded_backends("import pfiber.cli, sys") == "[]"
 
 
-def test_1d_solve_loads_lapack_but_no_sparse_solver(tmp_path):
-    """A 1D ``solve`` factorizes by LAPACK alone; only Newton, in ``second``,
-    loads ``scipy.sparse.linalg``."""
+@pytest.mark.parametrize("subcommand", ["solve", "second"])
+def test_1d_run_loads_lapack_but_no_sparse_solver(tmp_path, subcommand):
+    """A 1D ``solve`` factorizes by LAPACK alone, and the Newton finish of a
+    1D ``second`` solves its tridiagonal Jacobian by LAPACK too; only a 2D
+    Newton loads ``scipy.sparse.linalg``."""
     script = ("import pfiber.cli, sys; "
-              f"pfiber.cli.run('solve', {TINY!r}, out_dir={str(tmp_path)!r})")
+              f"pfiber.cli.run({subcommand!r}, {TINY!r}, out_dir={str(tmp_path)!r})")
     assert _loaded_backends(script) == "['scipy.linalg']"
 
 

@@ -9,6 +9,7 @@ from pfiber.problem import (
     DiscreteField,
     Exponents,
     ProblemSpec,
+    affine_coefficient,
     build_mesh,
     bump_coefficient,
     constant_coefficient,
@@ -436,6 +437,108 @@ def test_damped_newton_converges_from_a_perturbed_second_solution(
     assert np.max(np.abs(residual(values))) <= mp.tol_effective
     assert abs(energy - mp.energy) <= 1e-12 * mp.energy
     assert np.max(np.abs(values - mp.field.values)) <= 1e-6 * mp.field.values.max()
+
+
+@pytest.mark.parametrize(("p", "flat"), [(1.5, False), (2.0, False), (3.0, False), (3.0, True)],
+                         ids=["p1.5", "p2", "p3", "p3_flat"])
+def test_newton_band_matches_the_sparse_jacobian(p, flat):
+    """On an interval the band of _jacobian_band is the sparse _jacobian, and
+    the dgtsv step is the sparse LU step.
+
+    101 nodes, (p, p+1, p+2), eps = 1e-2, a = 1 + x/2, at a sign-changing
+    field; with ``flat`` a stretch of 20 nodes carries g = 0, where the
+    p = 3 block is 0.  Measured worst: 2.9e-16 of max |J| on the matrix and
+    6.0e-14 relative on the step.
+    """
+    import scipy.sparse.linalg as spla
+
+    from pfiber.functionals import _jacobian, _jacobian_band
+    from pfiber.solver import _newton_step
+
+    mesh = build_mesh((0.0, 1.0), 101)
+    spec = ProblemSpec(mesh, Exponents(p, p + 1.0, p + 2.0), 1e-2,
+                       affine_coefficient(1.0, [0.5], (0.0, 1.0)), ONE)
+    x = mesh.nodes[:, 0]
+    u = np.sin(3.0 * np.pi * x) * (1.0 + 0.3 * x)
+    if flat:
+        u[40:60] = u[40]
+    u[mesh.boundary_nodes] = 0.0
+    assert u.min() < 0.0 < u.max()
+    assert np.count_nonzero(mesh.gradients(u) == 0.0) == (19 if flat else 0)
+
+    jac = _jacobian(u, spec)
+    diag, off = _jacobian_band(u, spec)
+    band = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    assert np.max(np.abs(jac.toarray() - band)) <= 3e-15 * np.max(np.abs(band))
+
+    rhs = weak_residual(DiscreteField(mesh, u), spec).values[mesh.interior_nodes]
+    expected = spla.spsolve(jac, rhs)
+    step = _newton_step(u, rhs.copy(), spec)
+    assert np.max(np.abs(step - expected)) <= 6e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_newton_on_one_and_two_interior_nodes(n):
+    """Newton on 3 and 4 nodes, where the band has no off-diagonal or one entry.
+
+    (2, 3, 4), eps = 1e-2, a = b = 1.  The symmetric critical point carries
+    one value t on every interior node; its residual is a scalar function
+    of t, whose root brentq brackets on [0.5, 2].  Newton starts from 0.9 t.
+    Measured: the step is 2.0e-16 relative off a dense solve, and Newton
+    lands on the root to every bit; the bound on the latter is brentq's
+    own accuracy, about 4 ulp plus xtol.
+    """
+    from scipy.optimize import brentq
+
+    from pfiber.functionals import _jacobian
+    from pfiber.solver import _newton, _newton_step
+
+    mesh = build_mesh((0.0, 1.0), n)
+    spec = ProblemSpec(mesh, EX, 1e-2, ONE, ONE)
+    idx = mesh.interior_nodes
+
+    def field(t):
+        values = np.zeros(n)
+        values[idx] = t
+        return values
+
+    def residual(values):
+        return weak_residual(DiscreteField(mesh, values), spec).values[idx]
+
+    root = brentq(lambda t: residual(field(t))[0], 0.5, 2.0, xtol=1e-15)
+    start = field(0.9 * root)
+    expected = np.linalg.solve(_jacobian(start, spec).toarray(), residual(start))
+    step = _newton_step(start, residual(start), spec)
+    assert np.max(np.abs(step - expected)) <= 2e-15 * np.max(np.abs(expected))
+
+    found = _newton(start, spec, 1e-8)
+    assert found is not None
+    values, _, steps = found
+    assert 1 < steps <= 10
+    assert np.max(np.abs(values - field(root))) <= 1e-14 * root
+
+
+@pytest.mark.parametrize("domain, resolution", [
+    ((0.0, 1.0), 41),
+    (((0.0, 1.0), (0.0, 1.0)), (9, 8)),
+], ids=["1d", "2d"])
+def test_newton_stops_at_a_singular_jacobian(domain, resolution):
+    """At the zero field with (3, 4, 5) the Jacobian is exactly 0: the p = 3
+    block vanishes with g, and f'(0) = 0 for q > 2.
+
+    _newton returns None, from dgtsv's info > 0 in 1D and from SuperLU's
+    RuntimeError in 2D, not a field.  Ignoring info would return the zero
+    field, since dgtsv then leaves the zero right-hand side as the step.
+    """
+    from pfiber.functionals import _jacobian
+    from pfiber.solver import _newton, _newton_step
+
+    mesh = build_mesh(domain, resolution)
+    spec = ProblemSpec(mesh, Exponents(3.0, 4.0, 5.0), 1e-3, ONE, ONE)
+    zero = np.zeros(mesh.n_nodes)
+    assert not np.any(_jacobian(zero, spec).toarray())
+    assert _newton_step(zero, np.ones(mesh.interior_nodes.size), spec) is None
+    assert _newton(zero, spec, 1e-8) is None
 
 
 def test_mountain_pass_2d_p3_bump():
