@@ -25,17 +25,13 @@ energy of a field and a ``_State`` holding the gradients and quadrature
 powers, from which the weak forms are assembled without a second pass over
 the field.  ``_energy_change`` gives the energy difference of two fields
 without the cancellation of subtracting two rounded energies.
-``_jacobian`` assembles the sparse interior Jacobian of the weak residual,
-which the mountain pass's Newton finish factors in 2D, and
-``_jacobian_band`` its three diagonals, which the finish solves on an
-interval; both take the element block and the quadrature slope from
-``_hessian_blocks`` and ``_slope``.
+``_jacobian_blocks`` gives the element matrices of the weak residual's
+Jacobian, from which the mountain pass's Newton finish sums its matrix.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .problem import DiscreteField, ProblemSpec, _sum_product, squared_norms
 
@@ -180,71 +176,51 @@ def _residual(state: _State, spec: ProblemSpec) -> np.ndarray:
     return out
 
 
-def _hessian_blocks(grads: np.ndarray, p: float) -> np.ndarray:
-    """Element blocks H = |g|^(p-2) (I + (p-2) g g^T / |g|^2) of the flux's derivative.
+def _jacobian_blocks(values: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+    """Element matrices of the weak residual's Jacobian at the nodal field ``values``.
 
-    |g|^2 is regularized by delta_reg(p)^2, and (p-2) / |g|^2 is 0 where
-    |g|^2 = 0, so for p > 2 an element with g = 0 gets H = 0, the limit of
-    the block.  Shape (n_el, dim, dim).
+    Element e couples its vertices i and j by
+    eps |e| grad hat_i . H grad hat_j - sum_qp w f'(v) hat_i hat_j, with the
+    flux block H = |g|^(p-2) (I + (p-2) g g^T / |g|^2) and the slope
+    f'(v) = a (q-1) |v|^(q-2) - b (gamma-1) |v|^(gamma-2).  |g|^2 is
+    regularized by delta_reg(p)^2, and (p-2) / |g|^2 is 0 where |g|^2 = 0,
+    so for p > 2 an element with g = 0 gets H = 0, the limit of the block.
+    f'(0) is infinite for q < 2 (inf - inf for gamma < 2), so a quadrature
+    point where hat_i hat_j = 0 adds nothing to entry (i, j): the mid-edge
+    point of a boundary edge, where v = 0, reaches no interior entry.
+    Shape (n_el, dim + 1, dim + 1), each matrix symmetric.
     """
-    n_el, dim = grads.shape
-    blocks = np.broadcast_to(np.eye(dim), (n_el, dim, dim))
-    if p != 2.0:
-        norm_sq = squared_norms(grads) + delta_reg(p) ** 2
-        inv = np.divide(p - 2.0, norm_sq, out=np.zeros_like(norm_sq), where=norm_sq > 0.0)
-        blocks = blocks + inv[:, None, None] * grads[:, :, None] * grads[:, None, :]
-        blocks = blocks * (norm_sq ** ((p - 2.0) / 2.0))[:, None, None]
-    return blocks
-
-
-def _slope(values: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    """f'(v) = a (q-1) |v|^(q-2) - b (gamma-1) |v|^(gamma-2) on the quadrature cloud."""
+    mesh = spec.mesh
     ex = spec.exponents
-    absqp = np.abs(spec.mesh.values_at_qp(values))
-    with np.errstate(divide="ignore"):    # q < 2 makes f'(0) infinite
-        return ((ex.q - 1.0) * spec.a_qp * absqp ** (ex.q - 2.0)
-                - (ex.gamma - 1.0) * spec.b_qp * absqp ** (ex.gamma - 2.0))
-
-
-def _jacobian(values: np.ndarray, spec: ProblemSpec) -> sp.csc_matrix:
-    """Interior Jacobian of the plain weak residual at the nodal field ``values``.
-
-    eps * G^T (M H) G - (W B)^T diag(f') B on interior rows and columns,
-    with H the _hessian_blocks and f' the _slope.  The 2D Newton step
-    factors it by SuperLU; on an interval _jacobian_band gives the same
-    matrix as its three diagonals.
-    """
-    mesh = spec.mesh
     grads = mesh.gradients(values)
-    n_el, dim = grads.shape
-    flux = sp.bsr_matrix((_hessian_blocks(grads, spec.exponents.p), np.arange(n_el),
-                          np.arange(n_el + 1)), shape=(n_el * dim, n_el * dim))
-    slope = sp.diags(_slope(values, spec).ravel())
-    jac = (spec.epsilon * (mesh._flux_assembly @ (flux @ mesh.gradient_operator))
-           - mesh._point_assembly @ (slope @ mesh.qp_operator))
-    idx = mesh.interior_nodes
-    return jac[idx][:, idx].tocsc()
+    dim = mesh.dimension
+    # Elements run along the last axis, (row, column, element), so every
+    # product is contiguous; the matrices return as a transposed view.
+    flux = np.eye(dim)[:, :, None]
+    if ex.p != 2.0:
+        g = grads.T
+        norm_sq = squared_norms(grads) + delta_reg(ex.p) ** 2
+        inv = np.divide(ex.p - 2.0, norm_sq, out=np.zeros_like(norm_sq), where=norm_sq > 0.0)
+        flux = (flux + inv * g[:, None] * g[None, :]) * norm_sq ** ((ex.p - 2.0) / 2.0)
+    grad_basis = np.ascontiguousarray(mesh.grad_basis.transpose(1, 2, 0))
+    blocks = np.einsum("iae,abe,jbe->ije", grad_basis,
+                       spec.epsilon * mesh.el_measures * flux, grad_basis)
 
-
-def _jacobian_band(values: np.ndarray, spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(diagonal, off-diagonal) of _jacobian on an interval, from element quantities.
-
-    Element e couples its vertices e and e + 1 by
-    eps |e| H_e grad hat_i grad hat_j - sum_qp w f'(v) hat_i hat_j, with H
-    the _hessian_blocks and f' the _slope.  Interior node i sums the
-    entries of elements i - 1 and i; the matrix is symmetric, so one
-    off-diagonal, of the n - 3 interior pairs, serves both sides.
-    """
-    mesh = spec.mesh
-    flux = (spec.epsilon * mesh.el_measures
-            * _hessian_blocks(mesh.gradients(values), spec.exponents.p)[:, 0, 0])
-    weighted = mesh.qp_weights * _slope(values, spec)
-    basis, grad_basis = mesh.basis_at_qp, mesh.grad_basis[:, :, 0]
-
-    def element(i, j):
-        return flux * grad_basis[:, i] * grad_basis[:, j] - weighted @ (basis[:, i] * basis[:, j])
-
-    return element(1, 1)[:-1] + element(0, 0)[1:], element(0, 1)[1:-1]
+    absqp = np.abs(mesh.values_at_qp(values))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = ((ex.q - 1.0) * spec.a_qp * absqp ** (ex.q - 2.0)
+                 - (ex.gamma - 1.0) * spec.b_qp * absqp ** (ex.gamma - 2.0))
+    weighted = mesh.qp_weights * slope
+    products = mesh.basis_at_qp.T[:, None] * mesh.basis_at_qp.T[None, :]
+    for i in range(dim + 1):
+        for j in range(i, dim + 1):
+            seen = products[i, j] != 0.0
+            # Indexing copies the columns in Fortran order, which BLAS sums
+            # in another order; a product nonzero at every point is unindexed.
+            blocks[i, j] -= (weighted @ products[i, j] if seen.all()
+                             else weighted[:, seen] @ products[i, j, seen])
+            blocks[j, i] = blocks[i, j]
+    return blocks.transpose(2, 0, 1)
 
 
 def _power_change(x: np.ndarray, y: np.ndarray, dx: np.ndarray, e: float) -> np.ndarray:

@@ -412,14 +412,8 @@ class DiscreteField:
     def __setattr__(self, name, value):
         raise AttributeError("DiscreteField is immutable")
 
-    def with_values(self, values: np.ndarray) -> "DiscreteField":
-        return DiscreteField(self.mesh, values)
-
     def scaled(self, factor: float) -> "DiscreteField":
         return DiscreteField(self.mesh, factor * self.values)
-
-    def positive_part(self) -> "DiscreteField":
-        return DiscreteField(self.mesh, np.maximum(self.values, 0.0))
 
     def max_boundary_value(self) -> float:
         if self.mesh.boundary_nodes.size == 0:

@@ -14,9 +14,9 @@ the ground state lies.  The peak selection P(u), the maximum along the ray
 of u's positive part, maps onto N-, and the same preconditioned descent
 run on phi o P finds a critical point of Morse index 1 (the local minimax
 method with L = {0}: Li & Zhou, SIAM J. Sci. Comput. 23, 2001).  It starts
-from P(ground state).  Newton's method on the assembled Jacobian, whose
-three diagonals LAPACK solves on an interval, then finishes the search,
-and its field is kept only if it lies on N- below the starting level.
+from P(ground state).  Newton's method on the Jacobian, summed from one
+set of element matrices in 1D and 2D, then finishes the search, and its
+field is kept only if it lies on N- below the starting level.
 N- is bounded away from the zero field, so the search cannot collapse onto
 it.
 
@@ -35,8 +35,7 @@ from .functionals import (
     _energy_change,
     _energy_scale,
     _evaluate,
-    _jacobian,
-    _jacobian_band,
+    _jacobian_blocks,
     _residual,
     delta_reg,
 )
@@ -302,16 +301,19 @@ def _peak_projection(values: np.ndarray, spec: ProblemSpec) -> np.ndarray | None
 def _newton_step(u: np.ndarray, rhs: np.ndarray, spec: ProblemSpec) -> np.ndarray | None:
     """The solution of J(u) x = rhs on interior nodes, or None.
 
-    J is the interior Jacobian of the weak residual; None marks a J that is
-    not finite or is exactly singular.  Split per dimension: on an interval
-    J is tridiagonal, and LAPACK's dgtsv solves its _jacobian_band by LU
-    with partial pivoting, with no sparse matrix.  In 2D SuperLU factors
-    the sparse _jacobian.  ``rhs`` is overwritten.
+    J is the interior Jacobian of the weak residual, summed from the
+    _jacobian_blocks; None marks a J that is not finite or is exactly
+    singular.  On an interval J is tridiagonal: node i sums elements i - 1
+    and i, and LAPACK's dgtsv solves it by LU with partial pivoting.  In 2D
+    SuperLU factors J as one sparse matrix.  ``rhs`` is overwritten.
     """
-    if spec.mesh.dimension == 1:
+    mesh = spec.mesh
+    blocks = _jacobian_blocks(u, spec)
+    if mesh.dimension == 1:
         from scipy.linalg import lapack
 
-        diag, off = _jacobian_band(u, spec)
+        diag = blocks[:-1, 1, 1] + blocks[1:, 0, 0]
+        off = blocks[1:-1, 0, 1]
         if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
             return None
         # scipy's wrapper wants an off-diagonal of at least one entry, also
@@ -320,9 +322,16 @@ def _newton_step(u: np.ndarray, rhs: np.ndarray, spec: ProblemSpec) -> np.ndarra
             off = np.zeros(1)
         *_, x, info = lapack.dgtsv(off, diag, off, rhs, overwrite_d=True, overwrite_b=True)
         return x if info == 0 else None
+    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    jac = _jacobian(u, spec)
+    n = mesh.interior_nodes.size
+    position = np.full(mesh.n_nodes, -1)
+    position[mesh.interior_nodes] = np.arange(n)
+    vertex = position[mesh.elements]
+    rows, cols = np.broadcast_arrays(vertex[:, :, None], vertex[:, None, :])
+    keep = (rows >= 0) & (cols >= 0)
+    jac = sp.csc_matrix((blocks[keep], (rows[keep], cols[keep])), shape=(n, n))
     if not np.all(np.isfinite(jac.data)):
         return None
     try:

@@ -164,7 +164,7 @@ def test_phi_plus_mixed_sign_matches_direct_composition():
     spec = model_spec(n=61, epsilon=0.3)
     rng = np.random.default_rng(16)
     u = random_zero_trace(spec, rng, -1.0, 1.0)
-    plus = u.positive_part()
+    plus = DiscreteField(u.mesh, np.maximum(u.values, 0.0))
     full = energy_components(u, spec)
     pos = energy_components(plus, spec)
     ex = spec.exponents
@@ -191,8 +191,8 @@ def test_weak_residual_boundary_entries_are_zero():
 
 
 def fd_directional(energy, u, v, h=1e-6):
-    up = u.with_values(u.values + h * v.values)
-    dn = u.with_values(u.values - h * v.values)
+    up = DiscreteField(u.mesh, u.values + h * v.values)
+    dn = DiscreteField(u.mesh, u.values - h * v.values)
     return (energy(up) - energy(dn)) / (2.0 * h)
 
 
@@ -243,44 +243,96 @@ def test_weak_residual_flat_regions_p_below_two():
     assert np.all(np.isfinite(r.values))
 
 
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-@pytest.mark.parametrize("domain, resolution", [
-    ((0.0, 1.0), 41),
-    (((0.0, 1.0), (0.0, 1.0)), (9, 8)),
-])
-def test_jacobian_matches_central_differences(domain, resolution, p):
-    """The assembled Jacobian against central differences of weak_residual.
+INTERVAL, SQUARE = (0.0, 1.0), ((0.0, 1.0), (0.0, 1.0))
 
-    The field has no zero gradient on an element with an interior vertex, so
-    |g|^(p-2) is smooth wherever the interior Jacobian sees it (an element
-    with only boundary vertices, as at two corners of the square, carries
-    g = 0), and the gain coefficient varies in space.  Measured difference at step
-    1e-6: at most 8.8e-9 of max |J| (1D, p = 1.5), 1.3e-10 elsewhere.
+# Relative bounds of the interior matrix and of the Newton step against
+# central differences, per field; see test_jacobian_matches_central_differences.
+JACOBIAN_BOUNDS = {"smooth": (1e-7, 2e-7), "sign_changing": (5e-7, 2e-7), "flat": (2e-5, 2e-3)}
+
+
+def interior_matrix(mesh, blocks):
+    """The interior Jacobian summed entry by entry from the element matrices."""
+    position = {node: k for k, node in enumerate(mesh.interior_nodes)}
+    jac = np.zeros((len(position),) * 2)
+    for element, block in zip(mesh.elements, blocks):
+        for a, i in enumerate(element):
+            for b, j in enumerate(element):
+                if i in position and j in position:
+                    jac[position[i], position[j]] += block[a, b]
+    return jac
+
+
+@pytest.mark.parametrize(("domain", "resolution", "exponents", "field"), [
+    *[pytest.param(INTERVAL, 41, (p, p + 1.0, p + 2.0), "smooth", id=f"domain0-41-{p}")
+      for p in (1.5, 2.0, 3.0)],
+    *[pytest.param(SQUARE, (9, 8), (p, p + 1.0, p + 2.0), "smooth",
+                   id=f"domain1-resolution1-{p}") for p in (1.5, 2.0, 3.0)],
+    *[pytest.param(INTERVAL, 101, (p, p + 1.0, p + 2.0), "sign_changing",
+                   id=f"sign_changing-{p}") for p in (1.5, 2.0, 3.0)],
+    pytest.param(INTERVAL, 101, (3.0, 4.0, 5.0), "flat", id="p3_flat"),
+    pytest.param(SQUARE, (9, 8), (1.2, 1.5, 1.8), "smooth", id="square-p1.2-q1.5-gamma1.8"),
+])
+def test_jacobian_matches_central_differences(domain, resolution, exponents, field):
+    """The interior Jacobian, summed here from _jacobian_blocks, against central
+    differences of weak_residual; and the Newton step x = J^-1 r, against
+    central differences of the residual along x.
+
+    eps = 1e-2 and a = 1 + x/2 (+ y/2).  The smooth fields have no zero
+    gradient on an element with an interior vertex, so |g|^(p-2) is smooth
+    wherever the interior Jacobian sees it (an element with only boundary
+    vertices, as at two corners of the square, carries g = 0).  The
+    sign-changing field is sin(3 pi x)(1 + 0.3 x); ``flat`` holds it
+    constant on 20 nodes, where the p = 3 block is 0.  On the square with
+    q, gamma < 2, f'(0) is inf - inf at every boundary mid-edge point,
+    which no interior entry may see.  Measured at a step of 1e-6 on the
+    matrix: at most 8.8e-9 of max |J| on smooth fields, 7.1e-8 on the
+    sign-changing one (f'' is singular where v = 0), and 4.1e-6 on the flat
+    one, where the differences of |g| g across g = 0 are off by O(h).  On
+    the step, at 1e-5 of max |u|: at most 2.3e-8 of max |r|, and 7.4e-4 on
+    the flat field.
     """
-    from pfiber.functionals import _jacobian
+    from pfiber.functionals import _jacobian_blocks
+    from pfiber.solver import _newton_step
 
     mesh = build_mesh(domain, resolution)
     dim = mesh.dimension
-    spec = ProblemSpec(mesh, Exponents(p, p + 1.0, p + 2.0), 1e-2,
+    spec = ProblemSpec(mesh, Exponents(*exponents), 1e-2,
                        affine_coefficient(1.0, [0.5] * dim, domain), ONE)
-    if dim == 1:
-        u = make_field(mesh, lambda x: np.sin(np.pi * x) * (1.0 + 0.3 * x) + 0.2 * x * (1.0 - x))
+    x = mesh.nodes[:, 0]
+    if dim == 2:
+        y = mesh.nodes[:, 1]
+        u = np.sin(np.pi * x) * np.sin(np.pi * y) * (1.0 + 0.3 * x + 0.1 * y)
+    elif field == "smooth":
+        u = np.sin(np.pi * x) * (1.0 + 0.3 * x) + 0.2 * x * (1.0 - x)
     else:
-        u = make_field(mesh, lambda x, y: (np.sin(np.pi * x) * np.sin(np.pi * y)
-                                           * (1.0 + 0.3 * x + 0.1 * y)))
+        u = np.sin(3.0 * np.pi * x) * (1.0 + 0.3 * x)
+        if field == "flat":
+            u[40:60] = u[40]
+    u[mesh.boundary_nodes] = 0.0
     seen = np.isin(mesh.elements, mesh.interior_nodes).any(axis=1)
-    assert np.all(np.linalg.norm(mesh.gradients(u.values), axis=1)[seen] > 0.0)
-    jac = _jacobian(u.values, spec).toarray()
+    flat_elements = np.linalg.norm(mesh.gradients(u), axis=1)[seen] == 0.0
+    assert np.count_nonzero(flat_elements) == (19 if field == "flat" else 0)
+    matrix_bound, step_bound = JACOBIAN_BOUNDS[field]
     interior = mesh.interior_nodes
+
+    def residual(values):
+        return weak_residual(DiscreteField(mesh, values), spec).values[interior]
+
+    jac = interior_matrix(mesh, _jacobian_blocks(u, spec))
     h = 1e-6
     fd = np.empty_like(jac)
     for k, i in enumerate(interior):
         step = np.zeros(mesh.n_nodes)
         step[i] = h
-        up = weak_residual(u.with_values(u.values + step), spec).values
-        down = weak_residual(u.with_values(u.values - step), spec).values
-        fd[:, k] = (up - down)[interior] / (2.0 * h)
-    assert np.max(np.abs(jac - fd)) <= 1e-7 * np.max(np.abs(jac))
+        fd[:, k] = (residual(u + step) - residual(u - step)) / (2.0 * h)
+    assert np.max(np.abs(jac - fd)) <= matrix_bound * np.max(np.abs(jac))
+
+    rhs = residual(u)
+    direction = np.zeros(mesh.n_nodes)
+    direction[interior] = _newton_step(u, rhs.copy(), spec)
+    t = 1e-5 * np.max(np.abs(u)) / np.max(np.abs(direction))
+    slope = (residual(u + t * direction) - residual(u - t * direction)) / (2.0 * t)
+    assert np.max(np.abs(slope - rhs)) <= step_bound * np.max(np.abs(rhs))
 
 
 def test_weak_residual_plus_on_signed_fields():

@@ -201,12 +201,6 @@ def test_field_is_immutable():
         u.values[0] = 1.0
 
 
-def test_positive_part_and_abs():
-    mesh = build_mesh((0.0, 1.0), 5)
-    u = DiscreteField(mesh, np.array([0.0, -1.0, 2.0, -3.0, 0.0]))
-    np.testing.assert_array_equal(u.positive_part().values, [0, 0, 2, 0, 0])
-
-
 def test_require_zero_boundary():
     mesh = build_mesh((0.0, 1.0), 5)
     ok = make_field(mesh, lambda x: x * (1 - x))
