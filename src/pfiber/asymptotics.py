@@ -418,18 +418,6 @@ class LayerProfile:
             raise InputError("the layer profile is defined for xi >= 0")
         return np.interp(xi_query, self.xi, self.values, right=1.0)
 
-    def validate(self) -> None:
-        below = self.values < 1.0 - 1e-12
-        diffs = np.diff(self.values)
-        if self.xi[0] == 0.0 and self.values[0] != 0.0:
-            raise InputError("profile must start at U(0) = 0")
-        if np.any(diffs < 0.0):
-            raise InputError("profile values must be nondecreasing")
-        if np.any(diffs[below[:-1]] <= 0.0):
-            raise InputError("profile must be strictly increasing below saturation")
-        if np.any((self.values < 0.0) | (self.values >= 1.0)):
-            raise InputError("profile values must lie in [0, 1)")
-
 
 def layer_profile_1d(q: float, gamma: float, xi_max: float = 40.0,
                      points: int = 401) -> LayerProfile:

@@ -21,12 +21,13 @@ the degenerate gradient factor |g|^(p-2) is evaluated as
 (|g|^2 + delta^2)^((p-2)/2), with delta = delta_reg(p).
 
 Every function here wraps one private kernel, ``_evaluate``: it returns the
-energy of a field and a ``_State`` holding the gradients and quadrature
-powers, from which the weak forms are assembled without a second pass over
-the field.  ``_energy_change`` gives the energy difference of two fields
-without the cancellation of subtracting two rounded energies.
-``_jacobian_blocks`` gives the element matrices of the weak residual's
-Jacobian, from which the mountain pass's Newton finish sums its matrix.
+energy of a field and a ``_State`` holding its element gradients, its
+quadrature values and their powers.  The weak forms and
+``_jacobian_blocks``, the element matrices of the weak residual's Jacobian
+from which the mountain pass's Newton finish sums its matrix, are formed
+from a state.  ``_energy_change``, the energy difference of two fields
+without the cancellation of subtracting two rounded energies, reads the
+newer field's state.  So no field is mapped to its elements twice.
 """
 
 from dataclasses import dataclass
@@ -86,12 +87,14 @@ class _State:
     """What one evaluation of a field computes, kept for its weak forms.
 
     ``grads`` are the element gradients and ``factor`` is |g|^(p-2) for
-    integer p > 2, else None.  At the quadrature points ``signed_q1`` holds
-    |v|^(q-2) v and ``pow_gq`` holds |v|^(gamma-q).
+    integer p > 2, else None.  At the quadrature points ``qp`` holds the
+    values v, ``signed_q1`` |v|^(q-2) v and ``pow_gq`` |v|^(gamma-q); these
+    arrays may share memory, so readers copy before writing.
     """
 
     grads: np.ndarray
     factor: np.ndarray | None
+    qp: np.ndarray
     signed_q1: np.ndarray
     pow_gq: np.ndarray
     comps: EnergyComponents
@@ -145,7 +148,7 @@ def _evaluate(values: np.ndarray, spec: ProblemSpec, grads=None):
     dens *= pow_gq
     loss = _sum_product(spec._weights_b, dens)
     comps = EnergyComponents(dirichlet, gain, loss)
-    return _energy(comps, spec), _State(grads, factor, signed_q1, pow_gq, comps)
+    return _energy(comps, spec), _State(grads, factor, qp, signed_q1, pow_gq, comps)
 
 
 def _flux_form(state: _State, spec: ProblemSpec) -> np.ndarray:
@@ -176,8 +179,8 @@ def _residual(state: _State, spec: ProblemSpec) -> np.ndarray:
     return out
 
 
-def _jacobian_blocks(values: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    """Element matrices of the weak residual's Jacobian at the nodal field ``values``.
+def _jacobian_blocks(state: _State, spec: ProblemSpec) -> np.ndarray:
+    """Element matrices of the weak residual's Jacobian at the field of ``state``.
 
     Element e couples its vertices i and j by
     eps |e| grad hat_i . H grad hat_j - sum_qp w f'(v) hat_i hat_j, with the
@@ -192,7 +195,7 @@ def _jacobian_blocks(values: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """
     mesh = spec.mesh
     ex = spec.exponents
-    grads = mesh.gradients(values)
+    grads = state.grads
     dim = mesh.dimension
     # Elements run along the last axis, (row, column, element), so every
     # product is contiguous; the matrices return as a transposed view.
@@ -206,7 +209,7 @@ def _jacobian_blocks(values: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     blocks = np.einsum("iae,abe,jbe->ije", grad_basis,
                        spec.epsilon * mesh.el_measures * flux, grad_basis)
 
-    absqp = np.abs(mesh.values_at_qp(values))
+    absqp = np.abs(state.qp)
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = ((ex.q - 1.0) * spec.a_qp * absqp ** (ex.q - 2.0)
                  - (ex.gamma - 1.0) * spec.b_qp * absqp ** (ex.gamma - 2.0))
@@ -249,14 +252,16 @@ def _power_change(x: np.ndarray, y: np.ndarray, dx: np.ndarray, e: float) -> np.
     return np.where(pos, y**e * np.expm1(e * rel), x**e)
 
 
-def _energy_change(old: np.ndarray, new: np.ndarray, step: float, direction: np.ndarray,
+def _energy_change(old: np.ndarray, new_state: _State, step: float, direction: np.ndarray,
                    spec: ProblemSpec) -> float:
     """phi(new) - phi(old) for nodal fields new = old + step * direction, without cancellation.
 
-    The field's changes come from the direction's element gradients and
-    quadrature values, so they are known without rounding.  Each term is a
-    difference of powers formed by _power_change, so the result stays
-    accurate where the two energies agree to every digit.
+    ``new_state`` is the _evaluate state of new, whose gradients and
+    quadrature values are read, not recomputed.  The field's changes come
+    from the direction's element gradients and quadrature values, so they
+    are known without rounding.  Each term is a difference of powers formed
+    by _power_change, so the result stays accurate where the two energies
+    agree to every digit.
     """
     mesh = spec.mesh
     ex = spec.exponents
@@ -264,15 +269,15 @@ def _energy_change(old: np.ndarray, new: np.ndarray, step: float, direction: np.
     d_grads = step * mesh.gradients(direction)
     d_sq = squared_norms(d_grads) + 2.0 * np.sum(d_grads * old_grads, axis=1)
     dirichlet = _sum_product(mesh.el_measures, _power_change(
-        squared_norms(mesh.gradients(new)), squared_norms(old_grads), d_sq, ex.p / 2.0))
-    x, y = mesh.values_at_qp(new), mesh.values_at_qp(old)
+        squared_norms(new_state.grads), squared_norms(old_grads), d_sq, ex.p / 2.0))
+    x, y = new_state.qp, mesh.values_at_qp(old)
     # Where the sign holds, |x| - |y| is +-step * B d; where it flips, no
     # digits cancel.
     flips = np.signbit(x) != np.signbit(y)
     dx = np.copysign(1.0, y)
     dx *= mesh.values_at_qp(direction)
     dx *= step
-    x, y = np.abs(x, out=x), np.abs(y, out=y)
+    x, y = np.abs(x), np.abs(y, out=y)    # x copies: the state keeps its qp
     np.subtract(x, y, out=dx, where=flips)
     gain = _sum_product(spec._weights_a, _power_change(x, y, dx, ex.q))
     loss = _sum_product(spec._weights_b, _power_change(x, y, dx, ex.gamma))

@@ -415,18 +415,13 @@ class DiscreteField:
     def scaled(self, factor: float) -> "DiscreteField":
         return DiscreteField(self.mesh, factor * self.values)
 
-    def max_boundary_value(self) -> float:
-        if self.mesh.boundary_nodes.size == 0:
-            return 0.0
-        return float(np.max(np.abs(self.values[self.mesh.boundary_nodes])))
-
     def require_mesh(self, mesh: Mesh, what: str = "field") -> None:
         # A uniform mesh is fixed by its bounds and node counts.
         if (self.mesh.bounds, self.mesh.resolution) != (mesh.bounds, mesh.resolution):
             raise InputError(f"{what} must live on the problem's mesh")
 
     def require_zero_boundary(self, what: str = "field") -> None:
-        worst = self.max_boundary_value()
+        worst = float(np.max(np.abs(self.values[self.mesh.boundary_nodes])))
         if worst > _BOUNDARY_TOL:
             raise ContractViolation(
                 f"{what} must vanish on the boundary; largest boundary value {worst:g}"

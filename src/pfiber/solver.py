@@ -30,16 +30,18 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .functionals import (
+    EnergyComponents,
     energy_components,
     membership_tolerance,
     _energy_change,
     _energy_scale,
     _evaluate,
+    _State,
     _jacobian_blocks,
     _residual,
     delta_reg,
 )
-from .linalg import InteriorSolver, descend, stalled
+from .linalg import InteriorSolver, armijo, descend, stalled
 from .problem import DiscreteField, Mesh, ProblemSpec
 from .rayleigh import fiber_scalings
 
@@ -62,10 +64,8 @@ _FLAT_STEPS = 10
 _RESOLUTION = 1e-13
 
 # Newton takes at most _NEWTON_STEPS steps: from the descent field on the
-# test and benchmark models it stops after 1 to 8.  A step whose full length
-# does not lower the residual max-norm is halved up to _NEWTON_HALVINGS times.
+# test and benchmark models it stops after 1 to 8.
 _NEWTON_STEPS = 10
-_NEWTON_HALVINGS = 3
 
 # Largest Nehari defect, relative to eps T + A + B, of a Newton field that
 # the mountain pass accepts as lying on N-.  Accepted fields on the test and
@@ -143,7 +143,7 @@ def _descend(start: np.ndarray, spec: ProblemSpec, pre: InteriorSolver,
         change = cand_energy - energy
         if (d is not None and project is None
                 and abs(change) <= _RESOLUTION * _energy_scale(state.comps, spec)):
-            change = _energy_change(u, cand, -t, d, spec)
+            change = _energy_change(u, state, -t, d, spec)
         return change, cand, state
 
     def stop(trace):
@@ -298,17 +298,18 @@ def _peak_projection(values: np.ndarray, spec: ProblemSpec) -> np.ndarray | None
     return hi * plus
 
 
-def _newton_step(u: np.ndarray, rhs: np.ndarray, spec: ProblemSpec) -> np.ndarray | None:
+def _newton_step(state: _State, rhs: np.ndarray, spec: ProblemSpec) -> np.ndarray | None:
     """The solution of J(u) x = rhs on interior nodes, or None.
 
-    J is the interior Jacobian of the weak residual, summed from the
-    _jacobian_blocks; None marks a J that is not finite or is exactly
-    singular.  On an interval J is tridiagonal: node i sums elements i - 1
-    and i, and LAPACK's dgtsv solves it by LU with partial pivoting.  In 2D
-    SuperLU factors J as one sparse matrix.  ``rhs`` is overwritten.
+    J is the interior Jacobian of the weak residual at the field u whose
+    _evaluate state is ``state``, summed from _jacobian_blocks(state); None
+    marks a J that is not finite or is exactly singular.  On an interval J
+    is tridiagonal: node i sums elements i - 1 and i, and LAPACK's dgtsv
+    solves it by LU with partial pivoting.  In 2D SuperLU factors J as one
+    sparse matrix.  ``rhs`` is overwritten.
     """
     mesh = spec.mesh
-    blocks = _jacobian_blocks(u, spec)
+    blocks = _jacobian_blocks(state, spec)
     if mesh.dimension == 1:
         from scipy.linalg import lapack
 
@@ -343,48 +344,52 @@ def _newton_step(u: np.ndarray, rhs: np.ndarray, spec: ProblemSpec) -> np.ndarra
 def _newton(start: np.ndarray, spec: ProblemSpec, tol_res: float):
     """Damped Newton's method on the plain weak residual from ``start``.
 
-    Each step solves the interior Jacobian by _newton_step, then
-    tries the full step and, while the residual max-norm does not fall,
-    up to _NEWTON_HALVINGS halvings of it; the first trial that lowers the
-    norm is kept.  The iteration stops when no trial lowers the norm, which
-    is the rounding floor once it converges, when a kept step does not halve
-    the norm and its field meets _tolerance, or after _NEWTON_STEPS steps.
-    Returns (values, energy, steps) of the last field kept, ``steps``
-    counting the solves, or None unless that field meets _tolerance; also
-    None at a Jacobian that _newton_step cannot solve.
+    Each step solves the interior Jacobian by _newton_step for delta, and
+    linalg.armijo picks its length t: the trial u - t delta on interior
+    nodes is valued by its residual max-norm, with the norm itself as the
+    slope, so a kept trial lowers the norm by the factor 1 - 1e-4 t
+    (Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM
+    1995, ch. 8).  A trial that is not finite has no value.  The iteration
+    stops when the line search fails, which is the rounding floor once it
+    converges, when a kept step does not halve the norm and its field meets
+    _tolerance, or after _NEWTON_STEPS steps.  Returns (values, energy,
+    components, steps) of the last field kept, ``steps`` counting the
+    solves, or None unless that field meets _tolerance; also None at a
+    Jacobian that _newton_step cannot solve.
     """
     idx = spec.mesh.interior_nodes
     u = _zero_boundary(start, spec.mesh)
     energy, state = _evaluate(u, spec)
     residual = _residual(state, spec)
     res_norm = float(np.max(np.abs(residual)))
+
+    def trial(t):
+        cand = u.copy()
+        cand[idx] -= t * delta
+        if not np.all(np.isfinite(cand)):
+            return None
+        energy, state = _evaluate(cand, spec)
+        residual = _residual(state, spec)
+        return float(np.max(np.abs(residual))), cand, energy, state, residual
+
     for steps in range(1, _NEWTON_STEPS + 1):
-        delta = _newton_step(u, residual[idx], spec)
+        delta = _newton_step(state, residual[idx], spec)
         if delta is None:
             return None
-        for _ in range(_NEWTON_HALVINGS + 1):
-            cand = u.copy()
-            cand[idx] -= delta
-            if not np.all(np.isfinite(cand)):
-                return None
-            cand_energy, state = _evaluate(cand, spec)
-            cand_residual = _residual(state, spec)
-            cand_norm = float(np.max(np.abs(cand_residual)))
-            if cand_norm < res_norm:
-                break
-            delta = 0.5 * delta
-        else:
+        found = armijo(trial, res_norm, -res_norm, 1.0)
+        if found is None:
             break
+        _, cand_norm, u, energy, state, residual = found
         halved = cand_norm <= 0.5 * res_norm
-        u, energy, residual, res_norm = cand, cand_energy, cand_residual, cand_norm
+        res_norm = cand_norm
         if not halved and res_norm <= _tolerance(tol_res, energy):
             break
-    return (u, energy, steps) if res_norm <= _tolerance(tol_res, energy) else None
+    return (u, energy, state.comps, steps) if res_norm <= _tolerance(tol_res, energy) else None
 
 
-def _on_peak_branch(values: np.ndarray, energy: float, path_level: float,
-                    spec: ProblemSpec) -> bool:
-    """Whether Newton's field may replace the descent field.
+def _on_peak_branch(values: np.ndarray, energy: float, comps: EnergyComponents,
+                    path_level: float, spec: ProblemSpec) -> bool:
+    """Whether Newton's field may replace the descent field; ``comps`` are its components.
 
     It must be nonnegative with 0 < energy <= path_level and lie on N-: in
     the notation of _peak_projection, h'(1) < 0 and the Nehari defect
@@ -394,7 +399,6 @@ def _on_peak_branch(values: np.ndarray, energy: float, path_level: float,
     """
     if values.min() < 0.0 or not 0.0 < energy <= path_level:
         return False
-    comps = _evaluate(values, spec)[1].comps
     ex = spec.exponents
     e_t, gain, loss = spec.epsilon * comps.dirichlet, comps.gain, comps.loss
     return (abs(e_t - gain + loss) <= _NEHARI_DEFECT * (e_t + gain + loss)
@@ -438,8 +442,8 @@ def solve_mountain_pass(spec: ProblemSpec, ground_state: SolveReport,
     path_level = trace[0][1]    # the energy of the start
     newton_steps = 0
     found = _newton(values, spec, tol_res)
-    if found is not None and _on_peak_branch(*found[:2], path_level, spec):
-        values, _, newton_steps = found
+    if found is not None and _on_peak_branch(*found[:3], path_level, spec):
+        values, *_, newton_steps = found
     field, energy, res_norm, tol_eff, _ = _finish(values, spec, tol_res)
     return MountainPassReport(
         field=field, energy=energy, path_level=path_level,

@@ -336,18 +336,24 @@ def test_layer_profile_point_value(tanh_profile):
     assert abs(float(tanh_profile.values_at(1.0)) - 0.608859) <= 1e-6
 
 
-def test_layer_profile_shape(tanh_profile):
-    assert tanh_profile.values[0] == 0.0
-    assert 1.0 - tanh_profile.values[-1] < 1e-4
-    tanh_profile.validate()
-    below = tanh_profile.values < 1.0 - 1e-12
-    diffs = np.diff(tanh_profile.values)
+def _assert_profile_shape(prof):
+    """U(0) = 0, nondecreasing, strictly increasing below saturation, in [0, 1)."""
+    assert prof.xi[0] == 0.0 and prof.values[0] == 0.0
+    diffs = np.diff(prof.values)
+    assert np.all(diffs >= 0.0)
+    below = prof.values < 1.0 - 1e-12
     assert np.all(diffs[below[:-1]] > 0.0)
+    assert np.all((prof.values >= 0.0) & (prof.values < 1.0))
+
+
+def test_layer_profile_shape(tanh_profile):
+    _assert_profile_shape(tanh_profile)
+    assert 1.0 - tanh_profile.values[-1] < 1e-4
 
 
 def test_layer_profile_general_exponents():
     prof = layer_profile_1d(3.0, 4.0)
-    prof.validate()
+    _assert_profile_shape(prof)
     assert 1.0 - prof.values[-1] < 1e-4
 
 
@@ -368,7 +374,7 @@ def test_layer_profile_input_checks():
 def test_layer_profile_table_doubling():
     """Past s = 64 the table grows by doubling panels, a bounded number of times."""
     prof = layer_profile_1d(2.0, 4.0, xi_max=200.0)
-    prof.validate()
+    _assert_profile_shape(prof)
     below = prof.values <= 0.99
     exact = np.sqrt(2.0) * np.arctanh(prof.values[below])
     assert np.max(np.abs(exact - prof.xi[below])) <= 2e-14   # 1.8e-15 measured
@@ -415,7 +421,7 @@ def _xi_by_quad(q, gamma, u):
 )
 def test_layer_profile_against_independent_xi(q, gamma, reference, tol):
     prof = layer_profile_1d(q, gamma)
-    prof.validate()
+    _assert_profile_shape(prof)
     again = layer_profile_1d(q, gamma)
     assert again.values.tobytes() == prof.values.tobytes()
     keep = (prof.xi > 0.0) & (prof.values <= 0.99)

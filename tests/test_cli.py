@@ -125,6 +125,8 @@ def test_resolve_2d_domain_default_resolution():
         # An absent bound is derived; an explicit null is not a bound.
         ({"coefficients": {"a": {"lower": None}}},
          "'coefficients.a.lower': expected a number"),
+        ({"solver": {"max_iters": 1.5}}, "'solver.max_iters': expected an integer"),
+        ({"solver": {"seed": True}}, "'solver.seed': expected an integer"),
     ],
 )
 def test_resolve_rejects_bad_config(raw, fragment):
@@ -367,6 +369,16 @@ def test_thresholds_reports_capped_restarts(tmp_path, capsys):
     data = json.loads((tmp_path / "free" / "thresholds.json").read_text())
     assert data["capped_restarts"] == 0
     assert capsys.readouterr().err == ""
+
+
+def test_thresholds_with_zero_gain_exits_4_without_artifact(tmp_path, capsys):
+    """With a = 0 no restart has a positive gain: a numerical failure, exit 4."""
+    cfg = model_config(resolution=41, thresholds={"restarts": 2},
+                       coefficients={"a": {"kind": "constant", "value": 0.0}})
+    out = tmp_path / "run"
+    assert run("thresholds", cfg, out_dir=out) == 4
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (out / "thresholds.json").exists()
 
 
 def test_thresholds_ratio_matches_constants(thresholds_doc):

@@ -349,7 +349,8 @@ def test_mountain_pass_keeps_the_descent_field_when_newton_is_refused(
     assert energy > 0.0
     if newton == "above_level":
         assert energy > finished.path_level
-    monkeypatch.setattr(pfiber.solver, "_newton", lambda *args: (values, energy, 3))
+    comps = energy_components(DiscreteField(mesh, values), spec)
+    monkeypatch.setattr(pfiber.solver, "_newton", lambda *args: (values, energy, comps, 3))
     mp = solve_mountain_pass(spec, gs, tol_res=1e-8)
     assert mp.newton_steps == 0
     np.testing.assert_array_equal(mp.field.values, descent.field.values)
@@ -410,6 +411,7 @@ def test_damped_newton_converges_from_a_perturbed_second_solution(
     take the overshooting step, and must converge back to the second
     solution.
     """
+    from pfiber.functionals import _evaluate
     from pfiber.solver import _newton, _newton_step
 
     spec, mp = slow_newton_second_solution
@@ -422,14 +424,14 @@ def test_damped_newton_converges_from_a_perturbed_second_solution(
 
     idx = spec.mesh.interior_nodes
     full = start.copy()
-    full[idx] -= _newton_step(start, residual(start)[idx], spec)
+    full[idx] -= _newton_step(_evaluate(start, spec)[1], residual(start)[idx], spec)
     full_norm = np.max(np.abs(residual(full)))
     assert ratios[0] < full_norm / np.max(np.abs(residual(start))) < ratios[1]
     assert full_norm > 100.0 * mp.tol_effective
 
     found = _newton(start, spec, 1e-8)
     assert found is not None
-    values, energy, steps = found
+    values, energy, _, steps = found
     assert 1 < steps <= 10
     assert np.max(np.abs(residual(values))) <= mp.tol_effective
     assert abs(energy - mp.energy) <= 1e-12 * mp.energy
@@ -451,6 +453,7 @@ def test_newton_on_one_and_two_interior_nodes(n):
     """
     from scipy.optimize import brentq
 
+    from pfiber.functionals import _evaluate
     from pfiber.solver import _newton, _newton_step
 
     mesh = build_mesh((0.0, 1.0), n)
@@ -469,14 +472,14 @@ def test_newton_on_one_and_two_interior_nodes(n):
     start = field(0.9 * root)
     rhs = residual(start)
     direction = np.zeros(n)
-    direction[idx] = _newton_step(start, rhs.copy(), spec)
+    direction[idx] = _newton_step(_evaluate(start, spec)[1], rhs.copy(), spec)
     t = 1e-5 * start.max() / np.max(np.abs(direction))
     slope = (residual(start + t * direction) - residual(start - t * direction)) / (2.0 * t)
     assert np.max(np.abs(slope - rhs)) <= 1e-9 * np.max(np.abs(rhs))
 
     found = _newton(start, spec, 1e-8)
     assert found is not None
-    values, _, steps = found
+    values, *_, steps = found
     assert 1 < steps <= 10
     assert np.max(np.abs(values - field(root))) <= 1e-14 * root
 
@@ -493,14 +496,15 @@ def test_newton_stops_at_a_singular_jacobian(domain, resolution):
     RuntimeError in 2D, not a field.  Ignoring info would return the zero
     field, since dgtsv then leaves the zero right-hand side as the step.
     """
-    from pfiber.functionals import _jacobian_blocks
+    from pfiber.functionals import _evaluate, _jacobian_blocks
     from pfiber.solver import _newton, _newton_step
 
     mesh = build_mesh(domain, resolution)
     spec = ProblemSpec(mesh, Exponents(3.0, 4.0, 5.0), 1e-3, ONE, ONE)
     zero = np.zeros(mesh.n_nodes)
-    assert not np.any(_jacobian_blocks(zero, spec))
-    assert _newton_step(zero, np.ones(mesh.interior_nodes.size), spec) is None
+    state = _evaluate(zero, spec)[1]
+    assert not np.any(_jacobian_blocks(state, spec))
+    assert _newton_step(state, np.ones(mesh.interior_nodes.size), spec) is None
     assert _newton(zero, spec, 1e-8) is None
 
 
