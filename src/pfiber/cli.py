@@ -366,8 +366,8 @@ def _cmd_thresholds(resolved: dict, problem: ProblemSpec, out_dir: Path, svg: bo
     if estimate.capped_restarts:
         print(f"thresholds: {estimate.capped_restarts} of {estimate.restarts_used} "
               f"restarts stopped at thresholds.max_iters = "
-              f"{resolved['thresholds']['max_iters']} before the ascent stalled",
-              file=sys.stderr)
+              f"{resolved['thresholds']['max_iters']} before the ascent reached "
+              f"the rounding floor of log Q or stalled", file=sys.stderr)
     print(f"thresholds: critical {estimate.eps_critical:.12g}, "
           f"two-solutions {estimate.eps_two_solutions:.12g}")
     return 0

@@ -166,8 +166,15 @@ def _flux_form(state: _State, spec: ProblemSpec) -> np.ndarray:
 
 def _point_form(state: _State, spec: ProblemSpec, gain_weight: float = 1.0,
                 loss_weight: float = 1.0) -> np.ndarray:
-    """Assembled gain_weight * a|v|^(q-2)v - loss_weight * b|v|^(gamma-2)v, one pass."""
-    density = gain_weight * spec.a_qp - loss_weight * spec.b_qp * state.pow_gq
+    """Assembled gain_weight * a|v|^(q-2)v - loss_weight * b|v|^(gamma-2)v, one pass.
+
+    A unit weight multiplies nothing, and the density is formed in the one
+    array that the loss term allocates.
+    """
+    loss = spec.b_qp if loss_weight == 1.0 else loss_weight * spec.b_qp
+    density = loss * state.pow_gq
+    gain = spec.a_qp if gain_weight == 1.0 else gain_weight * spec.a_qp
+    np.subtract(gain, density, out=density)
     density *= state.signed_q1
     return spec.mesh.assemble_point_term(density)
 

@@ -138,7 +138,8 @@ def armijo(trial, value: float, slope: float, step: float):
 
 
 def descend(start: np.ndarray, evaluate, gradient, stop, pre: InteriorSolver,
-            max_iters: int, relative: bool = False):
+            max_iters: int, relative: bool = False, step: float = 1.0,
+            resolution: float = 0.0):
     """Preconditioned Armijo descent of a function f from ``start``.
 
     - ``evaluate(u, t, d, value)`` is (f, field, payload) at the trial field
@@ -151,38 +152,48 @@ def descend(start: np.ndarray, evaluate, gradient, stop, pre: InteriorSolver,
     - ``gradient(payload)`` is the nodal gradient of f at an accepted field.
     - ``stop(trace)`` is the stop rule at an accepted field.
 
-    Each line search goes along -preconditioned_direction from secant_step,
-    or from twice the last accepted step where there is no secant.  Only
-    the field outlives its gradient, and the start is evaluated here: a
-    payload kept through the line search would fragment the heap, and the
-    peak RSS would grow with every descent.
+    Each line search goes along -preconditioned_direction.  The first
+    starts from ``step``; each later one from secant_step, or from twice
+    the last accepted step where there is no secant.  With a positive
+    ``resolution`` the descent also stops where the secant model of f
+    along the direction, whose decrease at the trial t is
+    t (grad . P^-1 grad) / 2, cannot lower f by more than
+    resolution (1 + |value|) / 2: a step that small does not show in the
+    rounded values that Armijo compares.  At each accepted field these
+    stops, and a direction that does not descend, come before max_iters
+    ends the descent.  Only the field outlives its gradient, and the start
+    is evaluated here: a payload kept through the line search would
+    fragment the heap, and the peak RSS would grow with every descent.
 
-    Returns (field, value, steps, trace, capped): ``steps`` counts accepted
-    steps, ``trace`` rows are (steps, value, gradient max-norm) at each
-    accepted field, and ``capped`` is True when max_iters ended the
-    descent.  A start without a value returns (start, None, 0, [], False).
+    Returns (field, value, steps, trace, capped, first): ``steps`` counts
+    accepted steps, ``trace`` rows are (steps, value, gradient max-norm)
+    at each accepted field, ``capped`` is True when max_iters ended the
+    descent, and ``first`` is the step the first line search accepted,
+    None where it accepted none.  A start without a value returns
+    (start, None, 0, [], False, None).
     """
     found = evaluate(start, 0.0, None, 0.0)
     if found is None:
-        return start, None, 0, [], False
+        return start, None, 0, [], False, None
     value, u, payload = found
-    step = 1.0
     trace = []
-    prev = None
+    prev = first = None
     for steps in range(max_iters + 1):
         grad = gradient(payload)
         payload = found = None
         trace.append((steps, value, float(np.abs(grad).max())))
         if stop(trace):
             break
-        if steps == max_iters:
-            return u, value, steps, trace, True
         found = preconditioned_direction(pre, grad)
         if found is None:
             break
         d, slope = found
         if prev is not None:
             step = secant_step(u - prev[0], grad - prev[1], d - prev[2], step)
+        if step * slope <= resolution * (1.0 + abs(value)):
+            break
+        if steps == max_iters:
+            return u, value, steps, trace, True, first
         prev = u, grad, d
         found = armijo(lambda t: evaluate(u, t, d, value),
                        0.0 if relative else value, -slope, step)
@@ -190,8 +201,10 @@ def descend(start: np.ndarray, evaluate, gradient, stop, pre: InteriorSolver,
             break
         t, level, u, payload = found
         value = value + level if relative else level
+        if first is None:
+            first = t
         step = min(2.0 * t, MAX_STEP)
-    return u, value, steps, trace, False
+    return u, value, steps, trace, False, first
 
 
 def stalled(trace, steps: int, rel: float = 0.0) -> bool:

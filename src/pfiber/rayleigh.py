@@ -168,8 +168,9 @@ class ThresholdEstimate:
 
     ``eps_critical``      no nontrivial critical points above this value
     ``eps_two_solutions`` two positive solutions below this value
-    ``capped_restarts``   restarts that ran all ``max_iters`` steps without
-                          meeting the stall rule
+    ``capped_restarts``   restarts that ``max_iters`` stopped before the
+                          ascent reached the rounding floor of its value
+                          or stalled
     """
 
     sup_quotient: float
@@ -219,12 +220,15 @@ def _normalize(values: np.ndarray, mesh: Mesh, p: float):
 
 
 def _ascend_log_quotient(start: np.ndarray, spec: ProblemSpec, solver: InteriorSolver,
-                         max_iters: int):
-    """linalg.descend of -_log_quotient; returns (value, field, iters, capped).
+                         max_iters: int, step: float):
+    """linalg.descend of -_log_quotient; returns (value, field, iters, capped, first).
 
     Each trial field is |u - t d| with zero boundary values, renormalized to
-    int |grad u|^p = 1.  The ascent stops after 3 steps in a row that each
-    raise the value by at most 1e-13 (1 + |value|); ``capped`` is True when
+    int |grad u|^p = 1.  The first line search starts from ``step``, and
+    ``first`` is the step it accepted (None if none).  The ascent stops
+    where the secant model cannot raise the value by half its rounding
+    unit, eps_mach (1 + |value|) / 2, or else after 3 steps in a row that
+    each raise it by at most 1e-13 (1 + |value|); ``capped`` is True when
     max_iters stopped it first.  The value is None where the start has none.
     """
     mesh, p = spec.mesh, spec.exponents.p
@@ -236,10 +240,12 @@ def _ascend_log_quotient(start: np.ndarray, spec: ProblemSpec, solver: InteriorS
         found = _log_quotient(cand, grads, spec)
         return None if found is None else (-found[0], cand, found[1])
 
-    u, neg_value, iters, _, capped = descend(
+    u, neg_value, iters, _, capped, first = descend(
         start, evaluate, lambda state: -_log_quotient_gradient(state, spec),
-        lambda trace: stalled(trace, 3, 1e-13), solver, max_iters)
-    return None if neg_value is None else -neg_value, DiscreteField(mesh, u), iters, capped
+        lambda trace: stalled(trace, 3, 1e-13), solver, max_iters,
+        step=step, resolution=np.finfo(float).eps)
+    value = None if neg_value is None else -neg_value
+    return value, DiscreteField(mesh, u), iters, capped, first
 
 
 def estimate_thresholds(spec: ProblemSpec, restarts: int = 16, max_iters: int = 400,
@@ -272,8 +278,11 @@ def estimate_thresholds(spec: ProblemSpec, restarts: int = 16, max_iters: int = 
     best_field = None
     total_iters = 0
     capped_restarts = 0
+    step = 1.0    # each restart's first trial: the step the last first search took
     for values in starts:
-        value, field, iters, capped = _ascend_log_quotient(values, spec, solver, max_iters)
+        value, field, iters, capped, first = _ascend_log_quotient(values, spec, solver,
+                                                                  max_iters, step)
+        step = step if first is None else first
         total_iters += iters
         capped_restarts += capped
         if value is None:

@@ -150,8 +150,8 @@ def _descend(start: np.ndarray, spec: ProblemSpec, pre: InteriorSolver,
         _, energy, res_norm = trace[-1]
         return res_norm <= _tolerance(tol_res, energy) or stalled(trace, _FLAT_STEPS)
 
-    values, _, iterations, trace, _ = descend(start, evaluate, lambda s: _residual(s, spec),
-                                              stop, pre, max_iters, relative=True)
+    values, _, iterations, trace, *_ = descend(start, evaluate, lambda s: _residual(s, spec),
+                                               stop, pre, max_iters, relative=True)
     return values, iterations, trace
 
 
@@ -341,6 +341,10 @@ def _newton_step(state: _State, rhs: np.ndarray, spec: ProblemSpec) -> np.ndarra
         return None
 
 
+class _Unmoved(Exception):
+    """A Newton trial field equal to the current one."""
+
+
 def _newton(start: np.ndarray, spec: ProblemSpec, tol_res: float):
     """Damped Newton's method on the plain weak residual from ``start``.
 
@@ -349,13 +353,14 @@ def _newton(start: np.ndarray, spec: ProblemSpec, tol_res: float):
     nodes is valued by its residual max-norm, with the norm itself as the
     slope, so a kept trial lowers the norm by the factor 1 - 1e-4 t
     (Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM
-    1995, ch. 8).  A trial that is not finite has no value.  The iteration
-    stops when the line search fails, which is the rounding floor once it
-    converges, when a kept step does not halve the norm and its field meets
-    _tolerance, or after _NEWTON_STEPS steps.  Returns (values, energy,
-    components, steps) of the last field kept, ``steps`` counting the
-    solves, or None unless that field meets _tolerance; also None at a
-    Jacobian that _newton_step cannot solve.
+    1995, ch. 8).  A trial that is not finite has no value, and a trial
+    field equal to u ends the search, since no shorter step moves u either.
+    The iteration stops when the line search fails, which is the rounding
+    floor once it converges, when a kept step does not halve the norm and
+    its field meets _tolerance, or after _NEWTON_STEPS steps.  Returns
+    (values, energy, components, steps) of the last field kept, ``steps``
+    counting the solves, or None unless that field meets _tolerance; also
+    None at a Jacobian that _newton_step cannot solve.
     """
     idx = spec.mesh.interior_nodes
     u = _zero_boundary(start, spec.mesh)
@@ -368,6 +373,8 @@ def _newton(start: np.ndarray, spec: ProblemSpec, tol_res: float):
         cand[idx] -= t * delta
         if not np.all(np.isfinite(cand)):
             return None
+        if np.array_equal(cand, u):
+            raise _Unmoved
         energy, state = _evaluate(cand, spec)
         residual = _residual(state, spec)
         return float(np.max(np.abs(residual))), cand, energy, state, residual
@@ -376,7 +383,10 @@ def _newton(start: np.ndarray, spec: ProblemSpec, tol_res: float):
         delta = _newton_step(state, residual[idx], spec)
         if delta is None:
             return None
-        found = armijo(trial, res_norm, -res_norm, 1.0)
+        try:
+            found = armijo(trial, res_norm, -res_norm, 1.0)
+        except _Unmoved:
+            found = None
         if found is None:
             break
         _, cand_norm, u, energy, state, residual = found

@@ -147,9 +147,10 @@ class Quadratic:
         grad = self.matrix @ u - self.rhs
         return t * (0.5 * t * (d @ (self.matrix @ d)) - grad @ d), cand, cand
 
-    def descend(self, start, stop, max_iters=500, relative=False):
+    def descend(self, start, stop, max_iters=500, relative=False, **kwargs):
         evaluate = self.change if relative else self.evaluate
-        return descend(start, evaluate, self.gradient, stop, self.pre, max_iters, relative)
+        return descend(start, evaluate, self.gradient, stop, self.pre, max_iters, relative,
+                       **kwargs)
 
 
 def below(tol):
@@ -158,8 +159,8 @@ def below(tol):
 
 def test_descend_converges_at_the_start():
     quad = Quadratic()
-    u, value, steps, trace, capped = quad.descend(quad.solution, below(1e-10))
-    assert (steps, capped) == (0, False)
+    u, value, steps, trace, capped, first = quad.descend(quad.solution, below(1e-10))
+    assert (steps, capped, first) == (0, False, None)
     assert u is quad.solution
     assert trace == [(0, value, quad.accepted[0][1])]
 
@@ -167,7 +168,7 @@ def test_descend_converges_at_the_start():
 def test_descend_converges_to_the_sparse_solve_in_relative_mode():
     """Changes without cancellation reach a gradient 1e-13 of the solution."""
     quad = Quadratic()
-    u, value, steps, trace, capped = quad.descend(
+    u, value, steps, trace, capped, _ = quad.descend(
         np.zeros(quad.mesh.n_nodes), below(1e-13), relative=True)
     assert 1 < steps < 500 and not capped
     assert np.max(np.abs(u - quad.solution)) <= 1e-12 * np.max(np.abs(quad.solution))
@@ -189,7 +190,8 @@ def test_descend_stops_flat_at_the_rounding_floor_of_absolute_values():
     """
     quad = Quadratic()
     start = np.zeros(quad.mesh.n_nodes)
-    u, value, steps, trace, capped = quad.descend(start, lambda trace: stalled(trace, 3))
+    u, value, steps, trace, capped, first = quad.descend(start,
+                                                         lambda trace: stalled(trace, 3))
     assert steps < 500 and not capped
     assert stalled(trace, 3) and not stalled(trace[:-1], 3)
     values = [row[1] for row in trace]
@@ -198,14 +200,58 @@ def test_descend_stops_flat_at_the_rounding_floor_of_absolute_values():
     assert 1e-10 < trace[-1][2] and np.max(np.abs(u - quad.solution)) <= 1e-6
 
     edge = quad.descend(start, lambda trace: stalled(trace, 3), max_iters=steps)
-    assert edge[2:] == (steps, trace, False)
+    assert edge[2:] == (steps, trace, False, first)
     np.testing.assert_array_equal(edge[0], u)
     short = quad.descend(start, lambda trace: stalled(trace, 3), max_iters=steps - 1)
-    assert short[2:] == (steps - 1, trace[:-1], True)
+    assert short[2:] == (steps - 1, trace[:-1], True, first)
 
-    u, value, steps, trace, capped = quad.descend(start, below(1e-10), max_iters=60)
+    u, value, steps, trace, capped, _ = quad.descend(start, below(1e-10), max_iters=60)
     assert (steps, capped, len(trace)) == (60, True, 61)
     assert trace[-1][2] > 1e-10
+
+
+def test_descend_starts_from_the_given_step_and_returns_the_first_accepted():
+    """The first line search starts from ``step``, 1 by default, and
+    ``first`` is the step it accepted: here 0.5 from 1 and from 8, and 0.25
+    at once from 0.25."""
+    start = np.zeros(Quadratic().mesh.n_nodes)
+    for kwargs, halvings in (({}, 1), ({"step": 8.0}, 4), ({"step": 0.25}, 0)):
+        quad = Quadratic()
+        trials = []
+
+        def evaluate(u, t, d, value):
+            trials.append(t)
+            return Quadratic.evaluate(quad, u, t, d, value)
+
+        quad.evaluate = evaluate
+        *_, first = quad.descend(start, lambda trace: stalled(trace, 3), **kwargs)
+        step = kwargs.get("step", 1.0)
+        # Trials are the start (t = 0), then the first search from ``step``.
+        assert trials[1:halvings + 2] == [step * ARMIJO_FACTOR**k for k in range(halvings + 1)]
+        assert first == step * ARMIJO_FACTOR**halvings
+
+
+def test_descend_stops_where_the_secant_model_is_below_the_rounding():
+    """With ``resolution`` = eps_mach the descent of rounded values stops
+    before the 3-step stall rule would, and near the same field.
+
+    The floor is tested before the cap: with max_iters at the steps the
+    floor stop takes, the descent is not capped; one step fewer caps it.
+    """
+    quad = Quadratic()
+    start = np.zeros(quad.mesh.n_nodes)
+    eps = np.finfo(float).eps
+    stall_steps = quad.descend(start, lambda trace: stalled(trace, 3))[2]
+    u, value, steps, trace, capped, _ = quad.descend(start, lambda trace: False,
+                                                     resolution=eps)
+    assert not capped and steps < stall_steps
+    assert np.max(np.abs(u - quad.solution)) <= 1e-6
+    assert trace[-1][2] < 1e-6 * trace[0][2]
+
+    edge = quad.descend(start, lambda trace: False, max_iters=steps, resolution=eps)
+    assert edge[2:5] == (steps, trace, False)
+    short = quad.descend(start, lambda trace: False, max_iters=steps - 1, resolution=eps)
+    assert short[2:5] == (steps - 1, trace[:-1], True)
 
 
 def test_descend_without_trial_values_accepts_no_step():
@@ -215,13 +261,13 @@ def test_descend_without_trial_values_accepts_no_step():
     def no_trials(u, t, d, value):
         return quad.evaluate(u, t, d, value) if d is None else None
 
-    u, value, steps, trace, capped = descend(start, no_trials, quad.gradient, below(0.0),
-                                             quad.pre, 10)
-    assert (u is start, value, steps, capped) == (True, 0.0, 0, False)
+    u, value, steps, trace, capped, first = descend(start, no_trials, quad.gradient,
+                                                    below(0.0), quad.pre, 10)
+    assert (u is start, value, steps, capped, first) == (True, 0.0, 0, False, None)
     assert len(trace) == 1
     # A start without a value ends the loop before any gradient.
     found = descend(start, lambda *args: None, quad.gradient, below(0.0), quad.pre, 10)
-    assert found[0] is start and found[1:] == (None, 0, [], False)
+    assert found[0] is start and found[1:] == (None, 0, [], False, None)
     assert len(quad.accepted) == 1
 
 

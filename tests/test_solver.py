@@ -508,6 +508,42 @@ def test_newton_stops_at_a_singular_jacobian(domain, resolution):
     assert _newton(zero, spec, 1e-8) is None
 
 
+def test_newton_line_search_ends_where_the_step_no_longer_moves_the_field(monkeypatch):
+    """Newton's last step starts at the rounding floor and stops at once.
+
+    (1.5, 1.8, 3), a = b = 1, eps = 1e-3, 21x21 nodes.  The 5th step starts
+    at a residual max-norm of 6.3e-22, where no trial lowers the norm.  Its
+    trials soon leave the field unchanged, and that ends the search: one
+    _evaluate for the start and at most two per step.  Ending it only on
+    the Armijo test, which an equal norm passes once 1e-4 t is below the
+    norm's rounding, took 47 evaluations for the same field.
+    """
+    import pfiber.solver
+
+    mesh = build_mesh(((0.0, 1.0), (0.0, 1.0)), (21, 21))
+    spec = ProblemSpec(mesh, Exponents(1.5, 1.8, 3.0), 1e-3, ONE, ONE)
+    gs = solve_ground_state(spec, random_restarts=0)
+    evaluations = []
+    real_evaluate, real_newton = pfiber.solver._evaluate, pfiber.solver._newton
+
+    def counting_newton(*args):
+        def counting_evaluate(*args):
+            evaluations.append(None)
+            return real_evaluate(*args)
+
+        monkeypatch.setattr(pfiber.solver, "_evaluate", counting_evaluate)
+        try:
+            return real_newton(*args)
+        finally:
+            monkeypatch.setattr(pfiber.solver, "_evaluate", real_evaluate)
+
+    monkeypatch.setattr(pfiber.solver, "_newton", counting_newton)
+    mp = solve_mountain_pass(spec, gs)
+    assert mp.converged and mp.newton_steps == 5
+    assert mp.residual_norm <= 1e-20
+    assert len(evaluations) <= 1 + 2 * mp.newton_steps
+
+
 @pytest.mark.filterwarnings("error")
 def test_mountain_pass_2d_newton_at_q_below_two():
     """Newton finishes the second solution on a square with q < 2.
