@@ -190,10 +190,10 @@ _CONFIG = {
     "coefficients": (_section({"a": (_coefficient, {}), "b": (_coefficient, {})},
                               "only 'a' and 'b' are recognized"), {}),
     "solver": (_section({"tol_res": (_positive, 1e-8), "max_iters": (_integer, 50_000),
-                         "random_restarts": (_integer, 4), "seed": (_integer, 0)}), {}),
+                         "random_restarts": (_integer, 0), "seed": (_integer, 0)}), {}),
     "mountain_pass": (_section({"tol_res": (_positive, 1e-8),
                                 "max_iters": (_integer, 600)}), {}),
-    "thresholds": (_section({"restarts": (_integer_from(1), 16),
+    "thresholds": (_section({"restarts": (_integer, 0),
                              "max_iters": (_integer, 400)}), {}),
     "asymptotics": (_section({"eta": (_positive, 0.1),
                               "r_list": (_r_list, [1.0, 2.0])}), {}),
@@ -365,7 +365,7 @@ def _cmd_thresholds(resolved: dict, problem: ProblemSpec, out_dir: Path, svg: bo
     _dump_json(_record(estimate), out_dir / "thresholds.json")
     if estimate.capped_restarts:
         print(f"thresholds: {estimate.capped_restarts} of {estimate.restarts_used} "
-              f"restarts stopped at thresholds.max_iters = "
+              f"ascents stopped at thresholds.max_iters = "
               f"{resolved['thresholds']['max_iters']} before the ascent reached "
               f"the rounding floor of log Q or stalled", file=sys.stderr)
     print(f"thresholds: critical {estimate.eps_critical:.12g}, "

@@ -168,9 +168,15 @@ class ThresholdEstimate:
 
     ``eps_critical``      no nontrivial critical points above this value
     ``eps_two_solutions`` two positive solutions below this value
-    ``capped_restarts``   restarts that ``max_iters`` stopped before the
-                          ascent reached the rounding floor of its value
-                          or stalled
+    ``restarts_used``     ascents run: the extra starts, the flat limit
+                          and the sampled starts
+    ``capped_restarts``   ascents that ``max_iters`` stopped before they
+                          reached the rounding floor of their value or
+                          stalled
+    ``best_start``        index of the winning start in that order
+    ``restart_gain``      the best log-quotient of a sampled start less
+                          the flat limit's; None when no sampled start ran
+                          or the flat limit has no value
     """
 
     sup_quotient: float
@@ -180,6 +186,8 @@ class ThresholdEstimate:
     restarts_used: int
     iterations: int
     capped_restarts: int
+    best_start: int
+    restart_gain: float | None
 
 
 def _log_quotient(values: np.ndarray, grads: np.ndarray, spec: ProblemSpec):
@@ -248,52 +256,63 @@ def _ascend_log_quotient(start: np.ndarray, spec: ProblemSpec, solver: InteriorS
     return value, DiscreteField(mesh, u), iters, capped, first
 
 
-def estimate_thresholds(spec: ProblemSpec, restarts: int = 16, max_iters: int = 400,
+def estimate_thresholds(spec: ProblemSpec, restarts: int = 0, max_iters: int = 400,
                         seed: int = 0, extra_starts=()) -> ThresholdEstimate:
     """Maximize the scale-invariant quotient over the discrete space.
 
-    Multi-start projected gradient ascent on the log-quotient: nodal absolute
-    value and gradient-norm renormalization of every trial field, ascent
-    directions preconditioned by an interior stiffness-plus-mass solve,
-    deterministic reduction in restart order with ties broken toward the
-    earliest restart.  ``extra_starts`` fields (e.g. solver outputs) are
-    prepended to the random starts.
+    Projected gradient ascent on the log-quotient: nodal absolute value,
+    zero boundary values and gradient-norm renormalization of every trial
+    field, ascent directions preconditioned by an interior
+    stiffness-plus-mass solve.  The ascent runs from each ``extra_starts``
+    field (e.g. solver outputs), then from the flat limit
+    ``spec.flat_limit``, then from ``restarts`` random fields drawn with
+    ``seed``.  Sampled starts can only find other local maxima of the
+    quotient, and ``seed`` matters only with them.  The best value wins,
+    ties within 1e-12 keeping the earliest start.
 
     Raises:
-        DomainError: no restart produced a field with a positive gain term.
+        InputError: ``restarts`` is negative, or an extra start lives on
+            another mesh.
+        DomainError: no start produced a field with a positive gain term.
     """
-    if restarts < 1 and not extra_starts:
-        raise InputError("at least one restart is required")
+    if restarts < 0:
+        raise InputError(f"restarts must be >= 0, got {restarts}")
     mesh = spec.mesh
     solver = InteriorSolver(mesh, alpha=1.0, beta=1.0)
     starts: list[np.ndarray] = []
     for extra in extra_starts:
         extra.require_mesh(mesh, "extra start")
         starts.append(np.asarray(extra.values, dtype=float).copy())
+    flat = len(starts)
+    starts.append(spec.flat_limit)
     for i in range(restarts):
         rng = np.random.default_rng((seed, i))
         starts.append(rng.uniform(0.0, 1.0, size=mesh.n_nodes))
 
-    best_value = None
-    best_field = None
+    reached = []    # each start's value, None where it has none
+    best = None
     total_iters = 0
     capped_restarts = 0
     step = 1.0    # each restart's first trial: the step the last first search took
-    for values in starts:
-        value, field, iters, capped, first = _ascend_log_quotient(values, spec, solver,
+    for index, start in enumerate(starts):
+        value, field, iters, capped, first = _ascend_log_quotient(start, spec, solver,
                                                                   max_iters, step)
         step = step if first is None else first
         total_iters += iters
         capped_restarts += capped
+        reached.append(value)
         if value is None:
             continue
-        # Ties within 1e-12 keep the earliest restart.
-        if best_value is None or value > best_value + 1e-12 * (1.0 + abs(best_value)):
-            best_value = value
-            best_field = field
-    if best_value is None:
-        raise DomainError("no restart reached a field with positive gain; "
+        # Ties within 1e-12 keep the earliest start.
+        if best is None or value > best[0] + 1e-12 * (1.0 + abs(best[0])):
+            best = value, field, index
+    sampled = [v for v in reached[flat + 1:] if v is not None]
+    restart_gain = (float(max(sampled) - reached[flat])
+                    if sampled and reached[flat] is not None else None)
+    if best is None:
+        raise DomainError("no start reached a field with positive gain; "
                           "is the coefficient a nonzero on the domain?")
+    best_value, best_field, best_start = best
     sup_quotient = float(np.exp(best_value))
     consts = extremal_constants(spec.exponents)
     return ThresholdEstimate(
@@ -304,4 +323,6 @@ def estimate_thresholds(spec: ProblemSpec, restarts: int = 16, max_iters: int = 
         restarts_used=len(starts),
         iterations=total_iters,
         capped_restarts=capped_restarts,
+        best_start=best_start,
+        restart_gain=restart_gain,
     )

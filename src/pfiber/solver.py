@@ -3,10 +3,12 @@
 Ground state.  Preconditioned descent on the energy: the nodal weak residual
 is mapped to a Sobolev-type gradient through an interior solve with
 eps * stiffness + mass, then Armijo backtracking (factor 0.5, slope
-parameter 1e-4) fixes the step.  Seeds are the fiber-optimal scaling of the
-interpolated flat-limit profile plus random nonnegative restarts; candidates
-are compared by energy and the zero field wins whenever no candidate goes
-strictly below zero, which is exactly the nonexistence regime.
+parameter 1e-4) fixes the step.  It starts from the fiber-optimal scaling
+of the interpolated flat-limit profile, where the small-eps theory puts the
+ground state, and from as many random nonnegative restarts as asked for
+(none by default); candidates are compared by energy and the zero field
+wins whenever no candidate goes strictly below zero, which is exactly the
+nonexistence regime.
 
 Second solution.  Along a ray t -> t u, u >= 0, the energy has at most one
 local maximum, on the Nehari branch N-, and one local minimum, on N+, where
@@ -83,8 +85,9 @@ class SolveReport:
     points.  ``fiber_second_derivative`` is
     (p - q)*eps*dirichlet + (gamma - q)*loss, the curvature of the energy
     along the ray through the solution; positive values mark the ground-state
-    branch.  ``trace`` rows are (iteration, energy, residual_norm) for the
-    winning descent run.
+    branch.  ``best_start`` is the index of the winning descent's start: 0
+    for the flat-limit seed or ``init``, i for the i-th random restart.
+    ``trace`` rows are (iteration, energy, residual_norm) for that descent.
     """
 
     field: DiscreteField
@@ -96,6 +99,7 @@ class SolveReport:
     converged: bool
     tol_effective: float
     delta_reg: float
+    best_start: int
     trace: list = dataclass_field(default_factory=list, repr=False)
 
     def is_zero(self) -> bool:
@@ -180,14 +184,21 @@ def _default_seeds(spec: ProblemSpec, seed: int, random_restarts: int) -> list[n
 
 def solve_ground_state(spec: ProblemSpec, init: DiscreteField | None = None,
                        tol_res: float = 1e-8, max_iters: int = 50_000,
-                       seed: int = 0, random_restarts: int = 4) -> SolveReport:
+                       seed: int = 0, random_restarts: int = 0) -> SolveReport:
     """Locate the minimal-energy critical point, or the zero field.
 
-    ``tol_res`` is the factor in the dynamic tolerance
-    tol_res * (1 + |energy|) applied to the residual max-norm.  When every
-    converged candidate has nonnegative energy the zero field is the global
-    minimizer and is returned with ``converged=True``; this is the expected
-    outcome above the critical threshold.
+    One descent runs from ``init``, or else from the fiber-optimal scaling
+    of the flat limit and then from ``random_restarts`` random nonnegative
+    fields drawn with ``seed``.  Restarts can only find other minimizers
+    of the energy, and ``seed`` matters only with them.  Each candidate is
+    judged on the field its descent returns: ``tol_res`` is the factor in
+    the dynamic tolerance tol_res * (1 + |energy|) applied to the residual
+    max-norm.  When every converged candidate has nonnegative energy the
+    zero field is the global minimizer and is returned with
+    ``converged=True``; this is the expected outcome above the critical
+    threshold.  Otherwise the lowest converged energy wins, ties keeping
+    the earliest start, and a winner with negative nodes is replaced by
+    its nodal absolute value.
 
     Raises:
         InputError: ``init`` lives on a different mesh.
@@ -202,19 +213,12 @@ def solve_ground_state(spec: ProblemSpec, init: DiscreteField | None = None,
     else:
         seeds = _default_seeds(spec, seed, random_restarts)
 
-    tiny = 1e-8 * _amplitude(spec)
-    candidates = []    # (field, energy, res_norm, tol, comps, trace), in seed order
+    candidates = []    # (field, energy, res_norm, tol, comps, trace, start), in seed order
     iterations = 0
-    for start in seeds:
+    for index, start in enumerate(seeds):
         values, iters, trace = _descend(start, spec, pre, tol_res, max_iters)
         iterations += iters
-        values = np.abs(values)
-        if float(values.max(initial=0.0)) <= tiny:
-            # Nontrivial critical points are bounded away from zero; a field
-            # this small can only be the zero basin, and |u| kinks must not
-            # push its re-evaluated residual over tolerance.
-            values = np.zeros_like(values)
-        candidates.append((*_finish(values, spec, tol_res), trace))
+        candidates.append((*_finish(values, spec, tol_res), trace, index))
 
     converged = [c for c in candidates if c[2] <= c[3]]
     best = min(converged or candidates, key=lambda c: c[1])
@@ -226,12 +230,16 @@ def solve_ground_state(spec: ProblemSpec, init: DiscreteField | None = None,
                 field=DiscreteField(mesh, np.zeros(mesh.n_nodes)), energy=0.0,
                 residual_norm=0.0, nehari_residual=0.0, fiber_second_derivative=0.0,
                 iterations=iterations, converged=True, tol_effective=tol_res,
-                delta_reg=delta_reg(spec.exponents.p), trace=best[5],
+                delta_reg=delta_reg(spec.exponents.p), best_start=best[6], trace=best[5],
             )
         # Ties keep the earliest seed.
         tie_tol = 1e-10 * (1.0 + abs(best[1]))
         best = next(c for c in converged if abs(c[1] - best[1]) <= tie_tol)
-    field, energy, res_norm, tol_eff, comps, trace = best
+    if best[1] < 0.0 and best[0].values.min() < 0.0:
+        # A ground state does not change sign; |u| has the winner's energy up
+        # to the kinks of its sign changes and is rechecked by _finish.
+        best = (*_finish(np.abs(best[0].values), spec, tol_res), *best[5:])
+    field, energy, res_norm, tol_eff, comps, trace, best_start = best
     ex, eps = spec.exponents, spec.epsilon
     dir_, gain, loss = comps.dirichlet, comps.gain, comps.loss
     return SolveReport(
@@ -239,7 +247,8 @@ def solve_ground_state(spec: ProblemSpec, init: DiscreteField | None = None,
         nehari_residual=abs(eps * dir_ - gain + loss) / (eps * dir_ + gain + loss),
         fiber_second_derivative=(ex.p - ex.q) * eps * dir_ + (ex.gamma - ex.q) * loss,
         iterations=iterations, converged=res_norm <= tol_eff,
-        tol_effective=tol_eff, delta_reg=delta_reg(ex.p), trace=trace,
+        tol_effective=tol_eff, delta_reg=delta_reg(ex.p), best_start=best_start,
+        trace=trace,
     )
 
 

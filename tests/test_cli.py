@@ -74,10 +74,10 @@ def test_resolve_fills_every_default():
     assert resolved["domain"] == [0.0, 1.0]
     assert resolved["resolution"] == 201
     assert resolved["solver"] == {
-        "tol_res": 1e-8, "max_iters": 50_000, "random_restarts": 4, "seed": 0,
+        "tol_res": 1e-8, "max_iters": 50_000, "random_restarts": 0, "seed": 0,
     }
     assert resolved["mountain_pass"] == {"tol_res": 1e-8, "max_iters": 600}
-    assert resolved["thresholds"] == {"restarts": 16, "max_iters": 400}
+    assert resolved["thresholds"] == {"restarts": 0, "max_iters": 400}
     assert resolved["asymptotics"] == {"eta": 0.1, "r_list": [1.0, 2.0]}
     assert resolved["layer"] == {"xi_max": 40.0, "points": 401,
                                  "compare_eps": None}
@@ -235,7 +235,9 @@ def test_report_serialization(tmp_path):
     assert set(data) == {
         "energy", "residual_norm", "nehari_residual", "fiber_second_derivative",
         "iterations", "converged", "tol_effective", "delta_reg", "zero_field", "field",
+        "best_start",
     }
+    assert data["best_start"] == report.best_start
     assert data["converged"] is True
     assert data["zero_field"] is False
     assert len(data["field"]["values"]) == 201
@@ -252,6 +254,19 @@ def test_solve_artifacts_are_byte_identical(tmp_path):
     run("solve", model_config(), out_dir=out2)
     for name in ("resolved_config.json", "ground_state.json", "trace.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_default_runs_do_not_depend_on_the_seed(tmp_path):
+    """With no sampled restart the seed draws nothing: artifacts match byte for byte."""
+    def artifact(subcommand, name, seed):
+        out = tmp_path / f"{subcommand}-seed{seed}"
+        cfg = model_config(solver={"max_iters": 5000, "seed": seed})
+        assert run(subcommand, cfg, out_dir=out) == 0
+        return (out / name).read_bytes()
+
+    for subcommand, name in (("solve", "ground_state.json"),
+                             ("thresholds", "thresholds.json")):
+        assert artifact(subcommand, name, 1) == artifact(subcommand, name, 2)
 
 
 def test_solve_seed_changes_restart_draws_not_result(tmp_path):
@@ -356,13 +371,17 @@ def test_threshold_estimate_serializes(tmp_path):
 
 
 def test_thresholds_reports_capped_restarts(tmp_path, capsys):
-    """A restart cut by thresholds.max_iters is counted and named on stderr."""
+    """An ascent cut by thresholds.max_iters is counted and named on stderr.
+
+    Four sampled restarts run after the flat limit's ascent: five in all.
+    """
     cfg = model_config(resolution=41, thresholds={"restarts": 4, "max_iters": 5})
     assert run("thresholds", cfg, out_dir=tmp_path / "capped") == 0
     data = json.loads((tmp_path / "capped" / "thresholds.json").read_text())
-    assert data["capped_restarts"] == 4
+    assert data["restarts_used"] == 5
+    assert data["capped_restarts"] == 5
     err = capsys.readouterr().err
-    assert "4 of 4 restarts stopped at thresholds.max_iters = 5" in err
+    assert "5 of 5 ascents stopped at thresholds.max_iters = 5" in err
 
     cfg = model_config(resolution=41, thresholds={"restarts": 4, "max_iters": 120})
     assert run("thresholds", cfg, out_dir=tmp_path / "free") == 0
@@ -664,8 +683,8 @@ def test_negative_integers_are_config_errors(tmp_path, capsys, solver, flags,
          "'mountain_pass.path_points': unknown key"),
         ("layer", {"layer": {"points": 1}},
          "'layer.points': expected an integer >= 2"),
-        ("thresholds", {"thresholds": {"restarts": 0}},
-         "'thresholds.restarts': expected an integer >= 1"),
+        ("thresholds", {"thresholds": {"restarts": -1}},
+         "'thresholds.restarts': expected an integer >= 0"),
         ("sweep", {"eps_list": [1e-3, 1e-2]},
          "'eps_list': expected positive, strictly decreasing numbers"),
         ("sweep", {"eps_list": [1e-2, 1e-2]},

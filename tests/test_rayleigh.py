@@ -303,7 +303,7 @@ def test_thresholds_need_gain_term():
 def test_thresholds_validate_restarts_and_starts():
     spec = small_model_spec(n=21)
     with pytest.raises(InputError):
-        estimate_thresholds(spec, restarts=0, max_iters=50, seed=0)
+        estimate_thresholds(spec, restarts=-1, max_iters=50, seed=0)
     other = build_mesh((0.0, 1.0), 31)
     stray = DiscreteField(other, np.zeros(31))
     with pytest.raises(InputError):
@@ -311,16 +311,105 @@ def test_thresholds_validate_restarts_and_starts():
                             extra_starts=(stray,))
 
 
+def test_default_ascent_runs_from_the_flat_limit_alone():
+    """At the default the flat limit is the one start, so the seed draws nothing."""
+    spec = small_model_spec()
+    one, other = (estimate_thresholds(spec, seed=seed) for seed in (0, 7))
+    assert (one.restarts_used, one.best_start, one.restart_gain) == (1, 0, None)
+    assert one.capped_restarts == 0
+    assert one.sup_quotient == other.sup_quotient
+    np.testing.assert_array_equal(one.maximizer.values, other.maximizer.values)
+
+
+def test_thresholds_name_the_winning_start_and_the_restart_gain():
+    """``best_start`` counts the extra starts, then the flat limit, then the
+    sampled starts; ``restart_gain`` is the best sampled log Q less the flat
+    limit's.
+
+    One step each leaves the ascents apart: the fourth sampled start ends
+    0.011 above the flat limit and wins.  From a single interior hat as an
+    extra start one step ends below the flat limit's, so the flat limit,
+    now second, wins.
+    """
+    spec = small_model_spec()
+    flat = estimate_thresholds(spec, max_iters=1)
+    sampled = estimate_thresholds(spec, restarts=4, max_iters=1, seed=0)
+    assert sampled.restarts_used == 5
+    assert sampled.best_start == 4
+    assert sampled.restart_gain > 0.0
+    assert np.log(sampled.sup_quotient) == pytest.approx(
+        np.log(flat.sup_quotient) + sampled.restart_gain, rel=1e-14)
+
+    hat = np.zeros(spec.mesh.n_nodes)
+    hat[spec.mesh.n_nodes // 2] = 1.0
+    behind = estimate_thresholds(spec, max_iters=1,
+                                 extra_starts=(DiscreteField(spec.mesh, hat),))
+    assert (behind.restarts_used, behind.best_start, behind.restart_gain) == (2, 1, None)
+    assert behind.sup_quotient == flat.sup_quotient
+
+
+def _time_map_eps0() -> float:
+    """eps_0 of the (2, 3, 4) model with a = b = 1 on (0, 1), from the time map.
+
+    A positive solution with maximum m satisfies eps/2 u'^2 = F(m) - F(u),
+    F(u) = u^3/3 - u^4/4, and is symmetric about 1/2.  So its half-width is
+    sqrt(eps/2) T(m), T(m) = int_0^m (F(m) - F(u))^(-1/2) du, and its energy
+    is 2 sqrt(eps/2) I(m), I(m) = int_0^m (F(m) - 2 F(u)) (F(m) - F(u))^(-1/2) du.
+    Zero energy fixes m_0 by I(m_0) = 0 whatever eps is, and the half-width
+    1/2 then fixes eps_0 = 1 / (2 T(m_0)^2).  With u = m (1 - s^2) and
+    F(m) - F(u) = (m - u) g(u), both integrands are smooth on s in [0, 1]:
+    2 sqrt(m / g) and (F(m) - 2 F(u)) 2 sqrt(m / g), which 64-point
+    Gauss-Legendre integrates to the rounding floor.
+    """
+    from scipy.optimize import brentq
+
+    s, w = np.polynomial.legendre.leggauss(64)
+    s, w = 0.5 * (s + 1.0), 0.5 * w
+
+    def F(u):
+        return u ** 3 / 3.0 - u ** 4 / 4.0
+
+    def integrals(m):
+        u = m * (1.0 - s * s)
+        g = (m * m + m * u + u * u) / 3.0 - (m + u) * (m * m + u * u) / 4.0
+        kernel = 2.0 * np.sqrt(m / g)
+        return np.sum(w * kernel), np.sum(w * (F(m) - 2.0 * F(u)) * kernel)
+
+    m0 = brentq(lambda m: integrals(m)[1], 0.3, 0.999, xtol=1e-15, rtol=1e-15)
+    return 1.0 / (2.0 * integrals(m0)[0] ** 2)
+
+
+def test_default_thresholds_extrapolate_to_the_time_map_eps0():
+    """eps_two_solutions from the flat-limit ascent converges to eps_0 at order h^2.
+
+    The time map is an oracle independent of the finite elements.  It
+    gives eps_0 = 0.02164900879836, which agrees with an earlier quadrature
+    prototype's 0.0216490088.  Richardson's (4 E_2001 - E_1001) / 3 of the
+    thresholds at 1001 and 2001 nodes measured 9.4e-14 relative from it, and
+    the errors fell by a factor of 4.0002 from 1001 to 2001 nodes.
+    """
+    eps0 = _time_map_eps0()
+    assert eps0 == pytest.approx(0.0216490088, rel=1e-9)
+    one = constant_coefficient(1.0)
+    found = {n: estimate_thresholds(ProblemSpec(build_mesh((0.0, 1.0), n), EX, 1e-3,
+                                                one, one)).eps_two_solutions
+             for n in (1001, 2001)}
+    richardson = (4.0 * found[2001] - found[1001]) / 3.0
+    assert abs(richardson - eps0) <= 1e-9 * eps0
+    assert 3.9 <= (eps0 - found[1001]) / (eps0 - found[2001]) <= 4.1
+
+
 def test_ascent_assembles_weak_forms_only_at_accepted_points(monkeypatch):
     """Trial points cost a quotient evaluation; weak forms wait for acceptance.
 
-    Each restart here is the start plus eight steps, all accepted, so the
+    Each of the five ascents here, from the flat limit and from four
+    sampled starts, is the start plus eight steps, all accepted, so the
     calls must read Q F (Q+ F)^8: one weak-form gradient (F) for the start
     and one per accepted step, each on the point whose quotient (Q) was just
     evaluated, and none after a rejected trial (Q Q).  The secant trial step
     is rarely rejected, and at 41 nodes no trial is.  At 1001 nodes the
-    first restart's first trial, t = 1, is (one Q Q); the later restarts
-    start from the step it accepted.
+    flat limit's first trial, t = 1, is (one Q Q); the later ascents start
+    from the step it accepted.
     """
     events = []
 
@@ -340,10 +429,12 @@ def test_ascent_assembles_weak_forms_only_at_accepted_points(monkeypatch):
     restarts, max_iters = 4, 8
     est = estimate_thresholds(small_model_spec(n=1001), restarts=restarts,
                               max_iters=max_iters, seed=0)
-    assert est.iterations == restarts * max_iters
+    starts = restarts + 1
+    assert est.restarts_used == starts
+    assert est.iterations == starts * max_iters
     kinds = "".join(kind for kind, _ in events)
-    assert re.fullmatch(r"(QF(Q+F){%d}){%d}" % (max_iters, restarts), kinds), kinds
-    assert kinds.count("F") == restarts * (1 + max_iters)
+    assert re.fullmatch(r"(QF(Q+F){%d}){%d}" % (max_iters, starts), kinds), kinds
+    assert kinds.count("F") == starts * (1 + max_iters)
     assert kinds.count("Q") > kinds.count("F")
     for (kind, values), (prev_kind, prev_values) in zip(events[1:], events):
         if kind == "F":
@@ -352,20 +443,23 @@ def test_ascent_assembles_weak_forms_only_at_accepted_points(monkeypatch):
 
 
 def test_capped_restarts_count_ascents_stopped_by_max_iters():
-    """Five steps leave every restart still climbing; 120 let each one stop.
+    """Five steps leave every ascent still climbing; 120 let each one stop.
 
-    At nine steps two restarts meet the rounding-floor stop on their last
-    step: they used every step but were not stopped by the cap.
+    Five ascents run: from the flat limit and from four sampled starts.  At
+    eight steps the flat limit's ascent meets the rounding-floor stop on its
+    last step: it used every step but was not stopped by the cap, while the
+    four sampled ones were.
     """
     spec = small_model_spec()
     capped = estimate_thresholds(spec, restarts=4, max_iters=5, seed=0)
-    assert capped.iterations == 4 * 5
-    assert capped.capped_restarts == 4
-    edge = estimate_thresholds(spec, restarts=4, max_iters=9, seed=0)
-    assert edge.iterations == 4 * 9
-    assert edge.capped_restarts == 2
+    assert capped.restarts_used == 5
+    assert capped.iterations == 5 * 5
+    assert capped.capped_restarts == 5
+    edge = estimate_thresholds(spec, restarts=4, max_iters=8, seed=0)
+    assert edge.iterations == 5 * 8
+    assert edge.capped_restarts == 4
     free = estimate_thresholds(spec, restarts=4, max_iters=120, seed=0)
-    assert free.iterations < 4 * 120
+    assert free.iterations < 5 * 120
     assert free.capped_restarts == 0
 
 
@@ -398,8 +492,9 @@ def test_ascent_spends_few_evaluations_on_its_first_and_last_steps(monkeypatch):
     Each restart's first line search starts from the step the last one's
     first search accepted, so only the first restart backtracks from t = 1,
     and a restart stops where the secant model cannot raise log Q by half
-    its rounding unit.  Measured: 326 evaluations over 144 steps.  Starting
-    every restart from t = 1 and stopping only on the 3-step stall took 530.
+    its rounding unit.  Measured: 326 evaluations over 144 steps, and 344
+    over 152 since the flat limit's ascent runs first.  Starting every
+    restart from t = 1 and stopping only on the 3-step stall took 530.
     The maximizer's accuracy is checked independently, by
     test_scaled_maximizer_is_a_zero_energy_critical_point.
     """
@@ -440,8 +535,9 @@ def test_scaled_maximizer_is_a_zero_energy_critical_point(mesh, exponents, a):
     energy is zero up to rounding.  The ascent stops at the rounding floor
     of its value, or when it stalls at 1e-13 relative, which leaves a
     gradient of order sqrt(1e-13) ~ 3e-7; the residual sums measured
-    1.1e-7, 1.9e-6 and 1.1e-7 (1D p = 2, 1D p = 3, 2D), and the bound is a
-    decade above their largest.
+    1.1e-7, 1.9e-6 and 1.1e-7 (1D p = 2, 1D p = 3, 2D) from 16 sampled
+    starts, and 2.9e-8, 1.1e-6 and 2.0e-7 from the flat limit alone; the
+    bound is a decade above their largest.
     """
     spec = ProblemSpec(mesh, exponents, 1e-3, a, constant_coefficient(1.0))
     est = estimate_thresholds(spec, seed=0)
