@@ -202,6 +202,7 @@ class SweepRow:
     linf_interior_err: float
     converged: bool
     iterations: int
+    stop: str
 
 
 @dataclass(frozen=True)
@@ -235,7 +236,7 @@ def _sweep_row(spec: ProblemSpec, eps: float, profile: LimitProfile, eta: float,
         eps=float(eps), energy=report.energy, energy_gap=metrics.energy_gap,
         J_gap=metrics.J_gap, measure_bad=metrics.measure_bad,
         lr_errors=metrics.lr_errors, linf_interior_err=linf_int,
-        converged=report.converged, iterations=report.iterations,
+        converged=report.converged, iterations=report.iterations, stop=report.stop,
     )
 
 

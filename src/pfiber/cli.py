@@ -322,8 +322,8 @@ def _cmd_solve(resolved: dict, problem: ProblemSpec, out_dir: Path, svg: bool,
     _write_csv(out_dir / "trace.csv",
                dict(zip(("iteration", "energy", "residual_norm"), zip(*report.trace))))
     if not report.converged:
-        print("ground state did not converge; partial artifacts written",
-              file=sys.stderr)
+        print("ground state did not converge; partial artifacts written "
+              f"(descent stopped: {report.stop})", file=sys.stderr)
         return 3
     print(f"ground state: energy {report.energy:.12g}, "
           f"residual {report.residual_norm:.3g}, "
@@ -337,8 +337,8 @@ def _cmd_second(resolved: dict, problem: ProblemSpec, out_dir: Path, svg: bool,
     ground = solve_ground_state(problem, **resolved["solver"])
     _dump_json(_ground_state_doc(ground, problem.epsilon), out_dir / "ground_state.json")
     if not ground.converged:
-        print("ground state did not converge; no mountain pass attempted",
-              file=sys.stderr)
+        print("ground state did not converge; no mountain pass attempted "
+              f"(descent stopped: {ground.stop})", file=sys.stderr)
         return 3
     if ground.is_zero():
         print("ground state is the zero field (is epsilon above eps_critical?); "
@@ -348,8 +348,8 @@ def _cmd_second(resolved: dict, problem: ProblemSpec, out_dir: Path, svg: bool,
     _dump_json({"epsilon": problem.epsilon, "report": _record(second)},
                out_dir / "second_solution.json")
     if not second.converged:
-        print("mountain pass did not converge; partial artifacts written",
-              file=sys.stderr)
+        print("mountain pass did not converge; partial artifacts written "
+              f"(descent stopped: {second.stop})", file=sys.stderr)
         return 3
     print(f"second solution: energy {second.energy:.12g} after {second.iterations} "
           f"descent steps on N- from level {second.path_level:.12g} and "
@@ -400,10 +400,10 @@ def _cmd_sweep(resolved: dict, problem: ProblemSpec, out_dir: Path, svg: bool,
                         title="convergence to the flat limit",
                         x_label="eps", y_label="metric",
                         log_x=True, log_y=True)
-    bad = [row.eps for row in report.rows if not row.converged]
+    bad = [row for row in report.rows if not row.converged]
     if bad:
-        print(f"sweep finished with non-converged rows at eps {bad}",
-              file=sys.stderr)
+        print(f"sweep finished with non-converged rows at eps {[row.eps for row in bad]} "
+              f"(descents stopped: {[row.stop for row in bad]})", file=sys.stderr)
         return 3
     print(f"sweep: {len(report.rows)} rows, final energy gap "
           f"{report.rows[-1].energy_gap:.6g}")
@@ -458,7 +458,7 @@ def _cmd_layer(resolved: dict, problem: ProblemSpec, out_dir: Path, svg: bool,
                         y_label="value", log_x=False, log_y=False)
     if status:
         print("layer comparison solve did not converge; partial artifacts "
-              "written", file=sys.stderr)
+              f"written (descent stopped: {ground.stop})", file=sys.stderr)
     else:
         print(f"layer profile written; tail gap {doc['tail_gap']:.3g}")
     return status

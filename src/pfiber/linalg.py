@@ -3,14 +3,15 @@ the one preconditioned Armijo descent loop that the ground state, the
 Nehari-branch descent and the threshold ascent all run."""
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
 from .problem import Mesh, _sum_product
 
-__all__ = ["InteriorSolver", "armijo", "descend", "preconditioned_direction", "secant_step",
-           "stalled"]
+__all__ = ["Descent", "InteriorSolver", "armijo", "descend", "preconditioned_direction",
+           "secant_step", "stalled"]
 
 ARMIJO_SLOPE = 1e-4
 ARMIJO_FACTOR = 0.5
@@ -137,20 +138,42 @@ def armijo(trial, value: float, slope: float, step: float):
     return None
 
 
+@dataclass(frozen=True)
+class Descent:
+    """Outcome of descend.
+
+    ``field`` and ``value`` are the last accepted field and its value,
+    ``steps`` counts accepted steps, and ``trace`` rows are
+    (steps, value, gradient max-norm) at each accepted field.  ``stop``
+    names the exit: the reason the caller's stop rule returned,
+    "no_descent" (the direction does not descend), "resolution" (the
+    rounding floor), "line_search" (Armijo found no step), "max_iters",
+    or "no_value" (the start has none; then ``value`` is None and
+    ``trace`` is empty).  ``first`` is the step the first line search
+    accepted, None where it accepted none.
+    """
+
+    field: np.ndarray
+    value: float | None
+    steps: int
+    trace: list
+    stop: str
+    first: float | None
+
+
 def descend(start: np.ndarray, evaluate, gradient, stop, pre: InteriorSolver,
-            max_iters: int, relative: bool = False, step: float = 1.0,
-            resolution: float = 0.0):
+            max_iters: int, step: float = 1.0, resolution: float = 0.0) -> Descent:
     """Preconditioned Armijo descent of a function f from ``start``.
 
-    - ``evaluate(u, t, d, value)`` is (f, field, payload) at the trial field
-      that the caller makes from u - t d, or None where f has no value; the
-      loop evaluates the start itself, as evaluate(start, 0.0, None, 0.0).
-      With ``relative`` it returns the change f - value in place of f, which
-      the caller may compute without the cancellation of two rounded
-      values: Armijo then compares changes with 0, and the value moves by
-      them.  Otherwise it compares f at the trial with f at u.
+    - ``evaluate(u, t, d, value)`` is (change, field, payload) at the trial
+      field that the caller makes from u - t d, or None where f has no
+      value.  The change is f(trial) - value, which the caller may compute
+      without the cancellation of two rounded values; Armijo compares it
+      with 0, and the value moves by it.  The loop evaluates the start
+      itself, as evaluate(start, 0.0, None, 0.0), whose change is f(start).
     - ``gradient(payload)`` is the nodal gradient of f at an accepted field.
-    - ``stop(trace)`` is the stop rule at an accepted field.
+    - ``stop(trace)`` is the stop rule at an accepted field: None to go on,
+      else the reason, which the Descent reports.
 
     Each line search goes along -preconditioned_direction.  The first
     starts from ``step``; each later one from secant_step, or from twice
@@ -159,52 +182,44 @@ def descend(start: np.ndarray, evaluate, gradient, stop, pre: InteriorSolver,
     along the direction, whose decrease at the trial t is
     t (grad . P^-1 grad) / 2, cannot lower f by more than
     resolution (1 + |value|) / 2: a step that small does not show in the
-    rounded values that Armijo compares.  At each accepted field these
-    stops, and a direction that does not descend, come before max_iters
-    ends the descent.  Only the field outlives its gradient, and the start
-    is evaluated here: a payload kept through the line search would
-    fragment the heap, and the peak RSS would grow with every descent.
-
-    Returns (field, value, steps, trace, capped, first): ``steps`` counts
-    accepted steps, ``trace`` rows are (steps, value, gradient max-norm)
-    at each accepted field, ``capped`` is True when max_iters ended the
-    descent, and ``first`` is the step the first line search accepted,
-    None where it accepted none.  A start without a value returns
-    (start, None, 0, [], False, None).
+    rounded value.  At each accepted field these stops, and a direction
+    that does not descend, come before max_iters ends the descent.  Only
+    the field outlives its gradient, and the start is evaluated here: a
+    payload kept through the line search would fragment the heap, and the
+    peak RSS would grow with every descent.
     """
     found = evaluate(start, 0.0, None, 0.0)
     if found is None:
-        return start, None, 0, [], False, None
+        return Descent(start, None, 0, [], "no_value", None)
     value, u, payload = found
     trace = []
     prev = first = None
-    for steps in range(max_iters + 1):
+    for steps in range(max_iters + 1):    # returns at the latest when steps == max_iters
         grad = gradient(payload)
         payload = found = None
         trace.append((steps, value, float(np.abs(grad).max())))
-        if stop(trace):
-            break
+        reason = stop(trace)
+        if reason is not None:
+            return Descent(u, value, steps, trace, reason, first)
         found = preconditioned_direction(pre, grad)
         if found is None:
-            break
+            return Descent(u, value, steps, trace, "no_descent", first)
         d, slope = found
         if prev is not None:
             step = secant_step(u - prev[0], grad - prev[1], d - prev[2], step)
         if step * slope <= resolution * (1.0 + abs(value)):
-            break
+            return Descent(u, value, steps, trace, "resolution", first)
         if steps == max_iters:
-            return u, value, steps, trace, True, first
+            return Descent(u, value, steps, trace, "max_iters", first)
         prev = u, grad, d
-        found = armijo(lambda t: evaluate(u, t, d, value),
-                       0.0 if relative else value, -slope, step)
+        found = armijo(lambda t: evaluate(u, t, d, value), 0.0, -slope, step)
         if found is None:
-            break
-        t, level, u, payload = found
-        value = value + level if relative else level
+            return Descent(u, value, steps, trace, "line_search", first)
+        t, change, u, payload = found
+        value += change
         if first is None:
             first = t
         step = min(2.0 * t, MAX_STEP)
-    return u, value, steps, trace, False, first
 
 
 def stalled(trace, steps: int, rel: float = 0.0) -> bool:

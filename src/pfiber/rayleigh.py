@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .functionals import EnergyComponents, _evaluate, _flux_form, _point_form
-from .linalg import InteriorSolver, descend, stalled
+from .linalg import Descent, InteriorSolver, descend, stalled
 from .problem import DiscreteField, Exponents, Mesh, ProblemSpec, _sum_product, squared_norms
 
 __all__ = [
@@ -177,6 +177,7 @@ class ThresholdEstimate:
     ``restart_gain``      the best log-quotient of a sampled start less
                           the flat limit's; None when no sampled start ran
                           or the flat limit has no value
+    ``stop``              why the winning ascent stopped (linalg.Descent)
     """
 
     sup_quotient: float
@@ -188,6 +189,7 @@ class ThresholdEstimate:
     capped_restarts: int
     best_start: int
     restart_gain: float | None
+    stop: str
 
 
 def _log_quotient(values: np.ndarray, grads: np.ndarray, spec: ProblemSpec):
@@ -228,32 +230,29 @@ def _normalize(values: np.ndarray, mesh: Mesh, p: float):
 
 
 def _ascend_log_quotient(start: np.ndarray, spec: ProblemSpec, solver: InteriorSolver,
-                         max_iters: int, step: float):
-    """linalg.descend of -_log_quotient; returns (value, field, iters, capped, first).
+                         max_iters: int, step: float) -> Descent:
+    """linalg.descend of -_log_quotient: its value is -log Q.
 
     Each trial field is |u - t d| with zero boundary values, renormalized to
-    int |grad u|^p = 1.  The first line search starts from ``step``, and
-    ``first`` is the step it accepted (None if none).  The ascent stops
-    where the secant model cannot raise the value by half its rounding
-    unit, eps_mach (1 + |value|) / 2, or else after 3 steps in a row that
-    each raise it by at most 1e-13 (1 + |value|); ``capped`` is True when
-    max_iters stopped it first.  The value is None where the start has none.
+    int |grad u|^p = 1, and its change is -log Q(trial) - value, so a trial
+    that leaves -log Q unchanged is rejected.  The first line search starts
+    from ``step``.  The ascent stops where the secant model cannot raise
+    log Q by half its rounding unit, eps_mach (1 + |log Q|) / 2,
+    "resolution", or else after 3 steps in a row that each raise it by at
+    most 1e-13 (1 + |log Q|), "stalled".
     """
     mesh, p = spec.mesh, spec.exponents.p
 
-    def evaluate(u, t, d, _):
+    def evaluate(u, t, d, value):
         cand = np.abs(u if d is None else u - t * d)
         cand[mesh.boundary_nodes] = 0.0
         cand, grads = _normalize(cand, mesh, p)
         found = _log_quotient(cand, grads, spec)
-        return None if found is None else (-found[0], cand, found[1])
+        return None if found is None else (-found[0] - value, cand, found[1])
 
-    u, neg_value, iters, _, capped, first = descend(
-        start, evaluate, lambda state: -_log_quotient_gradient(state, spec),
-        lambda trace: stalled(trace, 3, 1e-13), solver, max_iters,
-        step=step, resolution=np.finfo(float).eps)
-    value = None if neg_value is None else -neg_value
-    return value, DiscreteField(mesh, u), iters, capped, first
+    return descend(start, evaluate, lambda state: -_log_quotient_gradient(state, spec),
+                   lambda trace: "stalled" if stalled(trace, 3, 1e-13) else None,
+                   solver, max_iters, step=step, resolution=np.finfo(float).eps)
 
 
 def estimate_thresholds(spec: ProblemSpec, restarts: int = 0, max_iters: int = 400,
@@ -295,34 +294,35 @@ def estimate_thresholds(spec: ProblemSpec, restarts: int = 0, max_iters: int = 4
     capped_restarts = 0
     step = 1.0    # each restart's first trial: the step the last first search took
     for index, start in enumerate(starts):
-        value, field, iters, capped, first = _ascend_log_quotient(start, spec, solver,
-                                                                  max_iters, step)
-        step = step if first is None else first
-        total_iters += iters
-        capped_restarts += capped
+        ascent = _ascend_log_quotient(start, spec, solver, max_iters, step)
+        step = step if ascent.first is None else ascent.first
+        total_iters += ascent.steps
+        capped_restarts += ascent.stop == "max_iters"
+        value = None if ascent.value is None else -ascent.value
         reached.append(value)
         if value is None:
             continue
         # Ties within 1e-12 keep the earliest start.
         if best is None or value > best[0] + 1e-12 * (1.0 + abs(best[0])):
-            best = value, field, index
+            best = value, ascent, index
     sampled = [v for v in reached[flat + 1:] if v is not None]
     restart_gain = (float(max(sampled) - reached[flat])
                     if sampled and reached[flat] is not None else None)
     if best is None:
         raise DomainError("no start reached a field with positive gain; "
                           "is the coefficient a nonzero on the domain?")
-    best_value, best_field, best_start = best
+    best_value, best_ascent, best_start = best
     sup_quotient = float(np.exp(best_value))
     consts = extremal_constants(spec.exponents)
     return ThresholdEstimate(
         sup_quotient=sup_quotient,
         eps_critical=consts.constraint * sup_quotient,
         eps_two_solutions=consts.zero_energy * sup_quotient,
-        maximizer=best_field,
+        maximizer=DiscreteField(mesh, best_ascent.field),
         restarts_used=len(starts),
         iterations=total_iters,
         capped_restarts=capped_restarts,
         best_start=best_start,
         restart_gain=restart_gain,
+        stop=best_ascent.stop,
     )

@@ -43,7 +43,7 @@ from .functionals import (
     _residual,
     delta_reg,
 )
-from .linalg import InteriorSolver, armijo, descend, stalled
+from .linalg import Descent, InteriorSolver, armijo, descend, stalled
 from .problem import DiscreteField, Mesh, ProblemSpec
 from .rayleigh import fiber_scalings
 
@@ -87,7 +87,8 @@ class SolveReport:
     along the ray through the solution; positive values mark the ground-state
     branch.  ``best_start`` is the index of the winning descent's start: 0
     for the flat-limit seed or ``init``, i for the i-th random restart.
-    ``trace`` rows are (iteration, energy, residual_norm) for that descent.
+    ``trace`` rows are (iteration, energy, residual_norm) for that descent,
+    and ``stop`` is the reason it stopped (linalg.Descent.stop).
     """
 
     field: DiscreteField
@@ -100,6 +101,7 @@ class SolveReport:
     tol_effective: float
     delta_reg: float
     best_start: int
+    stop: str
     trace: list = dataclass_field(default_factory=list, repr=False)
 
     def is_zero(self) -> bool:
@@ -126,12 +128,13 @@ def _finish(values: np.ndarray, spec: ProblemSpec, tol_res: float):
 
 
 def _descend(start: np.ndarray, spec: ProblemSpec, pre: InteriorSolver,
-             tol_res: float, max_iters: int, project=None):
-    """linalg.descend of phi from a zero-trace seed; returns (values, iterations, trace).
+             tol_res: float, max_iters: int, project=None) -> Descent:
+    """linalg.descend of phi from a zero-trace seed.
 
-    The gradient is the weak residual.  The descent stops on _tolerance, or
-    after _FLAT_STEPS accepted steps in a row without a strict decrease of
-    the trace energy.  Trial values are energy changes: within _RESOLUTION
+    The gradient is the weak residual.  The descent stops on _tolerance,
+    "tolerance", or after _FLAT_STEPS accepted steps in a row without a
+    strict decrease of the trace energy, "flat".  Trial values are energy
+    changes: within _RESOLUTION
     of the trial's energy scale, the cancellation-free _energy_change
     replaces the difference of the two rounded energies.  With ``project``,
     each trial field is project(u - t d), None has no value, and the change
@@ -152,11 +155,11 @@ def _descend(start: np.ndarray, spec: ProblemSpec, pre: InteriorSolver,
 
     def stop(trace):
         _, energy, res_norm = trace[-1]
-        return res_norm <= _tolerance(tol_res, energy) or stalled(trace, _FLAT_STEPS)
+        if res_norm <= _tolerance(tol_res, energy):
+            return "tolerance"
+        return "flat" if stalled(trace, _FLAT_STEPS) else None
 
-    values, _, iterations, trace, *_ = descend(start, evaluate, lambda s: _residual(s, spec),
-                                               stop, pre, max_iters, relative=True)
-    return values, iterations, trace
+    return descend(start, evaluate, lambda s: _residual(s, spec), stop, pre, max_iters)
 
 
 def _amplitude(spec: ProblemSpec) -> float:
@@ -213,12 +216,12 @@ def solve_ground_state(spec: ProblemSpec, init: DiscreteField | None = None,
     else:
         seeds = _default_seeds(spec, seed, random_restarts)
 
-    candidates = []    # (field, energy, res_norm, tol, comps, trace, start), in seed order
+    candidates = []    # (field, energy, res_norm, tol, comps, descent, start), in seed order
     iterations = 0
     for index, start in enumerate(seeds):
-        values, iters, trace = _descend(start, spec, pre, tol_res, max_iters)
-        iterations += iters
-        candidates.append((*_finish(values, spec, tol_res), trace, index))
+        descent = _descend(start, spec, pre, tol_res, max_iters)
+        iterations += descent.steps
+        candidates.append((*_finish(descent.field, spec, tol_res), descent, index))
 
     converged = [c for c in candidates if c[2] <= c[3]]
     best = min(converged or candidates, key=lambda c: c[1])
@@ -226,29 +229,27 @@ def solve_ground_state(spec: ProblemSpec, init: DiscreteField | None = None,
         comps = best[4]
         zero_floor = 1e-12 * (1.0 + spec.epsilon * comps.dirichlet + comps.gain + comps.loss)
         if best[1] >= -zero_floor:
-            return SolveReport(
-                field=DiscreteField(mesh, np.zeros(mesh.n_nodes)), energy=0.0,
-                residual_norm=0.0, nehari_residual=0.0, fiber_second_derivative=0.0,
-                iterations=iterations, converged=True, tol_effective=tol_res,
-                delta_reg=delta_reg(spec.exponents.p), best_start=best[6], trace=best[5],
-            )
-        # Ties keep the earliest seed.
-        tie_tol = 1e-10 * (1.0 + abs(best[1]))
-        best = next(c for c in converged if abs(c[1] - best[1]) <= tie_tol)
+            best = (DiscreteField(mesh, np.zeros(mesh.n_nodes)), 0.0, 0.0, tol_res,
+                    EnergyComponents(0.0, 0.0, 0.0), *best[5:])
+        else:
+            # Ties keep the earliest seed.
+            tie_tol = 1e-10 * (1.0 + abs(best[1]))
+            best = next(c for c in converged if abs(c[1] - best[1]) <= tie_tol)
     if best[1] < 0.0 and best[0].values.min() < 0.0:
         # A ground state does not change sign; |u| has the winner's energy up
         # to the kinks of its sign changes and is rechecked by _finish.
         best = (*_finish(np.abs(best[0].values), spec, tol_res), *best[5:])
-    field, energy, res_norm, tol_eff, comps, trace, best_start = best
+    field, energy, res_norm, tol_eff, comps, descent, best_start = best
     ex, eps = spec.exponents, spec.epsilon
     dir_, gain, loss = comps.dirichlet, comps.gain, comps.loss
+    total = eps * dir_ + gain + loss    # 0 only for the zero field
     return SolveReport(
         field=field, energy=energy, residual_norm=res_norm,
-        nehari_residual=abs(eps * dir_ - gain + loss) / (eps * dir_ + gain + loss),
+        nehari_residual=abs(eps * dir_ - gain + loss) / total if total else 0.0,
         fiber_second_derivative=(ex.p - ex.q) * eps * dir_ + (ex.gamma - ex.q) * loss,
         iterations=iterations, converged=res_norm <= tol_eff,
         tol_effective=tol_eff, delta_reg=delta_reg(ex.p), best_start=best_start,
-        trace=trace,
+        stop=descent.stop, trace=descent.trace,
     )
 
 
@@ -261,6 +262,7 @@ class MountainPassReport:
     ground state, an upper bound of the mountain-pass level.
     ``iterations`` counts the descent steps on N- and ``newton_steps`` the
     Newton steps of an accepted finish, 0 when Newton's field was refused.
+    ``stop`` is the reason the descent on N- stopped (linalg.Descent.stop).
     """
 
     field: DiscreteField
@@ -272,6 +274,7 @@ class MountainPassReport:
     converged: bool
     tol_effective: float
     delta_reg: float
+    stop: str
 
 
 def _peak_projection(values: np.ndarray, spec: ProblemSpec) -> np.ndarray | None:
@@ -456,17 +459,17 @@ def solve_mountain_pass(spec: ProblemSpec, ground_state: SolveReport,
     if start is None:
         raise NumericalError("the ray through the ground state has no energy peak")
     pre = InteriorSolver(spec.mesh, alpha=spec.epsilon, beta=1.0)
-    values, iterations, trace = _descend(start, spec, pre, tol_res, max_iters,
-                                         project=lambda v: _peak_projection(v, spec))
-    path_level = trace[0][1]    # the energy of the start
-    newton_steps = 0
+    descent = _descend(start, spec, pre, tol_res, max_iters,
+                       project=lambda v: _peak_projection(v, spec))
+    path_level = descent.trace[0][1]    # the energy of the start
+    values, newton_steps = descent.field, 0
     found = _newton(values, spec, tol_res)
     if found is not None and _on_peak_branch(*found[:3], path_level, spec):
         values, *_, newton_steps = found
     field, energy, res_norm, tol_eff, _ = _finish(values, spec, tol_res)
     return MountainPassReport(
         field=field, energy=energy, path_level=path_level,
-        residual_norm=res_norm, iterations=iterations, newton_steps=newton_steps,
+        residual_norm=res_norm, iterations=descent.steps, newton_steps=newton_steps,
         converged=res_norm <= tol_eff,
-        tol_effective=tol_eff, delta_reg=delta_reg(spec.exponents.p),
+        tol_effective=tol_eff, delta_reg=delta_reg(spec.exponents.p), stop=descent.stop,
     )

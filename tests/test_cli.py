@@ -235,9 +235,10 @@ def test_report_serialization(tmp_path):
     assert set(data) == {
         "energy", "residual_norm", "nehari_residual", "fiber_second_derivative",
         "iterations", "converged", "tol_effective", "delta_reg", "zero_field", "field",
-        "best_start",
+        "best_start", "stop",
     }
     assert data["best_start"] == report.best_start
+    assert data["stop"] == report.stop == "tolerance"
     assert data["converged"] is True
     assert data["zero_field"] is False
     assert len(data["field"]["values"]) == 201
@@ -615,6 +616,17 @@ def test_artifacts_match_the_readme_table(tmp_path, subcommand, svg):
     assert run(subcommand, json.loads(json.dumps(TINY)), out_dir=out, svg=svg) == 0
     expected = {"resolved_config.json", *always, *(optional if svg else ())}
     assert {path.name for path in out.iterdir()} == expected
+
+
+def test_a_capped_solve_says_why_it_stopped(tmp_path, capsys):
+    """solver.max_iters = 3 leaves the TINY descent unconverged: exit 3, and
+    both ground_state.json and stderr name the reason."""
+    cfg = json.loads(json.dumps(TINY))
+    cfg["solver"]["max_iters"] = 3
+    out = tmp_path / "run"
+    assert run("solve", cfg, out_dir=out) == 3
+    assert "(descent stopped: max_iters)" in capsys.readouterr().err
+    assert json.loads((out / "ground_state.json").read_text())["report"]["stop"] == "max_iters"
 
 
 def test_dump_json_is_deterministic(tmp_path):

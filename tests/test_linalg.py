@@ -1,5 +1,5 @@
-"""The shared descent loop, Armijo line search, secant trial step and
-preconditioned directions."""
+"""The shared descent loop and its exits, Armijo line search, secant trial
+step and preconditioned directions."""
 
 import gc
 import math
@@ -14,6 +14,7 @@ from pfiber.linalg import (
     ARMIJO_FACTOR,
     MAX_BACKTRACKS,
     MAX_STEP,
+    Descent,
     InteriorSolver,
     armijo,
     descend,
@@ -21,7 +22,9 @@ from pfiber.linalg import (
     secant_step,
     stalled,
 )
-from pfiber.problem import build_mesh
+from pfiber.problem import Exponents, ProblemSpec, build_mesh, constant_coefficient
+from pfiber.rayleigh import _ascend_log_quotient
+from pfiber.solver import _FLAT_STEPS, _default_seeds, _descend
 
 
 def recording(fn):
@@ -136,41 +139,49 @@ class Quadratic:
         return grad
 
     def evaluate(self, u, t, d, value):
+        """The change as the difference of two rounded values."""
         cand = u if d is None else u - t * d
-        return self.value(cand), cand, cand
+        return self.value(cand) - value, cand, cand
 
     def change(self, u, t, d, value):
-        """The exact change t (t d.A d / 2 - grad . d), for ``relative``."""
+        """The exact change t (t d.A d / 2 - grad . d), free of that cancellation."""
         if d is None:
-            return self.value(u) - value, u, u
+            return self.evaluate(u, t, d, value)
         cand = u - t * d
         grad = self.matrix @ u - self.rhs
         return t * (0.5 * t * (d @ (self.matrix @ d)) - grad @ d), cand, cand
 
-    def descend(self, start, stop, max_iters=500, relative=False, **kwargs):
-        evaluate = self.change if relative else self.evaluate
-        return descend(start, evaluate, self.gradient, stop, self.pre, max_iters, relative,
-                       **kwargs)
+    def descend(self, start, stop, max_iters=500, exact=False, **kwargs):
+        evaluate = self.change if exact else self.evaluate
+        return descend(start, evaluate, self.gradient, stop, self.pre, max_iters, **kwargs)
 
 
 def below(tol):
-    return lambda trace: trace[-1][2] <= tol
+    return lambda trace: "tolerance" if trace[-1][2] <= tol else None
+
+
+def flat(trace):
+    return "flat" if stalled(trace, 3) else None
+
+
+def never(trace):
+    return None
 
 
 def test_descend_converges_at_the_start():
     quad = Quadratic()
-    u, value, steps, trace, capped, first = quad.descend(quad.solution, below(1e-10))
-    assert (steps, capped, first) == (0, False, None)
-    assert u is quad.solution
-    assert trace == [(0, value, quad.accepted[0][1])]
+    descent = quad.descend(quad.solution, below(1e-10))
+    assert (descent.steps, descent.stop, descent.first) == (0, "tolerance", None)
+    assert descent.field is quad.solution
+    assert descent.trace == [(0, descent.value, quad.accepted[0][1])]
 
 
-def test_descend_converges_to_the_sparse_solve_in_relative_mode():
+def test_descend_converges_to_the_sparse_solve_on_exact_changes():
     """Changes without cancellation reach a gradient 1e-13 of the solution."""
     quad = Quadratic()
-    u, value, steps, trace, capped, _ = quad.descend(
-        np.zeros(quad.mesh.n_nodes), below(1e-13), relative=True)
-    assert 1 < steps < 500 and not capped
+    descent = quad.descend(np.zeros(quad.mesh.n_nodes), below(1e-13), exact=True)
+    u, value, steps, trace = descent.field, descent.value, descent.steps, descent.trace
+    assert 1 < steps < 500 and descent.stop == "tolerance"
     assert np.max(np.abs(u - quad.solution)) <= 1e-12 * np.max(np.abs(quad.solution))
     assert trace[-1][2] <= 1e-13
     # Rows are (iteration, value, gradient max-norm) at each accepted field,
@@ -182,32 +193,36 @@ def test_descend_converges_to_the_sparse_solve_in_relative_mode():
     assert [row[2] for row in trace] == [a[1] for a in quad.accepted]
 
 
-def test_descend_stops_flat_at_the_rounding_floor_of_absolute_values():
-    """Compared as rounded values, f stops decreasing near a gradient 1e-6.
+def test_descend_stops_flat_where_the_changes_no_longer_move_the_value():
+    """Exact changes keep lowering f, but the value, which moves by them,
+    stops moving once they fall below half its rounding unit.
 
-    The flat rule ends the descent there; a gradient tolerance alone runs
-    into the cap.  A flat stop on the last allowed step is not capped.
+    The flat rule ends the descent there, near a gradient 1e-8; without a
+    stop rule the descent goes on below it into the cap.  A flat stop on
+    the last allowed step is "flat"; one step fewer is "max_iters".
     """
     quad = Quadratic()
     start = np.zeros(quad.mesh.n_nodes)
-    u, value, steps, trace, capped, first = quad.descend(start,
-                                                         lambda trace: stalled(trace, 3))
-    assert steps < 500 and not capped
+    descent = quad.descend(start, flat, exact=True)
+    steps, trace = descent.steps, descent.trace
+    assert steps < 500 and descent.stop == "flat"
     assert stalled(trace, 3) and not stalled(trace[:-1], 3)
-    values = [row[1] for row in trace]
-    assert values == [a[0] for a in quad.accepted]
+    values = np.array([row[1] for row in trace])
     assert np.all(np.diff(values) <= 0.0)
-    assert 1e-10 < trace[-1][2] and np.max(np.abs(u - quad.solution)) <= 1e-6
+    assert np.abs(values - [a[0] for a in quad.accepted]).max() <= 1e-13 * abs(descent.value)
+    assert 1e-10 < trace[-1][2] and np.max(np.abs(descent.field - quad.solution)) <= 1e-6
 
-    edge = quad.descend(start, lambda trace: stalled(trace, 3), max_iters=steps)
-    assert edge[2:] == (steps, trace, False, first)
-    np.testing.assert_array_equal(edge[0], u)
-    short = quad.descend(start, lambda trace: stalled(trace, 3), max_iters=steps - 1)
-    assert short[2:] == (steps - 1, trace[:-1], True, first)
+    edge = quad.descend(start, flat, max_iters=steps, exact=True)
+    assert (edge.steps, edge.trace, edge.stop, edge.first) == (steps, trace, "flat",
+                                                               descent.first)
+    np.testing.assert_array_equal(edge.field, descent.field)
+    short = quad.descend(start, flat, max_iters=steps - 1, exact=True)
+    assert (short.steps, short.trace, short.stop, short.first) == (steps - 1, trace[:-1],
+                                                                   "max_iters", descent.first)
 
-    u, value, steps, trace, capped, _ = quad.descend(start, below(1e-10), max_iters=60)
-    assert (steps, capped, len(trace)) == (60, True, 61)
-    assert trace[-1][2] > 1e-10
+    capped = quad.descend(start, never, max_iters=60, exact=True)
+    assert (capped.steps, capped.stop, len(capped.trace)) == (60, "max_iters", 61)
+    assert capped.trace[-1][2] < 1e-3 * trace[-1][2]
 
 
 def test_descend_starts_from_the_given_step_and_returns_the_first_accepted():
@@ -224,7 +239,7 @@ def test_descend_starts_from_the_given_step_and_returns_the_first_accepted():
             return Quadratic.evaluate(quad, u, t, d, value)
 
         quad.evaluate = evaluate
-        *_, first = quad.descend(start, lambda trace: stalled(trace, 3), **kwargs)
+        first = quad.descend(start, below(1e-10), **kwargs).first
         step = kwargs.get("step", 1.0)
         # Trials are the start (t = 0), then the first search from ``step``.
         assert trials[1:halvings + 2] == [step * ARMIJO_FACTOR**k for k in range(halvings + 1)]
@@ -232,26 +247,34 @@ def test_descend_starts_from_the_given_step_and_returns_the_first_accepted():
 
 
 def test_descend_stops_where_the_secant_model_is_below_the_rounding():
-    """With ``resolution`` = eps_mach the descent of rounded values stops
-    before the 3-step stall rule would, and near the same field.
+    """On differences of rounded values the descent goes on until its line
+    search finds no trial below the value, "line_search".  With
+    ``resolution`` = eps_mach it stops before, "resolution", and near the
+    same field.
 
-    The floor is tested before the cap: with max_iters at the steps the
-    floor stop takes, the descent is not capped; one step fewer caps it.
+    Each difference is exact here, so the value moves to f at the accepted
+    field bit for bit.  The floor is tested before the cap: with max_iters
+    at the steps the floor stop takes, the stop is "resolution"; one step
+    fewer is "max_iters".
     """
     quad = Quadratic()
     start = np.zeros(quad.mesh.n_nodes)
     eps = np.finfo(float).eps
-    stall_steps = quad.descend(start, lambda trace: stalled(trace, 3))[2]
-    u, value, steps, trace, capped, _ = quad.descend(start, lambda trace: False,
-                                                     resolution=eps)
-    assert not capped and steps < stall_steps
-    assert np.max(np.abs(u - quad.solution)) <= 1e-6
+    floor = quad.descend(start, never)
+    assert floor.stop == "line_search"
+    values = [row[1] for row in floor.trace]
+    assert values == [a[0] for a in quad.accepted]
+    assert np.all(np.diff(values) < 0.0)
+    descent = quad.descend(start, never, resolution=eps)
+    steps, trace = descent.steps, descent.trace
+    assert descent.stop == "resolution" and steps < floor.steps
+    assert np.max(np.abs(descent.field - quad.solution)) <= 1e-6
     assert trace[-1][2] < 1e-6 * trace[0][2]
 
-    edge = quad.descend(start, lambda trace: False, max_iters=steps, resolution=eps)
-    assert edge[2:5] == (steps, trace, False)
-    short = quad.descend(start, lambda trace: False, max_iters=steps - 1, resolution=eps)
-    assert short[2:5] == (steps - 1, trace[:-1], True)
+    edge = quad.descend(start, never, max_iters=steps, resolution=eps)
+    assert (edge.steps, edge.trace, edge.stop) == (steps, trace, "resolution")
+    short = quad.descend(start, never, max_iters=steps - 1, resolution=eps)
+    assert (short.steps, short.trace, short.stop) == (steps - 1, trace[:-1], "max_iters")
 
 
 def test_descend_without_trial_values_accepts_no_step():
@@ -261,14 +284,51 @@ def test_descend_without_trial_values_accepts_no_step():
     def no_trials(u, t, d, value):
         return quad.evaluate(u, t, d, value) if d is None else None
 
-    u, value, steps, trace, capped, first = descend(start, no_trials, quad.gradient,
-                                                    below(0.0), quad.pre, 10)
-    assert (u is start, value, steps, capped, first) == (True, 0.0, 0, False, None)
-    assert len(trace) == 1
+    descent = descend(start, no_trials, quad.gradient, never, quad.pre, 10)
+    assert (descent.field is start, descent.value, descent.steps, descent.stop,
+            descent.first) == (True, 0.0, 0, "line_search", None)
+    assert len(descent.trace) == 1
     # A start without a value ends the loop before any gradient.
-    found = descend(start, lambda *args: None, quad.gradient, below(0.0), quad.pre, 10)
-    assert found[0] is start and found[1:] == (None, 0, [], False, None)
+    descent = descend(start, lambda *args: None, quad.gradient, never, quad.pre, 10)
+    assert descent == Descent(start, None, 0, [], "no_value", None)
     assert len(quad.accepted) == 1
+
+
+def test_descend_stops_where_the_direction_does_not_descend():
+    """With b = 0 the gradient at the zero field is exactly 0: no step descends."""
+    quad = Quadratic()
+    quad.rhs[:] = 0.0
+    descent = quad.descend(np.zeros(quad.mesh.n_nodes), never)
+    assert (descent.steps, descent.stop, descent.first) == (0, "no_descent", None)
+    assert descent.trace == [(0, 0.0, 0.0)]
+
+
+def test_the_ground_state_descent_stops_on_tolerance_or_flat():
+    """_descend stops on the residual rule, "tolerance"; at tol_res = 1e-17,
+    below what rounding allows, it stops once _FLAT_STEPS accepted steps
+    in a row leave the trace energy as it is, "flat"."""
+    one = constant_coefficient(1.0)
+    spec = ProblemSpec(build_mesh((0.0, 1.0), 41), Exponents(2.0, 3.0, 4.0), 1e-2, one, one)
+    pre = InteriorSolver(spec.mesh, alpha=spec.epsilon, beta=1.0)
+    start = _default_seeds(spec, 0, 0)[0]
+    assert _descend(start, spec, pre, 1e-8, 3000).stop == "tolerance"
+    descent = _descend(start, spec, pre, 1e-17, 3000)
+    assert descent.stop == "flat" and descent.steps < 3000
+    assert len({row[1] for row in descent.trace[-_FLAT_STEPS - 1:]}) == 1
+
+
+def test_the_threshold_ascent_stops_stalled_or_at_the_resolution():
+    """From the flat limit on 41 nodes the (2, 3, 4) ascent reaches the
+    rounding floor of log Q, "resolution", and the p = 1.5 ascent stalls
+    first, "stalled"."""
+    one = constant_coefficient(1.0)
+    mesh = build_mesh((0.0, 1.0), 41)
+    pre = InteriorSolver(mesh, alpha=1.0, beta=1.0)
+    for exponents, reason in ((Exponents(2.0, 3.0, 4.0), "resolution"),
+                              (Exponents(1.5, 2.5, 3.5), "stalled")):
+        spec = ProblemSpec(mesh, exponents, 1e-3, one, one)
+        ascent = _ascend_log_quotient(spec.flat_limit, spec, pre, 400, 1.0)
+        assert ascent.stop == reason and ascent.steps < 400
 
 
 @pytest.mark.parametrize(("domain", "resolution", "tol"), [
