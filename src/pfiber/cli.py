@@ -14,6 +14,7 @@ second met a zero ground state (partial artifacts are kept), 4 internal numerica
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -269,11 +270,32 @@ def _record(obj):
     return obj
 
 
+def _json_text(obj, indent: str = "") -> str:
+    """``obj``, whose keys are strings, as ``json.dumps(obj, indent=2,
+    sort_keys=True)`` writes it at ``indent``.
+
+    The stdlib writes an indented document with its pure-Python encoder.  A
+    list of finite floats, such as a field's nodal values, is written here
+    by one join over ``float.__repr__``, which is what that encoder writes
+    for each; keys, scalars and empty containers go through ``json.dumps``.
+    """
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        items = (f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in sorted(obj.items()))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        if all(type(v) is float and math.isfinite(v) for v in obj):
+            items = map(float.__repr__, obj)
+        else:
+            items = (_json_text(v, inner) for v in obj)
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    return json.dumps(obj)
+
+
 def _dump_json(obj: dict, path) -> None:
     """Write a JSON document deterministically (sorted keys, fixed format)."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(obj) + "\n")
 
 
 def _cell(value) -> str:
@@ -447,6 +469,7 @@ def _cmd_layer(resolved: dict, problem: ProblemSpec, out_dir: Path, svg: bool,
             "sup_diff": sup_diff,
             "ground_energy": ground.energy,
             "ground_converged": ground.converged,
+            "ground_stop": ground.stop,
         }
         if not ground.converged:
             status = 3

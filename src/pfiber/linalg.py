@@ -2,7 +2,6 @@
 the one preconditioned Armijo descent loop that the ground state, the
 Nehari-branch descent and the threshold ascent all run."""
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +16,7 @@ ARMIJO_SLOPE = 1e-4
 ARMIJO_FACTOR = 0.5
 MAX_BACKTRACKS = 60
 MAX_STEP = 1e8    # largest trial step of descend and secant_step
+_PANEL = 4 * 65536    # multiply-adds of one matrix product in the 2D solve
 
 
 class InteriorSolver:
@@ -35,19 +35,24 @@ class InteriorSolver:
     where the P1 couplings are -cot(90 deg)/2 = 0, so the stiffness is
     exactly the 5-point stencil and the lumped mass is hx * hy at every
     interior node.  The orthonormal DST-I along each axis diagonalizes that
-    matrix, and it is its own inverse: a solve is two transforms and a
-    division by the eigenvalues (Buzbee, Golub & Nielson, SIAM J. Numer.
-    Anal. 1970).
+    matrix (Lynch, Rice & Thomas, Numer. Math. 6, 1964).  Written out as a
+    matrix, S[j, k] = sqrt(2 / (n - 1)) sin(pi j k / (n - 1)) for
+    j, k = 1 .. n - 2 is symmetric and its own inverse, so on the interior
+    nodes as a (ny - 2) x (nx - 2) array X a solve is
+    Sy ((Sy X Sx) / eigenvalues) Sx: four matrix products, each in row
+    panels that a threaded BLAS runs on one thread (_product).  They cost
+    O(n^3) against a fast transform's O(n^2 log n), but up to about 141
+    nodes per axis they take less time than its call overhead (README).
     """
 
     def __init__(self, mesh: Mesh, alpha: float, beta: float):
         if alpha < 0 or beta < 0 or alpha + beta <= 0:
             raise NumericalError("preconditioner weights must be nonnegative, not both zero")
         self.mesh = mesh
-        self._idx = mesh.interior_nodes
         # Each branch stores a closure, not a method: a bound method stored on
         # self is a reference cycle, which keeps the mesh and its operators
-        # alive until the cyclic garbage collector runs.
+        # alive until the cyclic garbage collector runs.  The closure writes
+        # the interior entries of its zeroed output.
         if mesh.dimension == 1:
             from scipy.linalg import lapack
 
@@ -61,35 +66,66 @@ class InteriorSolver:
             if info != 0:
                 raise NumericalError(f"preconditioner factorization failed: info = {info}")
 
-            def solve(interior):    # apply passes a fresh copy: overwrite it
-                return lapack.dpttrs(diag, off, interior, overwrite_b=True)[0]
+            def solve(nodal, out):
+                out[1:-1] = lapack.dpttrs(diag, off, nodal[1:-1])[0]
 
             self._solve = solve
         else:
-            import scipy.fft
-
             (x0, x1), (y0, y1) = mesh.bounds
             nx, ny = mesh.resolution
             hx, hy = (x1 - x0) / (nx - 1), (y1 - y0) / (ny - 1)
-            # Interior nodes run row-major, x fastest: axis 0 is y, axis 1 is x.
+            # Nodes run row-major, x fastest: axis 0 is y, axis 1 is x.
             ex = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, nx - 1) / (nx - 1))
             ey = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, ny - 1) / (ny - 1))
             eigenvalues = (alpha * ((hy / hx) * ex[None, :] + (hx / hy) * ey[:, None])
                            + beta * hx * hy)
-            dst = functools.partial(scipy.fft.dstn, type=1, axes=(0, 1), norm="ortho")
+            sx, sy = _sine_matrix(nx), _sine_matrix(ny)
 
-            def solve(interior):
-                return dst(dst(interior.reshape(eigenvalues.shape)) / eigenvalues).ravel()
+            def interior(nodal):
+                return nodal.reshape(ny, nx)[1:-1, 1:-1]
+
+            def solve(nodal, out):
+                left, coeffs = np.empty(eigenvalues.shape), np.empty(eigenvalues.shape)
+                _product(sy, interior(nodal), left)
+                _product(left, sx, coeffs)
+                coeffs /= eigenvalues
+                _product(sy, coeffs, left)
+                _product(left, sx, interior(out))
 
             self._solve = solve
 
     def apply(self, nodal: np.ndarray) -> np.ndarray:
         """Solve the interior system for a nodal vector; boundary entries are 0."""
         out = np.zeros(self.mesh.n_nodes)
-        out[self._idx] = self._solve(nodal[self._idx])
+        self._solve(nodal, out)
         if not np.all(np.isfinite(out)):
             raise NumericalError("preconditioner solve produced non-finite values")
         return out
+
+
+def _sine_matrix(n: int) -> np.ndarray:
+    """The orthonormal DST-I of the n - 2 interior nodes of an n-node axis.
+
+    Its entries are exactly symmetric, so S diag(1 / eigenvalues) S is
+    symmetric positive definite even where rounding leaves S S a few units
+    off the identity.
+    """
+    j = np.arange(1, n - 1)
+    return np.sqrt(2.0 / (n - 1)) * np.sin(np.pi * np.outer(j, j) / (n - 1))
+
+
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """a @ b into ``out``, in row panels of at most _PANEL multiply-adds.
+
+    OpenBLAS runs a product of at most GEMM_MULTITHREAD_THRESHOLD * 65536
+    multiply-adds on one thread, 4 * 65536 in its default build.  A larger
+    one splits its output among the threads, and the split moves the last
+    bits of the result, so without the panels the solve's bytes would
+    follow the BLAS thread count from about 121 nodes per axis on.
+    """
+    rows = max(1, _PANEL // (a.shape[1] * b.shape[1]))
+    for i in range(0, a.shape[0], rows):
+        np.matmul(a[i:i + rows], b, out=out[i:i + rows])
 
 
 def preconditioned_direction(pre: InteriorSolver, grad: np.ndarray):
@@ -161,6 +197,10 @@ class Descent:
     first: float | None
 
 
+class _BelowResolution(Exception):
+    """A trial step of descend's line search is below its resolution."""
+
+
 def descend(start: np.ndarray, evaluate, gradient, stop, pre: InteriorSolver,
             max_iters: int, step: float = 1.0, resolution: float = 0.0) -> Descent:
     """Preconditioned Armijo descent of a function f from ``start``.
@@ -178,12 +218,14 @@ def descend(start: np.ndarray, evaluate, gradient, stop, pre: InteriorSolver,
     Each line search goes along -preconditioned_direction.  The first
     starts from ``step``; each later one from secant_step, or from twice
     the last accepted step where there is no secant.  With a positive
-    ``resolution`` the descent also stops where the secant model of f
-    along the direction, whose decrease at the trial t is
+    ``resolution`` the descent also stops, "resolution", where the secant
+    model of f along the direction, whose decrease at the trial t is
     t (grad . P^-1 grad) / 2, cannot lower f by more than
     resolution (1 + |value|) / 2: a step that small does not show in the
-    rounded value.  At each accepted field these stops, and a direction
-    that does not descend, come before max_iters ends the descent.  Only
+    rounded value.  That holds for the first trial, and for any trial the
+    line search halves down to without an accepted step, which ends it
+    there.  At each accepted field these stops, and a direction that does
+    not descend, come before max_iters ends the descent.  Only
     the field outlives its gradient, and the start is evaluated here: a
     payload kept through the line search would fragment the heap, and the
     peak RSS would grow with every descent.
@@ -207,12 +249,22 @@ def descend(start: np.ndarray, evaluate, gradient, stop, pre: InteriorSolver,
         d, slope = found
         if prev is not None:
             step = secant_step(u - prev[0], grad - prev[1], d - prev[2], step)
-        if step * slope <= resolution * (1.0 + abs(value)):
+        floor = resolution * (1.0 + abs(value))
+        if step * slope <= floor:
             return Descent(u, value, steps, trace, "resolution", first)
         if steps == max_iters:
             return Descent(u, value, steps, trace, "max_iters", first)
         prev = u, grad, d
-        found = armijo(lambda t: evaluate(u, t, d, value), 0.0, -slope, step)
+
+        def trial(t):
+            if t * slope <= floor:
+                raise _BelowResolution
+            return evaluate(u, t, d, value)
+
+        try:
+            found = armijo(trial, 0.0, -slope, step)
+        except _BelowResolution:
+            return Descent(u, value, steps, trace, "resolution", first)
         if found is None:
             return Descent(u, value, steps, trace, "line_search", first)
         t, change, u, payload = found

@@ -1,5 +1,6 @@
 """Config resolution, subcommand artifacts, exit codes, and determinism."""
 
+import io
 import json
 import os
 import re
@@ -7,10 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pfiber.asymptotics import epsilon_sweep
-from pfiber.cli import _dump_json, _resolve, load_config, main, resolve_config, run
+from pfiber.cli import (_dump_json, _ground_state_doc, _resolve, load_config, main,
+                        resolve_config, run)
 from pfiber.errors import ConfigurationError
 from pfiber.rayleigh import estimate_thresholds
 from pfiber.solver import solve_ground_state
@@ -45,9 +48,9 @@ def _loaded_backends(script):
 def test_cli_import_leaves_solver_backends_unloaded():
     """Every run pays for what ``import pfiber.cli`` loads.
 
-    The 2D preconditioner imports ``scipy.fft`` and the 1D one
-    ``scipy.linalg`` when a solver is built, and a 2D Newton
-    ``scipy.sparse.linalg``, so a run loads only what it uses, and config
+    The 1D preconditioner imports ``scipy.linalg`` when a solver is built
+    and a 2D Newton ``scipy.sparse.linalg``; the 2D preconditioner is
+    matrix products in numpy.  So a run loads only what it uses, and config
     errors exit before any loads.
     """
     assert _loaded_backends("import pfiber.cli, sys") == "[]"
@@ -61,6 +64,35 @@ def test_1d_run_loads_lapack_but_no_sparse_solver(tmp_path, subcommand):
     script = ("import pfiber.cli, sys; "
               f"pfiber.cli.run({subcommand!r}, {TINY!r}, out_dir={str(tmp_path)!r})")
     assert _loaded_backends(script) == "['scipy.linalg']"
+
+
+def test_2d_solve_loads_no_solver_backend(tmp_path):
+    """A 2D ``solve`` diagonalizes its preconditioner by numpy matrix
+    products and runs no Newton finish, so it loads none of BACKENDS."""
+    config = dict(TINY, domain=[[0.0, 1.0], [0.0, 1.0]], resolution=[21, 21])
+    script = ("import pfiber.cli, sys; "
+              f"pfiber.cli.run('solve', {config!r}, out_dir={str(tmp_path)!r})")
+    assert _loaded_backends(script) == "[]"
+    assert json.loads((tmp_path / "ground_state.json").read_text())["report"]["converged"]
+
+
+def test_2d_solve_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """On 161x81 nodes one product of the 2D preconditioner's sine matrices
+    is large enough for a threaded BLAS to split, and the split moves its
+    last bits; the solve multiplies in row panels that stay on one thread,
+    so the bytes must not move."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    config = {"epsilon": 1e-2, "domain": [[0.0, 2.0], [0.0, 1.0]], "resolution": [161, 81]}
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        script = f"import pfiber.cli; pfiber.cli.run('solve', {config!r}, out_dir={str(out)!r})"
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                       capture_output=True)
+        written.append((out / "ground_state.json").read_bytes())
+    assert written[0] == written[1]
 
 
 # -- resolve_config -----------------------------------------------------------
@@ -535,6 +567,7 @@ def test_layer_profile_and_comparison(tmp_path):
     doc = json.loads((out / "layer_compare.json").read_text())
     assert doc["tail_gap"] < 1e-4
     assert doc["comparison"]["ground_converged"] is True
+    assert doc["comparison"]["ground_stop"] == "tolerance"
     # eps = 1e-3 on 201 nodes: layers are resolved but not sharp.
     assert doc["comparison"]["sup_diff"] < 0.1
     assert (out / "layer.svg").read_text().startswith("<svg")
@@ -545,9 +578,12 @@ def test_layer_comparison_without_convergence_exits_3(tmp_path, capsys):
                        solver={"max_iters": 3, "random_restarts": 0})
     out = tmp_path / "run"
     assert run("layer", cfg, out_dir=out) == 3
-    assert "layer comparison solve did not converge" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "layer comparison solve did not converge" in err
+    assert "(descent stopped: max_iters)" in err
     doc = json.loads((out / "layer_compare.json").read_text())
     assert doc["comparison"]["ground_converged"] is False
+    assert doc["comparison"]["ground_stop"] == "max_iters"
 
 
 def test_layer_rejects_p_not_two(tmp_path, capsys):
@@ -635,6 +671,30 @@ def test_dump_json_is_deterministic(tmp_path):
     _dump_json(payload, p1)
     _dump_json({"a": [1.5, {"y": {"x": 1}, "z": [0.0, 0.5]}], "b": 2}, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_dump_json_writes_the_stdlib_bytes(tmp_path):
+    """_dump_json writes what json.dump(indent=2, sort_keys=True) writes,
+    plus a newline, on its fast float lists and on the general path."""
+    problem = _resolve(json.loads(json.dumps(TINY)))[1]
+    record = _ground_state_doc(solve_ground_state(problem), problem.epsilon)
+    documents = [
+        {"nested": {"empty": {}, "list": [], "deeper": {"b": [[]], "a": [{}, ()]}},
+         "tuple": (1, (2.5, "x"))},
+        {"ints": [0, -3, 2**70], "flags": [True, False, None], "one": 1, "none": None},
+        {"numpy": np.float64(0.1), "numpy_list": [np.float64(1.5), 2.5]},
+        {"specials": [1.0, float("nan"), float("inf"), -float("inf")],
+         "floats": [0.1, -0.0, 1e300, 5e-324]},
+        {"text": "h\u00e9llo \"quoted\" \\ \n\t\u2028 \u2202u", "minus_zero": -0.0,
+         "\u043a\u043b\u044e\u0447": []},
+        record,
+    ]
+    for i, doc in enumerate(documents):
+        path = tmp_path / f"{i}.json"
+        _dump_json(doc, path)
+        expected = io.StringIO()
+        json.dump(doc, expected, indent=2, sort_keys=True)
+        assert path.read_bytes() == (expected.getvalue() + "\n").encode()
 
 
 # -- run dispatch and main ----------------------------------------------------

@@ -467,8 +467,7 @@ def test_iterations_count_accepted_steps(monkeypatch):
     """``iterations`` counts accepted steps, and every accepted field gets one gradient.
 
     So it is the number of gradient assemblies less one per restart, for
-    the start.  On this model (4001 nodes, seed 4) a restart also ends on
-    a line search that finds no step, which adds no iteration.
+    the start.
     """
     gradients = []
 
@@ -514,6 +513,42 @@ def test_ascent_spends_few_evaluations_on_its_first_and_last_steps(monkeypatch):
     est = estimate_thresholds(spec, restarts=16, seed=0)
     assert est.capped_restarts == 0
     assert len(calls) <= 400
+
+
+def test_an_ascent_at_the_rounding_floor_ends_its_line_search_there(monkeypatch):
+    """(2, 3, 4) at 41 nodes, seed 0, 16 restarts: each ascent stops at
+    the rounding floor of log Q, "resolution", within 15 quotient
+    evaluations.
+
+    Every trial of the 13th ascent's last line search returns -log Q
+    within rounding of its value, so Armijo rejects them all.  The search
+    ends once t * slope falls to the resolution; halving on to the 60-trial
+    cap took 76 evaluations.  The flat limit's ascent wins, so the
+    thresholds are those of the default single ascent, bit for bit.
+    """
+    ascents = []
+
+    def ascend(*args):
+        ascents.append([0, None])
+        ascent = real_ascend(*args)
+        ascents[-1][1] = ascent.stop
+        return ascent
+
+    def log_quotient(*args):
+        ascents[-1][0] += 1
+        return real_log_quotient(*args)
+
+    real_ascend, real_log_quotient = rayleigh._ascend_log_quotient, rayleigh._log_quotient
+    monkeypatch.setattr(rayleigh, "_ascend_log_quotient", ascend)
+    monkeypatch.setattr(rayleigh, "_log_quotient", log_quotient)
+    spec = small_model_spec()
+    est = estimate_thresholds(spec, restarts=16, seed=0)
+    assert len(ascents) == 17
+    assert all(stop == "resolution" and evaluations <= 15 for evaluations, stop in ascents)
+    alone = estimate_thresholds(spec, seed=0)
+    assert est.best_start == alone.best_start == 0
+    assert (est.eps_critical, est.eps_two_solutions) == (alone.eps_critical,
+                                                         alone.eps_two_solutions)
 
 
 UNIT_SQUARE = ((0.0, 1.0), (0.0, 1.0))
