@@ -5,7 +5,7 @@ outputs, so each artifact records exactly the inputs that produced it.  The
 solvers return plain frozen records; this module alone decides how they look
 on disk.  JSON artifacts are written with sorted keys, and CSV cells hold
 integers as %d, booleans as true/false and other numbers with 17 significant
-digits; reruns with the same config and seed are byte-identical.
+digits; reruns with the same config are byte-identical.
 
 Exit codes: 0 success, 2 configuration error, 3 a solve did not converge or
 second met a zero ground state (partial artifacts are kept), 4 internal numerical failure.
@@ -605,17 +605,19 @@ def _svg_line_chart(series, path, title: str, x_label: str, y_label: str,
 # -- entry point ----------------------------------------------------------------
 
 
-def run(subcommand: str, config: dict, out_dir=None, svg: bool = False,
+def run(subcommand: str, config: dict, out_dir, svg: bool = False,
         threads: int = 1) -> int:
     """Execute one subcommand against a raw config dict; returns the exit code."""
     try:
         resolved, problem = _resolve(config)
-        if out_dir is None:
-            raise ConfigurationError("an output directory is required")
         if subcommand not in _COMMANDS:
             raise ConfigurationError(f"unknown subcommand {subcommand!r}")
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot create output directory {out}: {exc.strerror}") from exc
         return _COMMANDS[subcommand](resolved, problem, out, svg, threads)
     except (ConfigurationError, InputError, HypothesisViolation) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -637,10 +639,8 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True,
                         help="path to the JSON experiment config")
-        sp.add_argument("--out", default=None,
+        sp.add_argument("--out", required=True,
                         help="directory for artifacts")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override the solver seed")
         sp.add_argument("--threads", type=int, default=1,
                         help="parallel sweep rows")
         sp.add_argument("--svg", action="store_true",
@@ -656,10 +656,6 @@ def main(argv=None) -> int:
         print(f"configuration error: cannot read {args.config}: {exc}",
               file=sys.stderr)
         return 2
-    if args.seed is not None:
-        solver = config.setdefault("solver", {})
-        if isinstance(solver, dict):  # anything else is reported by resolve_config
-            solver["seed"] = args.seed
     if args.threads < 1:
         print("configuration error: --threads must be at least 1",
               file=sys.stderr)

@@ -13,11 +13,12 @@ uniform meshes: intervals in 1D, rectangle cells split into two triangles in
 2D.  Each mesh precomputes its quadrature cloud (3-point Gauss per interval,
 3-point mid-edge rule per triangle) together with basis values and constant
 per-element basis gradients.  On first use it also assembles them into sparse
-operators: B maps nodal values to quadrature values and G maps them to
-element gradients.  Weak forms assemble through the transposes of B and G
-with the quadrature weights and element measures folded in.  So functionals
-and weak forms reduce to a few sparse products and vectorized array
-contractions (Rahman & Valdman, Appl. Math. Comput. 2013).
+operators, and only then imports ``scipy.sparse``: B maps nodal values to
+quadrature values and G maps them to element gradients.  Weak forms assemble
+through the transposes of B and G with the quadrature weights and element
+measures folded in.  So functionals and weak forms reduce to a few sparse
+products and vectorized array contractions (Rahman & Valdman, Appl. Math.
+Comput. 2013).
 """
 
 from dataclasses import dataclass
@@ -25,7 +26,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigurationError, ContractViolation, InputError
 
@@ -294,7 +294,7 @@ class Mesh:
         return self._flux_assembly @ el_flux.ravel()
 
     @cached_property
-    def qp_operator(self) -> sp.csr_matrix:
+    def qp_operator(self) -> "scipy.sparse.csr_matrix":
         """B: nodal values to quadrature values, one row per (element, qp)."""
         n_el, n_v = self.elements.shape
         n_qp = self.basis_at_qp.shape[0]
@@ -305,7 +305,7 @@ class Mesh:
         )
 
     @cached_property
-    def gradient_operator(self) -> sp.csr_matrix:
+    def gradient_operator(self) -> "scipy.sparse.csr_matrix":
         """G: nodal values to element gradients, one row per (element, axis)."""
         n_el, n_v = self.elements.shape
         return _rows_operator(
@@ -315,18 +315,20 @@ class Mesh:
         )
 
     @cached_property
-    def _point_assembly(self) -> sp.csr_matrix:
+    def _point_assembly(self) -> "scipy.sparse.csr_matrix":
         """(W B)^T, W the quadrature weights: densities to nodal point forms."""
+        import scipy.sparse as sp
         return (sp.diags(self.qp_weights.ravel()) @ self.qp_operator).T.tocsr()
 
     @cached_property
-    def _flux_assembly(self) -> sp.csr_matrix:
+    def _flux_assembly(self) -> "scipy.sparse.csr_matrix":
         """(M G)^T, M the element measures: element fluxes to nodal flux forms."""
+        import scipy.sparse as sp
         measures = np.repeat(self.el_measures, self.dimension)
         return (sp.diags(measures) @ self.gradient_operator).T.tocsr()
 
     @cached_property
-    def stiffness(self) -> sp.csr_matrix:
+    def stiffness(self) -> "scipy.sparse.csr_matrix":
         """Assembled p=2 stiffness matrix (int grad phi_i . grad phi_j), G^T M G."""
         return self._flux_assembly @ self.gradient_operator
 
@@ -336,13 +338,15 @@ class Mesh:
         return self.assemble_point_term(np.ones_like(self.qp_weights))
 
 
-def _rows_operator(data: np.ndarray, cols: np.ndarray, n_cols: int) -> sp.csr_matrix:
+def _rows_operator(data: np.ndarray, cols: np.ndarray,
+                   n_cols: int) -> "scipy.sparse.csr_matrix":
     """CSR matrix with one row per leading index of ``data``, entries in order.
 
     ``data`` and ``cols`` share a shape (..., k); every row holds its nonzero
     entries, stored unsorted in the order given.  A product sums each row
     from +0, so the dropped zeros would not have changed its bits.
     """
+    import scipy.sparse as sp
     k = data.shape[-1]
     values = np.asarray(data, dtype=float).reshape(-1, k)
     keep = values != 0.0

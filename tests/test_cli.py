@@ -36,10 +36,10 @@ def model_config(**overrides):
 BACKENDS = ("scipy.fft", "scipy.linalg", "scipy.sparse.linalg")
 
 
-def _loaded_backends(script):
-    """The BACKENDS loaded after ``script`` runs in a fresh interpreter."""
+def _loaded_backends(script, backends=BACKENDS):
+    """The ``backends`` loaded after ``script`` runs in a fresh interpreter."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    script += f"; print([m for m in {BACKENDS!r} if m in sys.modules])"
+    script += f"; print([m for m in {backends!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True)
     return out.stdout.strip().splitlines()[-1]
@@ -54,6 +54,14 @@ def test_cli_import_leaves_solver_backends_unloaded():
     errors exit before any loads.
     """
     assert _loaded_backends("import pfiber.cli, sys") == "[]"
+
+
+def test_cli_import_and_config_resolution_load_no_scipy():
+    """Set-up, ``import pfiber.cli`` plus ``resolve_config``, needs numpy
+    alone: the mesh kernels import ``scipy.sparse`` when a field is first
+    evaluated."""
+    script = f"import pfiber.cli, sys; pfiber.cli.resolve_config({TINY!r})"
+    assert _loaded_backends(script, backends=("scipy",)) == "[]"
 
 
 @pytest.mark.parametrize("subcommand", ["solve", "second"])
@@ -159,6 +167,7 @@ def test_resolve_2d_domain_default_resolution():
          "'coefficients.a.lower': expected a number"),
         ({"solver": {"max_iters": 1.5}}, "'solver.max_iters': expected an integer"),
         ({"solver": {"seed": True}}, "'solver.seed': expected an integer"),
+        ({"solver": [1]}, "'solver': expected an object"),
     ],
 )
 def test_resolve_rejects_bad_config(raw, fragment):
@@ -326,9 +335,27 @@ def test_solve_non_convergence_exits_3_with_partial_artifacts(tmp_path, capsys):
     assert (out / "trace.csv").is_file()
 
 
-def test_solve_requires_out_dir(capsys):
-    assert run("solve", model_config()) == 2
-    assert "output directory" in capsys.readouterr().err
+def test_solve_requires_out_dir(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(model_config()))
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--config", str(path)])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["config.json", "config.json/run"])
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, out):
+    """An --out naming a file, or below one, is a one-line configuration
+    error, and nothing is written."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(model_config()))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot create output directory")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [path]
+    assert json.loads(path.read_text()) == model_config()
 
 
 # -- second -------------------------------------------------------------------
@@ -714,37 +741,24 @@ def test_main_solve_from_config_file(tmp_path):
     assert (out / "ground_state.json").is_file()
 
 
-def test_main_seed_flag_overrides_config(tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(model_config()))
-    out = tmp_path / "run"
-    assert main(["solve", "--config", str(path), "--out", str(out),
-                 "--seed", "42"]) == 0
-    resolved = json.loads((out / "resolved_config.json").read_text())
-    assert resolved["solver"]["seed"] == 42
-
-
 @pytest.mark.parametrize(
-    ("solver", "flags", "key"),
+    ("solver", "key"),
     [
-        ({"seed": -1}, [], "solver.seed"),
-        ({"max_iters": -3}, [], "solver.max_iters"),
-        ({}, ["--seed", "-1"], "solver.seed"),
+        ({"seed": -1}, "solver.seed"),
+        ({"max_iters": -3}, "solver.max_iters"),
     ],
 )
-def test_negative_integers_are_config_errors(tmp_path, capsys, solver, flags,
-                                             key):
+def test_negative_integers_are_config_errors(tmp_path, capsys, solver, key):
     message = f"config key '{key}': expected an integer >= 0"
     cfg = model_config()
     cfg["solver"] = dict(cfg["solver"], **solver)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     assert main(["solve", "--config", str(path), "--out",
-                 str(tmp_path / "main"), *flags]) == 2
+                 str(tmp_path / "main")]) == 2
     assert message in capsys.readouterr().err
-    if not flags:
-        assert run("solve", cfg, out_dir=tmp_path / "run") == 2
-        assert message in capsys.readouterr().err
+    assert run("solve", cfg, out_dir=tmp_path / "run") == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -810,14 +824,6 @@ def test_bad_counts_and_eps_lists_fail_before_any_artifact(
     assert run(subcommand, model_config(**overrides), out_dir=out) == 2
     assert message in capsys.readouterr().err
     assert list(out.iterdir()) == []
-
-
-def test_main_seed_flag_with_non_object_solver(tmp_path, capsys):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(model_config(solver=[1])))
-    assert main(["solve", "--config", str(path), "--out",
-                 str(tmp_path / "run"), "--seed", "3"]) == 2
-    assert "config key 'solver': expected an object" in capsys.readouterr().err
 
 
 def test_main_malformed_config_exits_2_before_any_output(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import types
 from pathlib import Path
 
 import pfiber
@@ -11,26 +12,27 @@ MODULES = ("problem", "functionals", "linalg", "rayleigh", "solver", "asymptotic
 
 
 def test_public_names_resolve():
-    """Every name in pfiber.__all__, and in each module's __all__, is defined."""
-    for module in (pfiber, *(importlib.import_module(f"pfiber.{m}") for m in MODULES)):
+    """Every name in each module's __all__ is defined, and the package root
+    defines no public name but its submodules: each name has one way in."""
+    for module in (importlib.import_module(f"pfiber.{m}") for m in MODULES):
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
+    extra = [name for name, value in vars(pfiber).items() if not name.startswith("_")
+             and not (isinstance(value, types.ModuleType)
+                      and value.__name__ == f"pfiber.{name}")]
+    assert not extra, extra
 
 
 def test_no_unused_imports():
-    """Every name a module imports is used in it or listed in its __all__.
-
-    ``__init__`` imports only to re-export, so it is exempt.
-    """
+    """Every name a module imports is used in it or listed in its __all__."""
     for path in sorted(Path(pfiber.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text())
         imported = {alias.asname or alias.name.split(".")[0]
                     for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
                     for alias in node.names}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        exported = getattr(importlib.import_module(f"pfiber.{path.stem}"), "__all__", [])
+        module = "pfiber" if path.stem == "__init__" else f"pfiber.{path.stem}"
+        exported = getattr(importlib.import_module(module), "__all__", [])
         unused = sorted(imported - used - set(exported))
         assert not unused, (path.name, unused)
 
