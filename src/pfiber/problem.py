@@ -10,15 +10,19 @@ p* = p*N/(N-p) (no restriction when p >= N).
 
 Everything downstream works on continuous piecewise-linear interpolants over
 uniform meshes: intervals in 1D, rectangle cells split into two triangles in
-2D.  Each mesh precomputes its quadrature cloud (3-point Gauss per interval,
-3-point mid-edge rule per triangle) together with basis values and constant
-per-element basis gradients.  On first use it also assembles them into sparse
-operators, and only then imports ``scipy.sparse``: B maps nodal values to
-quadrature values and G maps them to element gradients.  Weak forms assemble
-through the transposes of B and G with the quadrature weights and element
-measures folded in.  So functionals and weak forms reduce to a few sparse
-products and vectorized array contractions (Rahman & Valdman, Appl. Math.
-Comput. 2013).
+2D.  Each mesh builds its nodes, elements and quadrature cloud (3-point Gauss
+per interval, 3-point mid-edge rule per triangle), together with basis values
+and constant per-element basis gradients, from slices of its coordinate and
+node-number grids; its boundary is the first and last node of each grid axis.
+On first use it also builds sparse operators from the same index pattern, and
+only then imports ``scipy.sparse``: B maps nodal values to quadrature values
+and G maps them to element gradients.  Every row of B and G holds exactly two
+entries: a quadrature point sits on two hats, and a gradient component of a
+right triangle is a difference along one axis-aligned edge.  Weak forms
+assemble through the transposes of B and G with the quadrature weights and
+element measures folded in, each made by one sparse format conversion.  So
+functionals and weak forms reduce to a few sparse products and vectorized
+array contractions (Rahman & Valdman, Appl. Math. Comput. 2013).
 """
 
 from dataclasses import dataclass
@@ -163,21 +167,32 @@ def _domain_bounds(domain) -> list[tuple[float, float]]:
     return bounds
 
 
+# Vertex slots (columns of ``elements``) holding the two nonzeros of each
+# operator row.  B: per quadrature point, the two hats of a 1D interval or the
+# two ends of a 2D mid-edge.  G: per element block and axis, the axis-aligned
+# edge whose difference the gradient component is; 2D lists the lower
+# triangles (n00, n10, n11) and then the upper ones (n00, n11, n01).
+_QP_SLOTS = {1: [[0, 1], [0, 1], [0, 1]], 2: [[0, 1], [1, 2], [0, 2]]}
+_GRADIENT_SLOTS = {1: [[[0, 1]]], 2: [[[0, 1], [1, 2]], [[1, 2], [0, 2]]]}
+
+
 class Mesh:
     """Uniform simplicial mesh with a precomputed quadrature cloud.
 
     Attributes of interest:
       nodes          (n_nodes, dim) coordinates
       elements       (n_elements, dim + 1) vertex indices
-      boundary_nodes sorted indices of nodes on the domain boundary
+      boundary_nodes sorted indices of the first and last nodes of each grid axis
       qp_points      (n_elements, n_qp, dim) quadrature points
       qp_weights     (n_elements, n_qp) quadrature weights
       basis_at_qp    (n_qp, dim + 1) reference basis values
       grad_basis     (n_elements, dim + 1, dim) constant basis gradients
 
+    Every array is built from slices of the coordinate and node-number grids.
     The sparse operators ``qp_operator`` and ``gradient_operator``, and the
     weighted transposes that assemble weak forms, are built on first use and
-    cached like ``stiffness``.
+    kept; every row of B and G holds exactly two entries (``_QP_SLOTS``,
+    ``_GRADIENT_SLOTS``).
     """
 
     def __init__(self, bounds, resolution):
@@ -189,9 +204,6 @@ class Mesh:
         else:
             self._build_rectangle()
         self.n_nodes = self.nodes.shape[0]
-        self.interior_nodes = np.setdiff1d(
-            np.arange(self.n_nodes), self.boundary_nodes, assume_unique=True
-        )
         self.volume = float(self.el_measures.sum())
         for arr in (self.nodes, self.elements, self.boundary_nodes,
                     self.interior_nodes, self.qp_points, self.qp_weights,
@@ -205,6 +217,7 @@ class Mesh:
         self.nodes = xs[:, None].copy()
         self.elements = np.column_stack([np.arange(n - 1), np.arange(1, n)])
         self.boundary_nodes = np.array([0, n - 1])
+        self.interior_nodes = np.arange(1, n - 1)
         h = (x1 - x0) / (n - 1)
         self.el_measures = np.full(n - 1, h)
 
@@ -224,47 +237,51 @@ class Mesh:
         nx, ny = self.resolution
         xs = np.linspace(x0, x1, nx)
         ys = np.linspace(y0, y1, ny)
-        X, Y = np.meshgrid(xs, ys, indexing="xy")
-        self.nodes = np.column_stack([X.ravel(), Y.ravel()])
+        nodes = np.empty((ny, nx, 2))
+        nodes[..., 0] = xs
+        nodes[..., 1] = ys[:, None]
+        self.nodes = nodes.reshape(-1, 2)
 
-        # Each cell splits along the lower-left -> upper-right diagonal.
-        i, j = np.meshgrid(np.arange(nx - 1), np.arange(ny - 1), indexing="xy")
-        n00 = (j * nx + i).ravel()
-        n10 = n00 + 1
-        n01 = n00 + nx
-        n11 = n01 + 1
-        lower = np.column_stack([n00, n10, n11])
-        upper = np.column_stack([n00, n11, n01])
-        self.elements = np.vstack([lower, upper])
-
-        on_edge = (
-            np.isclose(self.nodes[:, 0], x0) | np.isclose(self.nodes[:, 0], x1)
-            | np.isclose(self.nodes[:, 1], y0) | np.isclose(self.nodes[:, 1], y1)
-        )
+        on_edge = np.zeros((ny, nx), dtype=bool)
+        on_edge[[0, -1], :] = True
+        on_edge[:, [0, -1]] = True
         self.boundary_nodes = np.flatnonzero(on_edge)
+        self.interior_nodes = np.flatnonzero(~on_edge)
 
-        verts = self.nodes[self.elements]            # (m, 3, 2)
-        e1 = verts[:, 1] - verts[:, 0]
-        e2 = verts[:, 2] - verts[:, 0]
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        self.el_measures = 0.5 * np.abs(det)
+        # Each cell splits along the lower-left -> upper-right diagonal into
+        # a lower triangle (n00, n10, n11) and an upper one (n00, n11, n01);
+        # all lower triangles come first.
+        number = np.arange(nx * ny).reshape(ny, nx)
+        n00, n10 = number[:-1, :-1], number[:-1, 1:]
+        n01, n11 = number[1:, :-1], number[1:, 1:]
+        self.elements = _triangle_table(
+            [[[n00], [n10], [n11]], [[n00], [n11], [n01]]], n00.shape, number.dtype,
+        ).reshape(-1, 3)
 
-        # Barycentric gradients from the inverse edge map.
-        inv = np.empty((len(det), 2, 2))
-        inv[:, 0, 0] = e2[:, 1] / det
-        inv[:, 0, 1] = -e2[:, 0] / det
-        inv[:, 1, 0] = -e1[:, 1] / det
-        inv[:, 1, 1] = e1[:, 0] / det
-        grad12 = inv                                  # rows: grad lambda_1, lambda_2
-        grad0 = -(grad12[:, 0, :] + grad12[:, 1, :])
-        self.grad_basis = np.stack([grad0, grad12[:, 0, :], grad12[:, 1, :]], axis=1)
-
-        # Mid-edge rule: degree-2 exact, weights measure/3.
-        mids = 0.5 * np.stack(
-            [verts[:, 0] + verts[:, 1], verts[:, 1] + verts[:, 2], verts[:, 0] + verts[:, 2]],
-            axis=1,
+        # The inverse edge map of a right triangle with legs dx, dy:
+        # det = dx*dy, and each basis gradient is (+-dy/det, +-dx/det) or a
+        # signed zero, bit for bit what the general 2x2 inverse gives.
+        dx = (xs[1:] - xs[:-1])[None, :]
+        dy = (ys[1:] - ys[:-1])[:, None]
+        det = dx * dy
+        gx, gy = dy / det, dx / det
+        self.grad_basis = _triangle_table(
+            [[[-gx, -0.0], [gx, -gy], [-0.0, gy]], [[-0.0, -gy], [gx, -0.0], [-gx, gy]]],
+            det.shape,
         )
-        self.qp_points = mids
+        self.el_measures = np.tile((0.5 * det).ravel(), 2)
+
+        # Mid-edge rule: degree-2 exact, weights measure/3.  A triangle's
+        # points are the midpoints of its edges v0v1, v1v2 and v0v2; on an
+        # axis-aligned edge one coordinate is the shared end's own.
+        mx = (0.5 * (xs[:-1] + xs[1:]))[None, :]
+        my = (0.5 * (ys[:-1] + ys[1:]))[:, None]
+        x_l, x_r = xs[None, :-1], xs[None, 1:]
+        y_b, y_t = ys[:-1, None], ys[1:, None]
+        self.qp_points = _triangle_table(
+            [[[mx, y_b], [x_r, my], [mx, my]], [[mx, my], [mx, y_t], [x_l, my]]],
+            det.shape,
+        )
         self.qp_weights = np.repeat(self.el_measures[:, None] / 3.0, 3, axis=1)
         self.basis_at_qp = np.array([
             [0.5, 0.5, 0.0],
@@ -296,36 +313,51 @@ class Mesh:
     @cached_property
     def qp_operator(self) -> "scipy.sparse.csr_matrix":
         """B: nodal values to quadrature values, one row per (element, qp)."""
-        n_el, n_v = self.elements.shape
-        n_qp = self.basis_at_qp.shape[0]
-        return _rows_operator(
-            np.broadcast_to(self.basis_at_qp, (n_el, n_qp, n_v)),
-            np.broadcast_to(self.elements[:, None, :], (n_el, n_qp, n_v)),
-            self.n_nodes,
-        )
+        values = np.broadcast_to(self.basis_at_qp,
+                                 (len(self.elements),) + self.basis_at_qp.shape)
+        return self._pair_operator([_QP_SLOTS[self.dimension]], values)
 
     @cached_property
     def gradient_operator(self) -> "scipy.sparse.csr_matrix":
         """G: nodal values to element gradients, one row per (element, axis)."""
-        n_el, n_v = self.elements.shape
-        return _rows_operator(
-            self.grad_basis.transpose(0, 2, 1),
-            np.broadcast_to(self.elements[:, None, :], (n_el, self.dimension, n_v)),
-            self.n_nodes,
+        return self._pair_operator(_GRADIENT_SLOTS[self.dimension],
+                                   self.grad_basis.transpose(0, 2, 1))
+
+    def _pair_operator(self, blocks, values: np.ndarray) -> "scipy.sparse.csr_matrix":
+        """CSR matrix with one row per (element, r) and two entries per row.
+
+        ``elements`` splits into ``len(blocks)`` equal blocks.  In block b,
+        row r of element e holds its vertex slots ``blocks[b][r]``, in that
+        order, with the entries ``values[e, r, v]`` of an
+        (n_elements, rows per element, dim + 1) array.
+        """
+        import scipy.sparse as sp
+        n_el = len(self.elements)
+        data = np.empty((n_el, len(blocks[0]), 2))
+        index = np.int32 if data.size <= np.iinfo(np.int32).max else np.int64
+        cols = np.empty(data.shape, dtype=index)
+        n_block = n_el // len(blocks)
+        for b, slots in enumerate(blocks):
+            rows = slice(b * n_block, (b + 1) * n_block)
+            for r, pair in enumerate(slots):
+                for k, v in enumerate(pair):
+                    data[rows, r, k] = values[rows, r, v]
+                    cols[rows, r, k] = self.elements[rows, v]
+        return sp.csr_matrix(
+            (data.ravel(), cols.ravel(), np.arange(0, data.size + 1, 2, dtype=index)),
+            shape=(data.size // 2, self.n_nodes),
         )
 
     @cached_property
     def _point_assembly(self) -> "scipy.sparse.csr_matrix":
         """(W B)^T, W the quadrature weights: densities to nodal point forms."""
-        import scipy.sparse as sp
-        return (sp.diags(self.qp_weights.ravel()) @ self.qp_operator).T.tocsr()
+        return _weighted_transpose(self.qp_operator, self.qp_weights.ravel())
 
     @cached_property
     def _flux_assembly(self) -> "scipy.sparse.csr_matrix":
         """(M G)^T, M the element measures: element fluxes to nodal flux forms."""
-        import scipy.sparse as sp
-        measures = np.repeat(self.el_measures, self.dimension)
-        return (sp.diags(measures) @ self.gradient_operator).T.tocsr()
+        return _weighted_transpose(self.gradient_operator,
+                                   np.repeat(self.el_measures, self.dimension))
 
     @cached_property
     def stiffness(self) -> "scipy.sparse.csr_matrix":
@@ -338,21 +370,33 @@ class Mesh:
         return self.assemble_point_term(np.ones_like(self.qp_weights))
 
 
-def _rows_operator(data: np.ndarray, cols: np.ndarray,
-                   n_cols: int) -> "scipy.sparse.csr_matrix":
-    """CSR matrix with one row per leading index of ``data``, entries in order.
+def _triangle_table(table, cells: tuple, dtype=float) -> np.ndarray:
+    """(2 * n_cells, 3, k) array with entry ``table[t][v][c]`` for triangle t of a cell.
 
-    ``data`` and ``cols`` share a shape (..., k); every row holds its nonzero
-    entries, stored unsorted in the order given.  A product sums each row
-    from +0, so the dropped zeros would not have changed its bits.
+    Each entry broadcasts to the cell grid shape ``cells``; rows run over
+    the lower triangles of all cells and then the upper ones.
+    """
+    out = np.empty((len(table),) + cells + (3, len(table[0][0])), dtype=dtype)
+    for t, vertices in enumerate(table):
+        for v, components in enumerate(vertices):
+            for c, entry in enumerate(components):
+                out[t, ..., v, c] = entry
+    return out.reshape(-1, 3, out.shape[-1])
+
+
+def _weighted_transpose(op: "scipy.sparse.csr_matrix",
+                        weights: np.ndarray) -> "scipy.sparse.csr_matrix":
+    """(diag(weights) op)^T for a two-entry-per-row ``op``.
+
+    Each entry is rounded once, weight times value, and the conversion's
+    counting sort keeps every node's terms in ascending row order, as a
+    sparse product with the diagonal matrix and the same conversion would.
     """
     import scipy.sparse as sp
-    k = data.shape[-1]
-    values = np.asarray(data, dtype=float).reshape(-1, k)
-    keep = values != 0.0
-    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-    return sp.csr_matrix((values[keep], np.asarray(cols).reshape(-1, k)[keep], indptr),
-                         shape=(values.shape[0], n_cols))
+    scaled = np.empty_like(op.data)
+    for k in range(2):
+        np.multiply(op.data[k::2], weights, out=scaled[k::2])
+    return sp.csr_matrix((scaled, op.indices, op.indptr), shape=op.shape).T.tocsr()
 
 
 def _sum_product(weights: np.ndarray, values: np.ndarray) -> float:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pfiber.errors import ConfigurationError, ContractViolation, InputError
 from pfiber.problem import (
@@ -154,6 +155,75 @@ def test_sparse_kernels_against_gather_and_bincount(domain, resolution):
         terms = mesh.el_measures[:, None, None] * np.einsum("ed,evd->evd", flux,
                                                             mesh.grad_basis)
         assert_within_bound(mesh.assemble_flux_term(flux), terms, mesh.dimension)
+
+
+def _generic_rows(data, cols, n_cols):
+    """CSR with one row per leading index: the nonzero entries of each row in order."""
+    k = data.shape[-1]
+    values = np.asarray(data, dtype=float).reshape(-1, k)
+    keep = values != 0.0
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return sp.csr_matrix((values[keep], np.asarray(cols).reshape(-1, k)[keep], indptr),
+                         shape=(values.shape[0], n_cols))
+
+
+@pytest.mark.parametrize("domain, resolution", [
+    ((0.0, 1.0), 11),
+    ((-1.0, 2.5), 41),
+    (((0.0, 1.0), (0.0, 1.0)), (17, 17)),
+    (((0.0, 2.0), (-1.0, 0.3)), (21, 13)),
+    (((0.0, 1.0), (0.0, 1.0)), (3, 3)),
+])
+def test_operators_match_the_generic_construction_bit_for_bit(domain, resolution):
+    """The grid-built operators against masked gather rows and sparse products.
+
+    The generic construction drops the zero basis values and gradient
+    components from broadcast element arrays, weights by ``diags`` products
+    and transposes by one conversion.  Every stored array must agree exactly,
+    bit patterns of the values included.
+    """
+    mesh = build_mesh(domain, resolution)
+    n_el, n_v = mesh.elements.shape
+    n_qp, dim = mesh.basis_at_qp.shape[0], mesh.dimension
+    qp = _generic_rows(np.broadcast_to(mesh.basis_at_qp, (n_el, n_qp, n_v)),
+                       np.broadcast_to(mesh.elements[:, None, :], (n_el, n_qp, n_v)),
+                       mesh.n_nodes)
+    grad = _generic_rows(mesh.grad_basis.transpose(0, 2, 1),
+                         np.broadcast_to(mesh.elements[:, None, :], (n_el, dim, n_v)),
+                         mesh.n_nodes)
+    expected = {
+        "qp_operator": qp,
+        "gradient_operator": grad,
+        "_point_assembly": (sp.diags(mesh.qp_weights.ravel()) @ qp).T.tocsr(),
+        "_flux_assembly": (sp.diags(np.repeat(mesh.el_measures, dim)) @ grad).T.tocsr(),
+    }
+    for name, want in expected.items():
+        got = getattr(mesh, name)
+        assert got.shape == want.shape, name
+        np.testing.assert_array_equal(got.indptr, want.indptr, err_msg=name)
+        np.testing.assert_array_equal(got.indices, want.indices, err_msg=name)
+        np.testing.assert_array_equal(got.data.view(np.int64), want.data.view(np.int64),
+                                      err_msg=name)
+    assert np.all(np.diff(mesh.qp_operator.indptr) == 2)
+    assert np.all(np.diff(mesh.gradient_operator.indptr) == 2)
+    # Vertex 0's gradient has sign bits set in every component, vertex 1's only
+    # in y and vertex 2's only in x; the zero components are -0.0.
+    pattern = [[True], [False]] if dim == 1 else [[True, True], [False, True], [True, False]]
+    np.testing.assert_array_equal(np.signbit(mesh.grad_basis),
+                                  np.broadcast_to(pattern, mesh.grad_basis.shape))
+
+
+def test_translated_rectangle_keeps_its_boundary():
+    """The boundary is the grid's edge, wherever the rectangle sits."""
+    unit = build_mesh(((0.0, 1.0), (0.0, 1.0)), (101, 21))
+    grid = np.arange(unit.n_nodes).reshape(21, 101)
+    edge = np.unique(np.concatenate([grid[0], grid[-1], grid[:, 0], grid[:, -1]]))
+    np.testing.assert_array_equal(unit.boundary_nodes, edge)
+    for domain in (((1000.0, 1001.0), (0.0, 1.0)), ((-7.5, -6.5), (3.0, 4.0)),
+                   ((0.0, 1.0), (1e6, 1e6 + 1.0))):
+        mesh = build_mesh(domain, (101, 21))
+        np.testing.assert_array_equal(mesh.boundary_nodes, edge)
+        np.testing.assert_array_equal(mesh.interior_nodes, unit.interior_nodes)
 
 
 # -- make_field ---------------------------------------------------------------
