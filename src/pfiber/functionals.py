@@ -220,7 +220,7 @@ def _jacobian_blocks(state: _State, spec: ProblemSpec) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = ((ex.q - 1.0) * spec.a_qp * absqp ** (ex.q - 2.0)
                  - (ex.gamma - 1.0) * spec.b_qp * absqp ** (ex.gamma - 2.0))
-    weighted = mesh.qp_weights * slope
+    weighted = mesh.element_weights * mesh.per_element(slope)
     products = mesh.basis_at_qp.T[:, None] * mesh.basis_at_qp.T[None, :]
     for i in range(dim + 1):
         for j in range(i, dim + 1):

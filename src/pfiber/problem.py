@@ -10,19 +10,22 @@ p* = p*N/(N-p) (no restriction when p >= N).
 
 Everything downstream works on continuous piecewise-linear interpolants over
 uniform meshes: intervals in 1D, rectangle cells split into two triangles in
-2D.  Each mesh builds its nodes, elements and quadrature cloud (3-point Gauss
-per interval, 3-point mid-edge rule per triangle), together with basis values
-and constant per-element basis gradients, from slices of its coordinate and
-node-number grids; its boundary is the first and last node of each grid axis.
-On first use it also builds sparse operators from the same index pattern, and
-only then imports ``scipy.sparse``: B maps nodal values to quadrature values
-and G maps them to element gradients.  Every row of B and G holds exactly two
-entries: a quadrature point sits on two hats, and a gradient component of a
-right triangle is a difference along one axis-aligned edge.  Weak forms
-assemble through the transposes of B and G with the quadrature weights and
-element measures folded in, each made by one sparse format conversion.  So
-functionals and weak forms reduce to a few sparse products and vectorized
-array contractions (Rahman & Valdman, Appl. Math. Comput. 2013).
+2D.  Each mesh builds its nodes, elements and quadrature cloud, together with
+basis values and constant per-element basis gradients, from slices of its
+coordinate and node-number grids; its boundary is the first and last node of
+each grid axis.  The cloud is 3 Gauss points per interval in 1D.  In 2D it is
+the mid-edge rule with every edge midpoint held once: a point shared by two
+triangles carries both their weights, and a table gives each triangle its
+three points.  On first use the mesh also builds sparse operators from the
+same index pattern, and only then imports ``scipy.sparse``: B maps nodal
+values to quadrature values and G maps them to element gradients.  Every row
+of B and G holds exactly two entries: a quadrature point sits on two hats,
+and a gradient component of a right triangle is a difference along one
+axis-aligned edge.  Weak forms assemble through the transposes of B and G
+with the quadrature weights and element measures folded in, each made by one
+sparse format conversion.  So functionals and weak forms reduce to a few
+sparse products and vectorized array contractions (Rahman & Valdman, Appl.
+Math. Comput. 2013).
 """
 
 from dataclasses import dataclass
@@ -168,11 +171,11 @@ def _domain_bounds(domain) -> list[tuple[float, float]]:
 
 
 # Vertex slots (columns of ``elements``) holding the two nonzeros of each
-# operator row.  B: per quadrature point, the two hats of a 1D interval or the
-# two ends of a 2D mid-edge.  G: per element block and axis, the axis-aligned
-# edge whose difference the gradient component is; 2D lists the lower
-# triangles (n00, n10, n11) and then the upper ones (n00, n11, n01).
-_QP_SLOTS = {1: [[0, 1], [0, 1], [0, 1]], 2: [[0, 1], [1, 2], [0, 2]]}
+# operator row.  B in 1D: per Gauss point, the interval's two hats (2D rows
+# are edges, ``_edge_ends``).  G: per element block and axis, the
+# axis-aligned edge whose difference the gradient component is; 2D lists the
+# lower triangles (n00, n10, n11) and then the upper ones (n00, n11, n01).
+_INTERVAL_QP_SLOTS = [[0, 1], [0, 1], [0, 1]]
 _GRADIENT_SLOTS = {1: [[[0, 1]]], 2: [[[0, 1], [1, 2]], [[1, 2], [0, 2]]]}
 
 
@@ -183,15 +186,23 @@ class Mesh:
       nodes          (n_nodes, dim) coordinates
       elements       (n_elements, dim + 1) vertex indices
       boundary_nodes sorted indices of the first and last nodes of each grid axis
-      qp_points      (n_elements, n_qp, dim) quadrature points
-      qp_weights     (n_elements, n_qp) quadrature weights
+      qp_points      (n_points, dim) quadrature points; (n_elements, 3, 1) in 1D
+      qp_weights     quadrature weights, shaped like the cloud:
+                     (n_elements, 3) in 1D, (n_points,) in 2D
+      element_points (n_elements, 3) in 2D: indices into the cloud of each
+                     triangle's points, in the order of ``basis_at_qp``
+      element_weights (n_elements, n_qp) each element's own rule weights
       basis_at_qp    (n_qp, dim + 1) reference basis values
       grad_basis     (n_elements, dim + 1, dim) constant basis gradients
 
-    Every array is built from slices of the coordinate and node-number grids.
-    The sparse operators ``qp_operator`` and ``gradient_operator``, and the
-    weighted transposes that assemble weak forms, are built on first use and
-    kept; every row of B and G holds exactly two entries (``_QP_SLOTS``,
+    The 1D cloud is each interval's 3 Gauss points.  The 2D cloud is the set
+    of edge midpoints, each held once and weighted by the sum of |T|/3 over
+    the one or two triangles sharing the edge: the per-triangle mid-edge rule
+    with its shared points merged.  Every array is built from slices of the
+    coordinate and node-number grids.  The sparse operators ``qp_operator``
+    and ``gradient_operator``, and the weighted transposes that assemble weak
+    forms, are built on first use and kept; every row of B and G holds
+    exactly two entries (``_INTERVAL_QP_SLOTS`` or ``_edge_ends``,
     ``_GRADIENT_SLOTS``).
     """
 
@@ -205,10 +216,9 @@ class Mesh:
             self._build_rectangle()
         self.n_nodes = self.nodes.shape[0]
         self.volume = float(self.el_measures.sum())
-        for arr in (self.nodes, self.elements, self.boundary_nodes,
-                    self.interior_nodes, self.qp_points, self.qp_weights,
-                    self.basis_at_qp, self.grad_basis, self.el_measures):
-            arr.setflags(write=False)
+        for arr in vars(self).values():
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
 
     def _build_interval(self):
         (x0, x1), = self.bounds
@@ -228,6 +238,7 @@ class Mesh:
         lefts = xs[:-1]
         self.qp_points = (lefts[:, None] + h * ref_t[None, :])[:, :, None]
         self.qp_weights = np.broadcast_to(h * ref_w, (n - 1, 3)).copy()
+        self.element_weights = self.qp_weights
         self.basis_at_qp = np.column_stack([1.0 - ref_t, ref_t])
         grads = np.array([[-1.0 / h], [1.0 / h]])
         self.grad_basis = np.broadcast_to(grads, (n - 1, 2, 1)).copy()
@@ -271,18 +282,33 @@ class Mesh:
         )
         self.el_measures = np.tile((0.5 * det).ravel(), 2)
 
-        # Mid-edge rule: degree-2 exact, weights measure/3.  A triangle's
-        # points are the midpoints of its edges v0v1, v1v2 and v0v2; on an
-        # axis-aligned edge one coordinate is the shared end's own.
-        mx = (0.5 * (xs[:-1] + xs[1:]))[None, :]
-        my = (0.5 * (ys[:-1] + ys[1:]))[:, None]
-        x_l, x_r = xs[None, :-1], xs[None, 1:]
-        y_b, y_t = ys[:-1, None], ys[1:, None]
-        self.qp_points = _triangle_table(
-            [[[mx, y_b], [x_r, my], [mx, my]], [[mx, my], [mx, y_t], [x_l, my]]],
-            det.shape,
-        )
-        self.qp_weights = np.repeat(self.el_measures[:, None] / 3.0, 3, axis=1)
+        # Mid-edge rule, degree-2 exact: a triangle's points are the midpoints
+        # of its edges v0v1, v1v2 and v0v2, each weighted |T|/3.  The cloud
+        # holds each edge's midpoint once, in the order of ``_edge_ends``,
+        # and ``element_points`` gives each triangle its three points.  An
+        # edge's weight sums the cells on its two sides, from a grid of |T|/3
+        # padded by a ring of zero cells, and doubles on a diagonal, whose
+        # two triangles share one cell.
+        self.qp_points = np.concatenate(
+            [(0.5 * (a + b)).reshape(-1, 2) for a, b in _edge_ends(nodes)])
+        third = np.zeros((ny + 1, nx + 1))
+        third[1:-1, 1:-1] = 0.5 * det / 3.0
+        cells = third[1:-1, 1:-1]
+        self.qp_weights = np.concatenate([
+            (third[:-1, 1:-1] + third[1:, 1:-1]).ravel(),
+            (third[1:-1, :-1] + third[1:-1, 1:]).ravel(),
+            (cells + cells).ravel(),
+        ])
+        index, start = [], 0
+        for first, _ in _edge_ends(number):
+            index.append(start + np.arange(first.size).reshape(first.shape))
+            start += first.size
+        h, v, d = index
+        self.element_points = _triangle_table(
+            [[[h[:-1]], [v[:, 1:]], [d]], [[d], [h[1:]], [v[:, :-1]]]], det.shape, h.dtype,
+        ).reshape(-1, 3)
+        self.element_weights = np.broadcast_to(
+            self.el_measures[:, None] / 3.0, self.element_points.shape)
         self.basis_at_qp = np.array([
             [0.5, 0.5, 0.0],
             [0.0, 0.5, 0.5],
@@ -292,12 +318,17 @@ class Mesh:
     # -- evaluation helpers -------------------------------------------------
 
     def values_at_qp(self, nodal: np.ndarray) -> np.ndarray:
-        """Interpolant values on the quadrature cloud, shape (n_el, n_qp)."""
+        """Interpolant values on the quadrature cloud, shaped like ``qp_weights``."""
         return (self.qp_operator @ nodal).reshape(self.qp_weights.shape)
 
     def gradients(self, nodal: np.ndarray) -> np.ndarray:
         """Constant per-element interpolant gradients, shape (n_el, dim)."""
         return (self.gradient_operator @ nodal).reshape(self.el_measures.size, self.dimension)
+
+    def per_element(self, qp_values: np.ndarray) -> np.ndarray:
+        """Values on the cloud as (n_el, n_qp): each element's own points, in
+        the order of ``basis_at_qp``; the 1D cloud already is."""
+        return qp_values if self.dimension == 1 else qp_values[self.element_points]
 
     def integrate(self, qp_values: np.ndarray) -> float:
         return float(np.sum(self.qp_weights * qp_values))
@@ -312,10 +343,15 @@ class Mesh:
 
     @cached_property
     def qp_operator(self) -> "scipy.sparse.csr_matrix":
-        """B: nodal values to quadrature values, one row per (element, qp)."""
+        """B: nodal values to quadrature values, one row per point of the cloud."""
+        if self.dimension == 2:
+            # A mid-edge point sits on the hats of its edge's two ends.
+            ends = _edge_ends(np.arange(self.n_nodes).reshape(self.resolution[::-1]))
+            cols = np.concatenate([np.stack(pair, axis=-1).reshape(-1, 2) for pair in ends])
+            return _two_entry_rows(np.full(cols.shape, 0.5), cols, self.n_nodes)
         values = np.broadcast_to(self.basis_at_qp,
                                  (len(self.elements),) + self.basis_at_qp.shape)
-        return self._pair_operator([_QP_SLOTS[self.dimension]], values)
+        return self._pair_operator([_INTERVAL_QP_SLOTS], values)
 
     @cached_property
     def gradient_operator(self) -> "scipy.sparse.csr_matrix":
@@ -331,11 +367,9 @@ class Mesh:
         order, with the entries ``values[e, r, v]`` of an
         (n_elements, rows per element, dim + 1) array.
         """
-        import scipy.sparse as sp
         n_el = len(self.elements)
         data = np.empty((n_el, len(blocks[0]), 2))
-        index = np.int32 if data.size <= np.iinfo(np.int32).max else np.int64
-        cols = np.empty(data.shape, dtype=index)
+        cols = np.empty(data.shape, dtype=self.elements.dtype)
         n_block = n_el // len(blocks)
         for b, slots in enumerate(blocks):
             rows = slice(b * n_block, (b + 1) * n_block)
@@ -343,10 +377,7 @@ class Mesh:
                 for k, v in enumerate(pair):
                     data[rows, r, k] = values[rows, r, v]
                     cols[rows, r, k] = self.elements[rows, v]
-        return sp.csr_matrix(
-            (data.ravel(), cols.ravel(), np.arange(0, data.size + 1, 2, dtype=index)),
-            shape=(data.size // 2, self.n_nodes),
-        )
+        return _two_entry_rows(data, cols, self.n_nodes)
 
     @cached_property
     def _point_assembly(self) -> "scipy.sparse.csr_matrix":
@@ -358,16 +389,6 @@ class Mesh:
         """(M G)^T, M the element measures: element fluxes to nodal flux forms."""
         return _weighted_transpose(self.gradient_operator,
                                    np.repeat(self.el_measures, self.dimension))
-
-    @cached_property
-    def stiffness(self) -> "scipy.sparse.csr_matrix":
-        """Assembled p=2 stiffness matrix (int grad phi_i . grad phi_j), G^T M G."""
-        return self._flux_assembly @ self.gradient_operator
-
-    @cached_property
-    def lumped_mass(self) -> np.ndarray:
-        """Diagonal (row-sum) mass vector: entries int phi_i."""
-        return self.assemble_point_term(np.ones_like(self.qp_weights))
 
 
 def _triangle_table(table, cells: tuple, dtype=float) -> np.ndarray:
@@ -382,6 +403,29 @@ def _triangle_table(table, cells: tuple, dtype=float) -> np.ndarray:
             for c, entry in enumerate(components):
                 out[t, ..., v, c] = entry
     return out.reshape(-1, 3, out.shape[-1])
+
+
+def _edge_ends(grid: np.ndarray) -> list:
+    """Values at the two ends of a rectangle's edges, from a per-node grid.
+
+    ``grid`` holds node numbers or coordinates on leading axes (ny, nx).
+    Horizontal edges come first, (ny, nx - 1) of them, then vertical ones,
+    (ny - 1, nx), then the lower-left to upper-right diagonals,
+    (ny - 1, nx - 1); each as a pair (lower-left end, upper-right end).
+    """
+    return [(grid[:, :-1], grid[:, 1:]), (grid[:-1], grid[1:]),
+            (grid[:-1, :-1], grid[1:, 1:])]
+
+
+def _two_entry_rows(data: np.ndarray, cols: np.ndarray, n_cols: int) -> "scipy.sparse.csr_matrix":
+    """CSR matrix whose row r holds ``data`` entries 2r and 2r + 1 at ``cols`` 2r and 2r + 1."""
+    import scipy.sparse as sp
+    index = np.int32 if data.size <= np.iinfo(np.int32).max else np.int64
+    return sp.csr_matrix(
+        (data.ravel(), cols.ravel().astype(index, copy=False),
+         np.arange(0, data.size + 1, 2, dtype=index)),
+        shape=(data.size // 2, n_cols),
+    )
 
 
 def _weighted_transpose(op: "scipy.sparse.csr_matrix",

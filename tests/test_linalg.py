@@ -27,6 +27,16 @@ from pfiber.rayleigh import _ascend_log_quotient
 from pfiber.solver import _FLAT_STEPS, _default_seeds, _descend
 
 
+def metric(mesh, alpha=1.0, beta=1.0, mass_weight=1.0):
+    """alpha * K + beta * diag(mass_weight * m): the stiffness K = G^T M G
+    (M the element measures, one per gradient component) and the lumped
+    mass m_i = int hat_i."""
+    measures = sp.diags(np.repeat(mesh.el_measures, mesh.dimension))
+    stiffness = mesh.gradient_operator.T @ measures @ mesh.gradient_operator
+    mass = mesh.assemble_point_term(np.ones_like(mesh.qp_weights))
+    return (alpha * stiffness + beta * sp.diags(mass_weight * mass)).tocsc()
+
+
 def recording(fn):
     """``fn`` as an Armijo trial that also records every step it is asked for."""
     steps = []
@@ -92,15 +102,15 @@ def test_secant_step_inverts_a_multiple_of_the_metric():
     """
     mesh = build_mesh((0.0, 1.0), 41)
     pre = InteriorSolver(mesh, alpha=1.0, beta=1.0)
-    metric = mesh.stiffness + sp.diags(mesh.lumped_mass)
+    matrix = metric(mesh)
     rng = np.random.default_rng(4)
     s = rng.uniform(-1.0, 1.0, mesh.n_nodes)
     s[mesh.boundary_nodes] = 0.0
     for c in (0.25, 1.0, 40.0):
-        y = c * (metric @ s)
+        y = c * (matrix @ s)
         y[mesh.boundary_nodes] = 0.0
         assert secant_step(s, y, pre.apply(y), 7.0) == pytest.approx(1.0 / c, rel=1e-12)
-    y = metric @ s
+    y = matrix @ s
     y[mesh.boundary_nodes] = 0.0
     assert secant_step(1e-20 * s, y, pre.apply(y), 7.0) == 1e-12
     assert secant_step(1e20 * s, y, pre.apply(y), 7.0) == MAX_STEP
@@ -121,7 +131,7 @@ class Quadratic:
         x = mesh.nodes[:, 0]
         self.mesh = mesh
         self.pre = InteriorSolver(mesh, alpha=1.0, beta=1.0)
-        self.matrix = (mesh.stiffness + sp.diags((1.0 + 50.0 * x) * mesh.lumped_mass)).tocsr()
+        self.matrix = metric(mesh, mass_weight=1.0 + 50.0 * x).tocsr()
         self.rhs = 1.0 + np.sin(3.0 * x)
         self.rhs[mesh.boundary_nodes] = 0.0
         idx = mesh.interior_nodes
@@ -353,8 +363,7 @@ def test_tridiagonal_solve_against_sparse_lu_on_intervals(domain, resolution, to
     stack = rng.standard_normal((mesh.n_nodes, 6))
     for alpha, beta in [(1e-3, 1.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)]:
         pre = InteriorSolver(mesh, alpha=alpha, beta=beta)
-        matrix = (alpha * mesh.stiffness + beta * sp.diags(mesh.lumped_mass)).tocsc()
-        matrix = matrix[idx][:, idx]
+        matrix = metric(mesh, alpha, beta)[idx][:, idx]
         for rhs in stack.T:
             expected = np.zeros_like(rhs)
             expected[idx] = spla.spsolve(matrix, rhs[idx])
@@ -384,8 +393,7 @@ def test_sine_solve_against_sparse_lu_on_rectangles(domain, resolution, tol):
     stack = rng.standard_normal((mesh.n_nodes, 6))
     for alpha, beta in [(1e-3, 1.0), (1.0, 1.0), (1.0, 0.0)]:
         pre = InteriorSolver(mesh, alpha=alpha, beta=beta)
-        matrix = (alpha * mesh.stiffness + beta * sp.diags(mesh.lumped_mass)).tocsc()
-        matrix = matrix[idx][:, idx]
+        matrix = metric(mesh, alpha, beta)[idx][:, idx]
         for rhs in stack.T:
             expected = np.zeros_like(rhs)
             expected[idx] = spla.spsolve(matrix, rhs[idx])

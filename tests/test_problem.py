@@ -102,6 +102,14 @@ def test_interior_boundary_partition_covers_all_nodes():
     np.testing.assert_array_equal(merged, np.arange(mesh.n_nodes))
 
 
+def higham_bound(count, magnitude):
+    """Twice the summation bound (m + 3) * 2^-53 * sum |terms| of m terms
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, section
+    4.2): two sums of the same terms in any order, each term rounded once,
+    differ by at most this."""
+    return 2.0 * (count + 3) * 2.0**-53 * magnitude
+
+
 @pytest.mark.parametrize("domain, resolution", [
     ((0.0, 1.0), 57),
     (((0.0, 1.0), (0.0, 2.0)), (13, 9)),
@@ -111,12 +119,13 @@ def test_interior_boundary_partition_covers_all_nodes():
 def test_sparse_kernels_against_gather_and_bincount(domain, resolution):
     """The mesh kernels against the einsum gather and bincount scatter.
 
-    Gathers return exactly the einsum values.  Assembly folds the quadrature
-    weights and element measures into its operators and adds the terms in
-    another order than the bincount scatter, so at node i the two may differ
-    by twice the summation bound (m_i + 3) * 2^-53 * sum |terms|, m_i being
-    the node's term count (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, section 4.2).
+    Gathers return exactly the einsum values: the cloud's values read per
+    element are each element's own quadrature values.
+    Assembly folds the quadrature weights and element measures into its
+    operators and adds the terms in another order than the per-element
+    bincount scatter, and in 2D one term per shared mid-edge point stands
+    for two, so at node i the two may differ by ``higham_bound`` of the
+    node's per-element term count m_i.
     """
     mesh = build_mesh(domain, resolution)
     rng = np.random.default_rng(31)
@@ -130,15 +139,14 @@ def test_sparse_kernels_against_gather_and_bincount(domain, resolution):
         magnitude = np.bincount(flat, weights=np.abs(terms).sum(axis=-1).ravel(),
                                 minlength=mesh.n_nodes)
         count = per_element * np.bincount(flat, minlength=mesh.n_nodes)
-        bound = 2.0 * (count + 3) * 2.0**-53 * magnitude
-        assert np.all(np.abs(got - oracle) <= bound)
+        assert np.all(np.abs(got - oracle) <= higham_bound(count, magnitude))
 
     for _ in range(5):
         # Entries spread over twelve decades, so any reordering of a sum shows.
         nodal = rng.standard_normal(mesh.n_nodes) * 10.0 ** rng.uniform(-6, 6, mesh.n_nodes)
         gathered = nodal[mesh.elements]
         np.testing.assert_array_equal(
-            mesh.values_at_qp(nodal),
+            mesh.per_element(mesh.values_at_qp(nodal)),
             np.einsum("ev,qv->eq", gathered, mesh.basis_at_qp))
         grads = mesh.gradients(nodal)
         np.testing.assert_array_equal(
@@ -148,13 +156,75 @@ def test_sparse_kernels_against_gather_and_bincount(domain, resolution):
         density = rng.standard_normal(mesh.qp_weights.shape) * 10.0 ** rng.uniform(
             -6, 6, mesh.qp_weights.shape)
         # terms[e, v, q]: the quadrature point q's term for vertex v.
-        terms = np.einsum("eq,qv->evq", mesh.qp_weights * density, mesh.basis_at_qp)
+        terms = np.einsum("eq,qv->evq",
+                          mesh.element_weights * mesh.per_element(density),
+                          mesh.basis_at_qp)
         assert_within_bound(mesh.assemble_point_term(density), terms, n_qp)
         flux = rng.standard_normal((n_el, mesh.dimension)) * 10.0 ** rng.uniform(
             -6, 6, (n_el, mesh.dimension))
         terms = mesh.el_measures[:, None, None] * np.einsum("ed,evd->evd", flux,
                                                             mesh.grad_basis)
         assert_within_bound(mesh.assemble_flux_term(flux), terms, mesh.dimension)
+
+
+@pytest.mark.parametrize("domain, resolution", [
+    (((0.0, 1.0), (0.0, 1.0)), (17, 17)),
+    (((0.0, 2.0), (-1.0, 0.3)), (21, 13)),
+    (((1000.0, 1001.0), (0.0, 1.0)), (21, 11)),
+], ids=["unit_17x17", "21x13", "shifted_21x11"])
+def test_rectangle_cloud_merges_the_per_triangle_mid_edge_points(domain, resolution):
+    """The 2D cloud against the mid-edge rule built here triangle by triangle.
+
+    The oracle takes each triangle's vertices from ``elements`` and the node
+    coordinates, its edge midpoints and the weights |T|/3.  The cloud must
+    hold one point per edge, with no two equal, and ``element_points`` must
+    give each triangle its own three midpoints.  Each cloud weight is the sum
+    of its triangles' weights, and the weights sum to the area.  Gathers
+    match the per-triangle einsum exactly; integrals and point assembly
+    match the per-triangle sums within ``higham_bound``.
+    """
+    mesh = build_mesh(domain, resolution)
+    nx, ny = resolution
+    (x0, x1), (y0, y1) = domain
+    n_points = ny * (nx - 1) + (ny - 1) * nx + (ny - 1) * (nx - 1)
+    assert mesh.qp_points.shape == (n_points, 2)
+    assert mesh.qp_weights.shape == (n_points,)
+    assert len(np.unique(mesh.qp_points, axis=0)) == n_points
+
+    vertices = mesh.nodes[mesh.elements]
+    edges = [(0, 1), (1, 2), (0, 2)]
+    midpoints = np.stack([0.5 * (vertices[:, i] + vertices[:, j]) for i, j in edges], axis=1)
+    np.testing.assert_array_equal(mesh.qp_points[mesh.element_points], midpoints)
+    (ax, ay), (bx, by) = (vertices[:, 1] - vertices[:, 0]).T, (vertices[:, 2] - vertices[:, 0]).T
+    weights = np.repeat((0.5 * np.abs(ax * by - bx * ay) / 3.0)[:, None], 3, axis=1)
+    points = mesh.element_points.ravel()
+    assert np.bincount(points, minlength=n_points).max() == 2
+    np.testing.assert_allclose(
+        mesh.qp_weights, np.bincount(points, weights=weights.ravel(), minlength=n_points),
+        rtol=4 * 2.0**-53, atol=0.0)
+    area = (x1 - x0) * (y1 - y0)
+    assert abs(mesh.qp_weights.sum() - area) <= higham_bound(n_points, area)
+
+    rng = np.random.default_rng(5)
+    flat = mesh.elements.ravel()
+    for _ in range(5):
+        nodal = rng.standard_normal(mesh.n_nodes) * 10.0 ** rng.uniform(-6, 6, mesh.n_nodes)
+        per_triangle = np.einsum("ev,qv->eq", nodal[mesh.elements], mesh.basis_at_qp)
+        np.testing.assert_array_equal(mesh.values_at_qp(nodal)[mesh.element_points],
+                                      per_triangle)
+        density = rng.standard_normal(n_points) * 10.0 ** rng.uniform(-6, 6, n_points)
+        terms = weights * density[mesh.element_points]
+        assert (abs(mesh.integrate(density) - terms.sum())
+                <= higham_bound(terms.size, np.abs(terms).sum()))
+        # node_terms[e, v, q]: the point q's term for the triangle's vertex v.
+        node_terms = np.einsum("eq,qv->evq", terms, mesh.basis_at_qp)
+        oracle = np.bincount(flat, weights=node_terms.sum(axis=-1).ravel(),
+                             minlength=mesh.n_nodes)
+        magnitude = np.bincount(flat, weights=np.abs(node_terms).sum(axis=-1).ravel(),
+                                minlength=mesh.n_nodes)
+        count = 3 * np.bincount(flat, minlength=mesh.n_nodes)
+        assert np.all(np.abs(mesh.assemble_point_term(density) - oracle)
+                      <= higham_bound(count, magnitude))
 
 
 def _generic_rows(data, cols, n_cols):
@@ -178,16 +248,24 @@ def test_operators_match_the_generic_construction_bit_for_bit(domain, resolution
     """The grid-built operators against masked gather rows and sparse products.
 
     The generic construction drops the zero basis values and gradient
-    components from broadcast element arrays, weights by ``diags`` products
-    and transposes by one conversion.  Every stored array must agree exactly,
+    components from broadcast element arrays, keeps the first of the
+    element rows that ``Mesh.per_element`` sends to each point of the cloud
+    (in 2D, a mid-edge point shared by two triangles has two) with its
+    columns in ascending order, weights by ``diags`` products and
+    transposes by one conversion.  Every stored array must agree exactly,
     bit patterns of the values included.
     """
     mesh = build_mesh(domain, resolution)
     n_el, n_v = mesh.elements.shape
     n_qp, dim = mesh.basis_at_qp.shape[0], mesh.dimension
-    qp = _generic_rows(np.broadcast_to(mesh.basis_at_qp, (n_el, n_qp, n_v)),
-                       np.broadcast_to(mesh.elements[:, None, :], (n_el, n_qp, n_v)),
-                       mesh.n_nodes)
+    per_element = _generic_rows(np.broadcast_to(mesh.basis_at_qp, (n_el, n_qp, n_v)),
+                                np.broadcast_to(mesh.elements[:, None, :], (n_el, n_qp, n_v)),
+                                mesh.n_nodes)
+    cloud = np.arange(mesh.qp_weights.size).reshape(mesh.qp_weights.shape)
+    element_points = mesh.per_element(cloud).ravel()
+    points, first = np.unique(element_points, return_index=True)
+    np.testing.assert_array_equal(points, np.arange(mesh.qp_weights.size))
+    qp = per_element[first].sorted_indices()
     grad = _generic_rows(mesh.grad_basis.transpose(0, 2, 1),
                          np.broadcast_to(mesh.elements[:, None, :], (n_el, dim, n_v)),
                          mesh.n_nodes)
@@ -204,6 +282,10 @@ def test_operators_match_the_generic_construction_bit_for_bit(domain, resolution
         np.testing.assert_array_equal(got.indices, want.indices, err_msg=name)
         np.testing.assert_array_equal(got.data.view(np.int64), want.data.view(np.int64),
                                       err_msg=name)
+    # Every element row of a shared point is the point's row.
+    np.testing.assert_array_equal(
+        mesh.qp_operator[element_points].toarray(),
+        per_element.toarray())
     assert np.all(np.diff(mesh.qp_operator.indptr) == 2)
     assert np.all(np.diff(mesh.gradient_operator.indptr) == 2)
     # Vertex 0's gradient has sign bits set in every component, vertex 1's only
