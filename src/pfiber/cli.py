@@ -336,8 +336,7 @@ def _sweep_columns(report) -> dict:
 # -- subcommands --------------------------------------------------------------
 
 
-def _cmd_solve(resolved: dict, problem: ProblemSpec, out_dir: Path, svg: bool,
-              threads: int) -> int:
+def _cmd_solve(resolved: dict, problem: ProblemSpec, out_dir: Path, threads: int) -> int:
     _dump_json(resolved, out_dir / "resolved_config.json")
     report = solve_ground_state(problem, **resolved["solver"])
     _dump_json(_ground_state_doc(report, problem.epsilon), out_dir / "ground_state.json")
@@ -353,8 +352,7 @@ def _cmd_solve(resolved: dict, problem: ProblemSpec, out_dir: Path, svg: bool,
     return 0
 
 
-def _cmd_second(resolved: dict, problem: ProblemSpec, out_dir: Path, svg: bool,
-               threads: int) -> int:
+def _cmd_second(resolved: dict, problem: ProblemSpec, out_dir: Path, threads: int) -> int:
     _dump_json(resolved, out_dir / "resolved_config.json")
     ground = solve_ground_state(problem, **resolved["solver"])
     _dump_json(_ground_state_doc(ground, problem.epsilon), out_dir / "ground_state.json")
@@ -379,8 +377,7 @@ def _cmd_second(resolved: dict, problem: ProblemSpec, out_dir: Path, svg: bool,
     return 0
 
 
-def _cmd_thresholds(resolved: dict, problem: ProblemSpec, out_dir: Path, svg: bool,
-                   threads: int) -> int:
+def _cmd_thresholds(resolved: dict, problem: ProblemSpec, out_dir: Path, threads: int) -> int:
     _dump_json(resolved, out_dir / "resolved_config.json")
     estimate = estimate_thresholds(problem, **resolved["thresholds"],
                                    seed=resolved["solver"]["seed"])
@@ -395,8 +392,7 @@ def _cmd_thresholds(resolved: dict, problem: ProblemSpec, out_dir: Path, svg: bo
     return 0
 
 
-def _cmd_sweep(resolved: dict, problem: ProblemSpec, out_dir: Path, svg: bool,
-              threads: int) -> int:
+def _cmd_sweep(resolved: dict, problem: ProblemSpec, out_dir: Path, threads: int) -> int:
     if not resolved["eps_list"]:
         raise ConfigurationError("config key 'eps_list': sweep needs a "
                                  "non-empty decreasing list")
@@ -408,20 +404,11 @@ def _cmd_sweep(resolved: dict, problem: ProblemSpec, out_dir: Path, svg: bool,
         problem, resolved["eps_list"], **resolved["asymptotics"],
         solver_options=resolved["solver"], threads=threads,
     )
-    columns = _sweep_columns(report)
-    _write_csv(out_dir / "sweep.csv", columns)
+    _write_csv(out_dir / "sweep.csv", _sweep_columns(report))
     doc = _record(report)
     for row in doc["rows"]:
         row["measure_bad_eta"] = row.pop("measure_bad")
     _dump_json(doc, out_dir / "sweep.json")
-    if svg:
-        names = ["energy_gap", "measure_bad_eta", "linf_interior_err"]
-        names += [f"l{r:g}_err" for r, _ in report.rows[0].lr_errors]
-        series = [(name, columns["eps"], columns[name]) for name in names]
-        _svg_line_chart(series, out_dir / "sweep.svg",
-                        title="convergence to the flat limit",
-                        x_label="eps", y_label="metric",
-                        log_x=True, log_y=True)
     bad = [row for row in report.rows if not row.converged]
     if bad:
         print(f"sweep finished with non-converged rows at eps {[row.eps for row in bad]} "
@@ -432,8 +419,7 @@ def _cmd_sweep(resolved: dict, problem: ProblemSpec, out_dir: Path, svg: bool,
     return 0
 
 
-def _cmd_layer(resolved: dict, problem: ProblemSpec, out_dir: Path, svg: bool,
-              threads: int) -> int:
+def _cmd_layer(resolved: dict, problem: ProblemSpec, out_dir: Path, threads: int) -> int:
     exp = problem.exponents
     if exp.p != 2.0:
         raise ConfigurationError(
@@ -474,11 +460,6 @@ def _cmd_layer(resolved: dict, problem: ProblemSpec, out_dir: Path, svg: bool,
         if not ground.converged:
             status = 3
     _dump_json(doc, out_dir / "layer_compare.json")
-    if svg:
-        series = [("profile", profile.xi, profile.values)]
-        _svg_line_chart(series, out_dir / "layer.svg",
-                        title="boundary-layer profile", x_label="xi",
-                        y_label="value", log_x=False, log_y=False)
     if status:
         print("layer comparison solve did not converge; partial artifacts "
               f"written (descent stopped: {ground.stop})", file=sys.stderr)
@@ -496,119 +477,14 @@ _COMMANDS = {
 }
 
 
-# -- SVG emission ---------------------------------------------------------------
-
-_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
-
-
-def _ticks(lo: float, hi: float, log: bool) -> list[float]:
-    if log:
-        first = int(np.ceil(lo - 1e-9))
-        last = int(np.floor(hi + 1e-9))
-        if first > last:
-            return [lo, hi]
-        return [float(t) for t in range(first, last + 1)]
-    raw = np.linspace(lo, hi, 5)
-    return [float(t) for t in raw]
-
-
-def _svg_line_chart(series, path, title: str, x_label: str, y_label: str,
-                    log_x: bool, log_y: bool) -> None:
-    """Static line chart; text output is deterministic for golden files."""
-    width, height = 640, 420
-    ml, mr, mt, mb = 70, 24, 42, 52
-    plot_w, plot_h = width - ml - mr, height - mt - mb
-
-    cleaned = []
-    for name, xs, ys in series:
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        keep = np.isfinite(xs) & np.isfinite(ys)
-        if log_x:
-            keep &= xs > 0
-        if log_y:
-            keep &= ys > 0
-        if keep.any():
-            tx = np.log10(xs[keep]) if log_x else xs[keep]
-            ty = np.log10(ys[keep]) if log_y else ys[keep]
-            cleaned.append((name, tx, ty))
-    if not cleaned:
-        cleaned = [("empty", np.array([0.0, 1.0]), np.array([0.0, 0.0]))]
-
-    all_x = np.concatenate([c[1] for c in cleaned])
-    all_y = np.concatenate([c[2] for c in cleaned])
-    x_lo, x_hi = float(all_x.min()), float(all_x.max())
-    y_lo, y_hi = float(all_y.min()), float(all_y.max())
-    if x_hi - x_lo < 1e-12:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_hi - y_lo < 1e-12:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
-    pad_x, pad_y = 0.04 * (x_hi - x_lo), 0.06 * (y_hi - y_lo)
-    x_lo, x_hi = x_lo - pad_x, x_hi + pad_x
-    y_lo, y_hi = y_lo - pad_y, y_hi + pad_y
-
-    def sx(v: float) -> float:
-        return ml + (v - x_lo) / (x_hi - x_lo) * plot_w
-
-    def sy(v: float) -> float:
-        return mt + plot_h - (v - y_lo) / (y_hi - y_lo) * plot_h
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
-        f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>',
-        f'<rect x="{ml}" y="{mt}" width="{plot_w}" height="{plot_h}" '
-        'fill="none" stroke="#333333" stroke-width="1"/>',
-    ]
-    for t in _ticks(x_lo, x_hi, log_x):
-        if not (x_lo <= t <= x_hi):
-            continue
-        label = f"1e{int(t)}" if log_x else f"{t:.3g}"
-        parts.append(f'<line x1="{sx(t):.2f}" y1="{mt + plot_h}" '
-                     f'x2="{sx(t):.2f}" y2="{mt + plot_h + 5}" stroke="#333333"/>')
-        parts.append(f'<text x="{sx(t):.2f}" y="{mt + plot_h + 20}" '
-                     'text-anchor="middle" font-family="sans-serif" '
-                     f'font-size="11">{label}</text>')
-    for t in _ticks(y_lo, y_hi, log_y):
-        if not (y_lo <= t <= y_hi):
-            continue
-        label = f"1e{int(t)}" if log_y else f"{t:.3g}"
-        parts.append(f'<line x1="{ml - 5}" y1="{sy(t):.2f}" x2="{ml}" '
-                     f'y2="{sy(t):.2f}" stroke="#333333"/>')
-        parts.append(f'<text x="{ml - 8}" y="{sy(t) + 4:.2f}" '
-                     'text-anchor="end" font-family="sans-serif" '
-                     f'font-size="11">{label}</text>')
-    parts.append(f'<text x="{ml + plot_w / 2:.1f}" y="{height - 14}" '
-                 'text-anchor="middle" font-family="sans-serif" '
-                 f'font-size="12">{x_label}</text>')
-    parts.append(f'<text x="18" y="{mt + plot_h / 2:.1f}" text-anchor="middle" '
-                 'font-family="sans-serif" font-size="12" '
-                 f'transform="rotate(-90 18 {mt + plot_h / 2:.1f})">{y_label}</text>')
-
-    for i, (name, xs, ys) in enumerate(cleaned):
-        color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                     'stroke-width="1.5"/>')
-        ly = mt + 16 + 16 * i
-        parts.append(f'<line x1="{ml + plot_w - 150}" y1="{ly - 4}" '
-                     f'x2="{ml + plot_w - 126}" y2="{ly - 4}" stroke="{color}" '
-                     'stroke-width="1.5"/>')
-        parts.append(f'<text x="{ml + plot_w - 120}" y="{ly}" '
-                     f'font-family="sans-serif" font-size="11">{name}</text>')
-    parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
-
-
 # -- entry point ----------------------------------------------------------------
 
 
-def run(subcommand: str, config: dict, out_dir, svg: bool = False,
-        threads: int = 1) -> int:
+def run(subcommand: str, config: dict, out_dir, threads: int = 1) -> int:
     """Execute one subcommand against a raw config dict; returns the exit code."""
     try:
+        if threads < 1:
+            raise ConfigurationError("--threads must be at least 1")
         resolved, problem = _resolve(config)
         if subcommand not in _COMMANDS:
             raise ConfigurationError(f"unknown subcommand {subcommand!r}")
@@ -618,7 +494,7 @@ def run(subcommand: str, config: dict, out_dir, svg: bool = False,
         except OSError as exc:
             raise ConfigurationError(
                 f"cannot create output directory {out}: {exc.strerror}") from exc
-        return _COMMANDS[subcommand](resolved, problem, out, svg, threads)
+        return _COMMANDS[subcommand](resolved, problem, out, threads)
     except (ConfigurationError, InputError, HypothesisViolation) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -643,8 +519,6 @@ def main(argv=None) -> int:
                         help="directory for artifacts")
         sp.add_argument("--threads", type=int, default=1,
                         help="parallel sweep rows")
-        sp.add_argument("--svg", action="store_true",
-                        help="emit SVG charts where supported")
     args = parser.parse_args(argv)
 
     try:
@@ -656,12 +530,7 @@ def main(argv=None) -> int:
         print(f"configuration error: cannot read {args.config}: {exc}",
               file=sys.stderr)
         return 2
-    if args.threads < 1:
-        print("configuration error: --threads must be at least 1",
-              file=sys.stderr)
-        return 2
-    return run(args.subcommand, config, out_dir=args.out, svg=args.svg,
-               threads=args.threads)
+    return run(args.subcommand, config, out_dir=args.out, threads=args.threads)
 
 
 if __name__ == "__main__":

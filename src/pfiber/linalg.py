@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import InputError, NumericalError
 from .problem import Mesh, _sum_product
 
 __all__ = ["Descent", "InteriorSolver", "armijo", "descend", "preconditioned_direction",
@@ -230,6 +230,8 @@ def descend(start: np.ndarray, evaluate, gradient, stop, pre: InteriorSolver,
     payload kept through the line search would fragment the heap, and the
     peak RSS would grow with every descent.
     """
+    if max_iters < 0:
+        raise InputError(f"max_iters must be >= 0, got {max_iters}")
     found = evaluate(start, 0.0, None, 0.0)
     if found is None:
         return Descent(start, None, 0, [], "no_value", None)

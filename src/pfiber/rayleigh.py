@@ -270,12 +270,12 @@ def estimate_thresholds(spec: ProblemSpec, restarts: int = 0, max_iters: int = 4
     ties within 1e-12 keeping the earliest start.
 
     Raises:
-        InputError: ``restarts`` is negative, or an extra start lives on
-            another mesh.
+        InputError: ``restarts``, ``max_iters`` or ``seed`` is negative, or
+            an extra start lives on another mesh.
         DomainError: no start produced a field with a positive gain term.
     """
-    if restarts < 0:
-        raise InputError(f"restarts must be >= 0, got {restarts}")
+    if min(restarts, seed) < 0:
+        raise InputError(f"restarts and seed must be >= 0, got {restarts} and {seed}")
     mesh = spec.mesh
     solver = InteriorSolver(mesh, alpha=1.0, beta=1.0)
     starts: list[np.ndarray] = []

@@ -204,10 +204,14 @@ def solve_ground_state(spec: ProblemSpec, init: DiscreteField | None = None,
     its nodal absolute value.
 
     Raises:
-        InputError: ``init`` lives on a different mesh.
+        InputError: ``tol_res`` is not positive, a count or ``seed`` is
+            negative, or ``init`` lives on a different mesh.
     """
     if tol_res <= 0:
         raise InputError("tol_res must be positive")
+    if min(seed, random_restarts) < 0:
+        raise InputError("seed and random_restarts must be >= 0, "
+                         f"got {seed} and {random_restarts}")
     mesh = spec.mesh
     pre = InteriorSolver(mesh, alpha=spec.epsilon, beta=1.0)
     if init is not None:
@@ -443,9 +447,9 @@ def solve_mountain_pass(spec: ProblemSpec, ground_state: SolveReport,
     field otherwise; either is rechecked by _finish.
 
     Raises:
-        InputError: the supplied ground state is unusable as the start
-            (not converged, its energy is not negative, or it lives on
-            another mesh).
+        InputError: ``max_iters`` is negative, or the supplied ground
+            state is unusable as the start (not converged, its energy is
+            not negative, or it lives on another mesh).
         NumericalError: rounding leaves the ray through the ground state
             without a peak.
     """

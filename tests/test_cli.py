@@ -492,18 +492,15 @@ def test_second_at_twice_critical_exits_3_without_a_second_solution(
 # -- sweep --------------------------------------------------------------------
 
 
-def test_sweep_artifacts_and_svg(tmp_path):
+def test_sweep_artifacts(tmp_path):
     cfg = model_config(eps_list=[1e-2, 1e-3])
     out = tmp_path / "run"
-    assert run("sweep", cfg, out_dir=out, svg=True) == 0
+    assert run("sweep", cfg, out_dir=out) == 0
     header = (out / "sweep.csv").read_text().splitlines()[0]
     assert header == ("eps,energy,energy_gap,J_gap,measure_bad_eta,"
                       "l1_err,l2_err,linf_interior_err,converged")
     doc = json.loads((out / "sweep.json").read_text())
     assert [row["eps"] for row in doc["rows"]] == [1e-2, 1e-3]
-    svg = (out / "sweep.svg").read_text()
-    assert svg.startswith("<svg")
-    assert "l1_err" in svg
 
 
 def test_sweep_threads_do_not_change_bytes(tmp_path):
@@ -587,7 +584,7 @@ def test_layer_profile_and_comparison(tmp_path):
     cfg = model_config(layer={"xi_max": 20.0, "points": 201,
                               "compare_eps": 1e-3})
     out = tmp_path / "run"
-    assert run("layer", cfg, out_dir=out, svg=True) == 0
+    assert run("layer", cfg, out_dir=out) == 0
     lines = (out / "layer_profile.csv").read_text().splitlines()
     assert lines[0] == "xi,U"
     assert len(lines) == 202
@@ -597,7 +594,6 @@ def test_layer_profile_and_comparison(tmp_path):
     assert doc["comparison"]["ground_stop"] == "tolerance"
     # eps = 1e-3 on 201 nodes: layers are resolved but not sharp.
     assert doc["comparison"]["sup_diff"] < 0.1
-    assert (out / "layer.svg").read_text().startswith("<svg")
 
 
 def test_layer_comparison_without_convergence_exits_3(tmp_path, capsys):
@@ -661,24 +657,37 @@ TINY = {
 
 
 def readme_artifacts(subcommand):
-    """(always written, written only under --svg) names in the README's artifact table."""
+    """The names in the README's artifact table row for ``subcommand``."""
     for line in README.read_text().splitlines():
         if line.startswith(f"| `{subcommand}`"):
-            cell = line.split("|")[2]
-            always, _, optional = cell.partition("optional")
-            return set(re.findall(r"`([^`]+)`", always)), set(re.findall(r"`([^`]+)`", optional))
+            return set(re.findall(r"`([^`]+)`", line.split("|")[2]))
     raise AssertionError(f"README has no artifact row for {subcommand}")
 
 
-@pytest.mark.parametrize("svg", [False, True])
 @pytest.mark.parametrize("subcommand", ["solve", "second", "thresholds", "sweep", "layer"])
-def test_artifacts_match_the_readme_table(tmp_path, subcommand, svg):
-    always, optional = readme_artifacts(subcommand)
-    assert always
+def test_artifacts_match_the_readme_table(tmp_path, subcommand):
+    names = readme_artifacts(subcommand)
+    assert names
     out = tmp_path / "run"
-    assert run(subcommand, json.loads(json.dumps(TINY)), out_dir=out, svg=svg) == 0
-    expected = {"resolved_config.json", *always, *(optional if svg else ())}
-    assert {path.name for path in out.iterdir()} == expected
+    assert run(subcommand, json.loads(json.dumps(TINY)), out_dir=out) == 0
+    assert {path.name for path in out.iterdir()} == {"resolved_config.json", *names}
+
+
+@pytest.mark.parametrize("subcommand", ["solve", "second", "thresholds", "sweep", "layer"])
+def test_readme_flags_are_the_parser_flags(subcommand, capsys):
+    """The backticked flags of the README's "Flags:" paragraph are exactly
+    the option strings in the subcommand's --help, apart from -h/--help."""
+    text = README.read_text()
+    paragraph = text[text.index("\nFlags: "):].split("\n\n")[0]
+    documented = set(re.findall(r"`(-[\w-]+)", paragraph))
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, "--help"])
+    assert exc.value.code == 0
+    # An option line of the help starts "  -h, --help" or "  --out OUT".
+    heads = [line.split("  ")[1] for line in capsys.readouterr().out.splitlines()
+             if line.startswith("  -")]
+    flags = {option.split()[0] for head in heads for option in head.split(", ")}
+    assert documented and flags - {"-h", "--help"} == documented
 
 
 def test_a_capped_solve_says_why_it_stopped(tmp_path, capsys):
@@ -848,3 +857,25 @@ def test_main_rejects_nonpositive_threads(tmp_path, capsys):
     assert main(["sweep", "--config", str(path), "--out",
                  str(tmp_path / "run"), "--threads", "0"]) == 2
     assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", [0, -5])
+def test_run_rejects_nonpositive_threads(tmp_path, capsys, threads):
+    """The check is run's, so a library caller meets it as main does."""
+    out = tmp_path / "run"
+    cfg = model_config(eps_list=[1e-2, 1e-3])
+    assert run("sweep", cfg, out_dir=out, threads=threads) == 2
+    assert "--threads must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_svg_flag_is_gone(tmp_path, capsys):
+    """The CLI writes data only: --svg is an unknown argument, and no --out is made."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(model_config(eps_list=[1e-2, 1e-3])))
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(path), "--out", str(out), "--svg"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --svg" in capsys.readouterr().err
+    assert not out.exists()

@@ -181,6 +181,23 @@ def test_solver_input_validation():
         solve_ground_state(spec, init=stray)
 
 
+@pytest.mark.parametrize(("call", "match"), [
+    (lambda spec, gs: solve_ground_state(spec, max_iters=-1), "max_iters"),
+    (lambda spec, gs: solve_ground_state(spec, random_restarts=-3), "random_restarts"),
+    (lambda spec, gs: solve_ground_state(spec, seed=-1, random_restarts=1), "seed"),
+    (lambda spec, gs: solve_mountain_pass(spec, gs, max_iters=-1), "max_iters"),
+    (lambda spec, gs: estimate_thresholds(spec, max_iters=-1), "max_iters"),
+    (lambda spec, gs: estimate_thresholds(spec, restarts=1, seed=-1), "seed"),
+], ids=["gs_max_iters", "gs_restarts", "gs_seed", "mp_max_iters",
+        "thresholds_max_iters", "thresholds_seed"])
+def test_negative_counts_and_seeds_are_input_errors(model_ground_state, call, match):
+    """The config refuses a negative count or seed; so does the library,
+    rather than running no loop and failing on its missing result."""
+    spec, gs = model_ground_state
+    with pytest.raises(InputError, match=match):
+        call(spec, gs)
+
+
 @pytest.mark.parametrize("case", [
     "init_other_domain", "mountain_pass_other_resolution",
     "mountain_pass_other_domain", "extra_start_other_domain",
