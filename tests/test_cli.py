@@ -664,12 +664,20 @@ def readme_artifacts(subcommand):
     raise AssertionError(f"README has no artifact row for {subcommand}")
 
 
+@pytest.mark.parametrize("through_main", [False, True])
 @pytest.mark.parametrize("subcommand", ["solve", "second", "thresholds", "sweep", "layer"])
-def test_artifacts_match_the_readme_table(tmp_path, subcommand):
+def test_artifacts_match_the_readme_table(tmp_path, subcommand, through_main):
+    """The library call run(...) and the command line both write exactly
+    the README row's files next to resolved_config.json."""
     names = readme_artifacts(subcommand)
     assert names
     out = tmp_path / "run"
-    assert run(subcommand, json.loads(json.dumps(TINY)), out_dir=out) == 0
+    if through_main:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(TINY))
+        assert main([subcommand, "--config", str(path), "--out", str(out)]) == 0
+    else:
+        assert run(subcommand, json.loads(json.dumps(TINY)), out_dir=out) == 0
     assert {path.name for path in out.iterdir()} == {"resolved_config.json", *names}
 
 
