@@ -15,14 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolation, InputError, NumericalError
-from .functionals import J_functional, _evaluate
+from .functionals import EnergyComponents, J_functional, _evaluate
 from .problem import (
     DiscreteField,
     Exponents,
     Mesh,
     ProblemSpec,
 )
-from .solver import solve_ground_state
+from .solver import _scaled_flat_limit, solve_ground_state
 
 __all__ = [
     "LimitProfile",
@@ -110,11 +110,24 @@ def asymptotic_metrics(u: DiscreteField, profile: LimitProfile, spec: ProblemSpe
     Raises:
         InputError: eta <= 0, or an r that is below 1 or not finite.
     """
+    _check_metric_options(eta, r_list)
+    # No zero-trace requirement: the metrics are evaluated on the profile too.
+    energy, state = _evaluate(u.values, spec)
+    return _metrics(u, energy, state.comps, profile, spec, eta, r_list)
+
+
+def _check_metric_options(eta: float, r_list) -> None:
     if eta <= 0.0:
         raise InputError("the bad-set threshold eta must be positive")
     for r in r_list:
         if not (1.0 <= r < np.inf):
             raise InputError(f"L^r errors are tracked for finite r >= 1, got r={r}")
+
+
+def _metrics(u: DiscreteField, energy: float, comps: EnergyComponents,
+             profile: LimitProfile, spec: ProblemSpec, eta: float,
+             r_list) -> AsymptoticMetrics:
+    """asymptotic_metrics of u, whose energy and components the caller holds."""
     mesh = u.mesh
     diff_qp = mesh.values_at_qp(u.values - profile.field.values)
     measure_bad = mesh.integrate((np.abs(diff_qp) >= eta).astype(float))
@@ -122,9 +135,7 @@ def asymptotic_metrics(u: DiscreteField, profile: LimitProfile, spec: ProblemSpe
         (float(r), mesh.integrate(np.abs(diff_qp) ** r) ** (1.0 / r))
         for r in r_list
     )
-    # No zero-trace requirement: the metrics are evaluated on the profile too.
-    energy, state = _evaluate(u.values, spec)
-    comps, ex = state.comps, spec.exponents
+    ex = spec.exponents
     energy_gap = energy - profile.limit_value
     j_gap = comps.loss / ex.gamma - comps.gain / ex.q - profile.limit_value  # J_functional(u)
     return AsymptoticMetrics(
@@ -223,13 +234,14 @@ def _boundary_distance(mesh: Mesh) -> np.ndarray:
 
 def _sweep_row(spec: ProblemSpec, eps: float, profile: LimitProfile, eta: float,
                r_list, solver_options: dict, row_seed: int,
-               interior_mask: np.ndarray) -> SweepRow:
+               interior_mask: np.ndarray, flat_seed: np.ndarray) -> SweepRow:
     sub = spec.with_epsilon(eps)
     opts = dict(solver_options)
     opts.setdefault("seed", 0)
     opts["seed"] = opts["seed"] + row_seed
-    report = solve_ground_state(sub, **opts)
-    metrics = asymptotic_metrics(report.field, profile, sub, eta, r_list)
+    report = solve_ground_state(sub, **opts, _flat_seed=flat_seed)
+    metrics = _metrics(report.field, report.energy, report.components, profile, sub,
+                       eta, r_list)
     diff = np.abs(report.field.values - profile.field.values)
     linf_int = float(diff[interior_mask].max()) if interior_mask.any() else 0.0
     return SweepRow(
@@ -247,12 +259,15 @@ def epsilon_sweep(spec: ProblemSpec, eps_list, eta: float = 0.1,
 
     Rows are independent (each eps is solved from the default seeds with a
     per-row derived seed) and may be computed in ``threads`` parallel workers;
-    the report always lists rows in ``eps_list`` order.  The interior sup
-    error ignores nodes within 10% of the domain diameter of the boundary,
-    where the layers live.
+    the report always lists rows in ``eps_list`` order.  Neither the limit
+    profile nor the flat-limit seed depends on eps, so each is made once,
+    and each row takes its metrics' energy and components from its solve.
+    The interior sup error ignores nodes within 10% of the domain diameter
+    of the boundary, where the layers live.
 
     Raises:
-        InputError: eps_list empty, nonpositive, or not strictly decreasing.
+        InputError: eps_list empty, nonpositive, or not strictly decreasing,
+            or eta and r_list as asymptotic_metrics refuses them.
     """
     eps_arr = [float(e) for e in eps_list]
     if not eps_arr:
@@ -261,15 +276,17 @@ def epsilon_sweep(spec: ProblemSpec, eps_list, eta: float = 0.1,
         raise InputError("every eps must be positive")
     if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise InputError("eps_list must be strictly decreasing")
+    _check_metric_options(eta, r_list)
     solver_options = dict(solver_options or {})
     profile = limit_profile(spec)
+    flat_seed = _scaled_flat_limit(spec)
     span = np.array([hi - lo for lo, hi in spec.mesh.bounds], dtype=float)
     margin = 0.1 * float(np.linalg.norm(span))
     interior_mask = _boundary_distance(spec.mesh) >= margin
 
     def row(i):
         return _sweep_row(spec, eps_arr[i], profile, eta, r_list, solver_options,
-                          i, interior_mask)
+                          i, interior_mask, flat_seed)
 
     # Both maps return results in input order, so rows follow eps_list.
     if threads > 1:

@@ -14,7 +14,6 @@ second met a zero ground state (partial artifacts are kept), 4 internal numerica
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -260,9 +259,9 @@ def _make_problem(resolved: dict) -> ProblemSpec:
 
 
 def _record(obj):
-    """The JSON value of a result: dataclass fields by name, a field as its values."""
+    """The JSON value of a result: dataclass fields by name, a field as its values array."""
     if isinstance(obj, DiscreteField):
-        return {"values": obj.values.tolist()}
+        return {"values": obj.values}
     if dataclasses.is_dataclass(obj):
         return {f.name: _record(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, (tuple, list)):
@@ -272,22 +271,33 @@ def _record(obj):
 
 def _json_text(obj, indent: str = "") -> str:
     """``obj``, whose keys are strings, as ``json.dumps(obj, indent=2,
-    sort_keys=True)`` writes it at ``indent``.
+    sort_keys=True)`` writes it at ``indent``, a 1D float array as its list.
 
     The stdlib writes an indented document with its pure-Python encoder.  A
-    list of finite floats, such as a field's nodal values, is written here
-    by one join over ``float.__repr__``, which is what that encoder writes
-    for each; keys, scalars and empty containers go through ``json.dumps``.
+    nonempty array of finite floats, such as a field's nodal values, is
+    written here by one join of ``float.__repr__`` texts, which is what
+    that encoder writes for each float.  Each distinct bit pattern is
+    formatted once: the fields are mirror-symmetric and repeat many values.
+    Bit patterns, not floats, key the texts, since -0.0 == 0.0 and their
+    texts differ.  Keys, scalars and empty containers go through
+    ``json.dumps``.
     """
     inner = indent + "  "
+    if isinstance(obj, np.ndarray):
+        if not (obj.size and np.isfinite(obj).all()):
+            return _json_text(obj.tolist(), indent)
+        bits = obj.view(np.int64).tolist()
+        # One float per distinct pattern, then its text in its place: the
+        # keys stay, so the dict is neither copied nor resized.
+        texts = dict(zip(bits, obj.tolist()))
+        texts.update(zip(texts, map(float.__repr__, texts.values())))
+        items = map(texts.__getitem__, bits)
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
     if isinstance(obj, dict) and obj:
         items = (f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in sorted(obj.items()))
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
     if isinstance(obj, (list, tuple)) and obj:
-        if all(type(v) is float and math.isfinite(v) for v in obj):
-            items = map(float.__repr__, obj)
-        else:
-            items = (_json_text(v, inner) for v in obj)
+        items = (_json_text(v, inner) for v in obj)
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
     return json.dumps(obj)
 
@@ -313,9 +323,10 @@ def _write_csv(path, columns: dict) -> None:
 
 
 def _ground_state_doc(report, epsilon: float) -> dict:
-    """ground_state.json: the report without its trace, flagged when it is the zero field."""
+    """ground_state.json: the report without its components and trace, flagged
+    when it is the zero field."""
     record = _record(report)
-    del record["trace"]
+    del record["components"], record["trace"]
     record["zero_field"] = report.is_zero()
     return {"epsilon": epsilon, "report": record}
 

@@ -128,9 +128,10 @@ def _evaluate(values: np.ndarray, spec: ProblemSpec, grads=None):
         density = norm_sq
     elif ex.p > 2.0 and float(ex.p).is_integer():
         # |g|^(p-2) by products from |g|^2, times |g| for odd p.
-        factor = _power(norm_sq, (ex.p - 2.0) // 2) if ex.p >= 4.0 else 1.0
+        factor = _power(norm_sq, (ex.p - 2.0) // 2) if ex.p >= 4.0 else None
         if ex.p % 2.0:
-            factor = factor * np.sqrt(norm_sq)
+            root = np.sqrt(norm_sq)
+            factor = root if factor is None else factor * root
         density = factor * norm_sq
     else:
         density = norm_sq ** (ex.p / 2.0)

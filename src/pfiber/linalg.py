@@ -3,6 +3,7 @@ the one preconditioned Armijo descent loop that the ground state, the
 Nehari-branch descent and the threshold ascent all run."""
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -230,8 +231,8 @@ def descend(start: np.ndarray, evaluate, gradient, stop, pre: InteriorSolver,
     payload kept through the line search would fragment the heap, and the
     peak RSS would grow with every descent.
     """
-    if max_iters < 0:
-        raise InputError(f"max_iters must be >= 0, got {max_iters}")
+    if isinstance(max_iters, bool) or not isinstance(max_iters, Integral) or max_iters < 0:
+        raise InputError(f"max_iters must be an integer >= 0, got {max_iters!r}")
     found = evaluate(start, 0.0, None, 0.0)
     if found is None:
         return Descent(start, None, 0, [], "no_value", None)

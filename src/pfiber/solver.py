@@ -22,8 +22,11 @@ field is kept only if it lies on N- below the starting level.
 N- is bounded away from the zero field, so the search cannot collapse onto
 it.
 
-Both solvers stop on one rule, _tolerance, and finish through one
-re-evaluation, _finish, of the field they return.
+Both solvers stop on one rule, _tolerance, and report a field with the
+energy, components and residual max-norm of its last evaluation (_result):
+the descent's accepted field, or Newton's.  Only a field that no loop has
+evaluated, the nodal |u| of a ground state with negative nodes, is
+evaluated again, by _finish.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -35,6 +38,7 @@ from .functionals import (
     EnergyComponents,
     energy_components,
     membership_tolerance,
+    _energy,
     _energy_change,
     _energy_scale,
     _evaluate,
@@ -43,7 +47,7 @@ from .functionals import (
     _residual,
     delta_reg,
 )
-from .linalg import Descent, InteriorSolver, armijo, descend, stalled
+from .linalg import InteriorSolver, armijo, descend, stalled
 from .problem import DiscreteField, Mesh, ProblemSpec
 from .rayleigh import fiber_scalings
 
@@ -87,8 +91,9 @@ class SolveReport:
     along the ray through the solution; positive values mark the ground-state
     branch.  ``best_start`` is the index of the winning descent's start: 0
     for the flat-limit seed or ``init``, i for the i-th random restart.
-    ``trace`` rows are (iteration, energy, residual_norm) for that descent,
-    and ``stop`` is the reason it stopped (linalg.Descent.stop).
+    ``components`` are the field's (dirichlet, gain, loss).  ``trace`` rows
+    are (iteration, energy, residual_norm) for that descent, and ``stop``
+    is the reason it stopped (linalg.Descent.stop).
     """
 
     field: DiscreteField
@@ -102,6 +107,7 @@ class SolveReport:
     delta_reg: float
     best_start: int
     stop: str
+    components: EnergyComponents
     trace: list = dataclass_field(default_factory=list, repr=False)
 
     def is_zero(self) -> bool:
@@ -119,17 +125,25 @@ def _tolerance(tol_res: float, energy: float) -> float:
     return tol_res * (1.0 + abs(energy))
 
 
-def _finish(values: np.ndarray, spec: ProblemSpec, tol_res: float):
-    """(field, energy, residual max-norm, tolerance, components) of a returned field."""
-    energy, state = _evaluate(values, spec)
-    res_norm = float(np.max(np.abs(_residual(state, spec))))
+def _result(values: np.ndarray, comps: EnergyComponents, res_norm: float,
+            spec: ProblemSpec, tol_res: float):
+    """(field, energy, residual max-norm, tolerance, components) of a returned
+    field, from the components and norm of its evaluation, which the caller holds."""
+    energy = _energy(comps, spec)
     return (DiscreteField(spec.mesh, values), energy, res_norm,
-            _tolerance(tol_res, energy), state.comps)
+            _tolerance(tol_res, energy), comps)
+
+
+def _finish(values: np.ndarray, spec: ProblemSpec, tol_res: float):
+    """_result of a field that no loop has evaluated."""
+    state = _evaluate(values, spec)[1]
+    res_norm = float(np.max(np.abs(_residual(state, spec))))
+    return _result(values, state.comps, res_norm, spec, tol_res)
 
 
 def _descend(start: np.ndarray, spec: ProblemSpec, pre: InteriorSolver,
-             tol_res: float, max_iters: int, project=None) -> Descent:
-    """linalg.descend of phi from a zero-trace seed.
+             tol_res: float, max_iters: int, project=None):
+    """linalg.descend of phi from a zero-trace seed: (Descent, components, kept).
 
     The gradient is the weak residual.  The descent stops on _tolerance,
     "tolerance", or after _FLAT_STEPS accepted steps in a row without a
@@ -138,7 +152,12 @@ def _descend(start: np.ndarray, spec: ProblemSpec, pre: InteriorSolver,
     of the trial's energy scale, the cancellation-free _energy_change
     replaces the difference of the two rounded energies.  With ``project``,
     each trial field is project(u - t d), None has no value, and the change
-    is always that difference.
+    is always that difference.  The components are those of the descent's
+    field, from its evaluation; the last trace row holds its residual's
+    max-norm.  ``kept`` holds its (_evaluate state, residual) where a stop
+    rule or max_iters ended the descent, else nothing: stop runs right after
+    each gradient and frees the state before any line search, as descend
+    frees its payload.
     """
     def evaluate(u, t, d, energy):
         cand = u if d is None else u - t * d
@@ -153,13 +172,29 @@ def _descend(start: np.ndarray, spec: ProblemSpec, pre: InteriorSolver,
             change = _energy_change(u, state, -t, d, spec)
         return change, cand, state
 
+    comps, kept = None, []
+
+    def gradient(state):
+        # Called once for each accepted field, the last for the returned
+        # one, and followed by stop at the same field.
+        nonlocal comps
+        comps = state.comps
+        residual = _residual(state, spec)
+        kept[:] = [(state, residual)]
+        return residual
+
     def stop(trace):
         _, energy, res_norm = trace[-1]
         if res_norm <= _tolerance(tol_res, energy):
             return "tolerance"
-        return "flat" if stalled(trace, _FLAT_STEPS) else None
+        if stalled(trace, _FLAT_STEPS):
+            return "flat"
+        if trace[-1][0] < max_iters:    # else descend returns before any trial
+            kept.clear()
+        return None
 
-    return descend(start, evaluate, lambda s: _residual(s, spec), stop, pre, max_iters)
+    descent = descend(start, evaluate, gradient, stop, pre, max_iters)
+    return descent, comps, kept
 
 
 def _amplitude(spec: ProblemSpec) -> float:
@@ -169,15 +204,20 @@ def _amplitude(spec: ProblemSpec) -> float:
     return amplitude if amplitude > 0.0 and np.isfinite(amplitude) else 1.0
 
 
-def _default_seeds(spec: ProblemSpec, seed: int, random_restarts: int) -> list[np.ndarray]:
-    mesh = spec.mesh
-    seeds = []
-    w = _zero_boundary(spec.flat_limit, mesh)
-    comps = energy_components(DiscreteField(mesh, w), spec)
+def _scaled_flat_limit(spec: ProblemSpec) -> np.ndarray:
+    """The zero-trace flat limit at its fiber-optimal scale; it does not depend on eps."""
+    w = _zero_boundary(spec.flat_limit, spec.mesh)
+    comps = energy_components(DiscreteField(spec.mesh, w), spec)
     if comps.dirichlet > 0.0 and comps.gain > membership_tolerance(spec) and comps.loss > 0.0:
-        scalings = fiber_scalings(comps, spec.exponents)
-        w = scalings.zero_energy * w
-    seeds.append(w)
+        w = fiber_scalings(comps, spec.exponents).zero_energy * w
+    return w
+
+
+def _default_seeds(spec: ProblemSpec, seed: int, random_restarts: int,
+                   flat: np.ndarray | None = None) -> list[np.ndarray]:
+    """_scaled_flat_limit, or ``flat`` where the caller holds it, then the random restarts."""
+    mesh = spec.mesh
+    seeds = [_scaled_flat_limit(spec) if flat is None else flat]
     amplitude = _amplitude(spec)
     for i in range(random_restarts):
         rng = np.random.default_rng((seed, 101 + i))
@@ -187,7 +227,8 @@ def _default_seeds(spec: ProblemSpec, seed: int, random_restarts: int) -> list[n
 
 def solve_ground_state(spec: ProblemSpec, init: DiscreteField | None = None,
                        tol_res: float = 1e-8, max_iters: int = 50_000,
-                       seed: int = 0, random_restarts: int = 0) -> SolveReport:
+                       seed: int = 0, random_restarts: int = 0, *,
+                       _flat_seed: np.ndarray | None = None) -> SolveReport:
     """Locate the minimal-energy critical point, or the zero field.
 
     One descent runs from ``init``, or else from the fiber-optimal scaling
@@ -201,13 +242,16 @@ def solve_ground_state(spec: ProblemSpec, init: DiscreteField | None = None,
     ``converged=True``; this is the expected outcome above the critical
     threshold.  Otherwise the lowest converged energy wins, ties keeping
     the earliest start, and a winner with negative nodes is replaced by
-    its nodal absolute value.
+    its nodal absolute value.  ``_flat_seed`` is the flat-limit seed of
+    _default_seeds where the caller already holds it: epsilon_sweep makes
+    it once for all its rows.
 
     Raises:
         InputError: ``tol_res`` is not positive, a count or ``seed`` is
-            negative, or ``init`` lives on a different mesh.
+            negative, ``max_iters`` is not an integer, or ``init`` lives on
+            a different mesh.
     """
-    if tol_res <= 0:
+    if not tol_res > 0:
         raise InputError("tol_res must be positive")
     if min(seed, random_restarts) < 0:
         raise InputError("seed and random_restarts must be >= 0, "
@@ -218,14 +262,15 @@ def solve_ground_state(spec: ProblemSpec, init: DiscreteField | None = None,
         init.require_mesh(mesh, "init field")
         seeds = [_zero_boundary(init.values, mesh)]
     else:
-        seeds = _default_seeds(spec, seed, random_restarts)
+        seeds = _default_seeds(spec, seed, random_restarts, _flat_seed)
 
     candidates = []    # (field, energy, res_norm, tol, comps, descent, start), in seed order
     iterations = 0
     for index, start in enumerate(seeds):
-        descent = _descend(start, spec, pre, tol_res, max_iters)
+        descent, comps = _descend(start, spec, pre, tol_res, max_iters)[:2]
         iterations += descent.steps
-        candidates.append((*_finish(descent.field, spec, tol_res), descent, index))
+        candidates.append((*_result(descent.field, comps, descent.trace[-1][2], spec, tol_res),
+                           descent, index))
 
     converged = [c for c in candidates if c[2] <= c[3]]
     best = min(converged or candidates, key=lambda c: c[1])
@@ -241,7 +286,7 @@ def solve_ground_state(spec: ProblemSpec, init: DiscreteField | None = None,
             best = next(c for c in converged if abs(c[1] - best[1]) <= tie_tol)
     if best[1] < 0.0 and best[0].values.min() < 0.0:
         # A ground state does not change sign; |u| has the winner's energy up
-        # to the kinks of its sign changes and is rechecked by _finish.
+        # to the kinks of its sign changes and is evaluated by _finish.
         best = (*_finish(np.abs(best[0].values), spec, tol_res), *best[5:])
     field, energy, res_norm, tol_eff, comps, descent, best_start = best
     ex, eps = spec.exponents, spec.epsilon
@@ -253,7 +298,7 @@ def solve_ground_state(spec: ProblemSpec, init: DiscreteField | None = None,
         fiber_second_derivative=(ex.p - ex.q) * eps * dir_ + (ex.gamma - ex.q) * loss,
         iterations=iterations, converged=res_norm <= tol_eff,
         tol_effective=tol_eff, delta_reg=delta_reg(ex.p), best_start=best_start,
-        stop=descent.stop, trace=descent.trace,
+        stop=descent.stop, components=comps, trace=descent.trace,
     )
 
 
@@ -361,7 +406,7 @@ class _Unmoved(Exception):
     """A Newton trial field equal to the current one."""
 
 
-def _newton(start: np.ndarray, spec: ProblemSpec, tol_res: float):
+def _newton(start: np.ndarray, spec: ProblemSpec, tol_res: float, known=()):
     """Damped Newton's method on the plain weak residual from ``start``.
 
     Each step solves the interior Jacobian by _newton_step for delta, and
@@ -374,14 +419,21 @@ def _newton(start: np.ndarray, spec: ProblemSpec, tol_res: float):
     The iteration stops when the line search fails, which is the rounding
     floor once it converges, when a kept step does not halve the norm and
     its field meets _tolerance, or after _NEWTON_STEPS steps.  Returns
-    (values, energy, components, steps) of the last field kept, ``steps``
-    counting the solves, or None unless that field meets _tolerance; also
-    None at a Jacobian that _newton_step cannot solve.
+    (values, energy, components, residual max-norm, steps) of the last
+    field kept, ``steps`` counting the solves, or None unless that field
+    meets _tolerance; also None at a Jacobian that _newton_step cannot
+    solve.  ``known`` is _descend's ``kept`` for a zero-trace ``start``:
+    its entry is taken out, so the start's state is freed once a step
+    moves on from it, or else ``start`` is evaluated.
     """
     idx = spec.mesh.interior_nodes
     u = _zero_boundary(start, spec.mesh)
-    energy, state = _evaluate(u, spec)
-    residual = _residual(state, spec)
+    if known:
+        state, residual = known.pop()
+    else:
+        state = _evaluate(u, spec)[1]
+        residual = _residual(state, spec)
+    energy = _energy(state.comps, spec)
     res_norm = float(np.max(np.abs(residual)))
 
     def trial(t):
@@ -410,7 +462,9 @@ def _newton(start: np.ndarray, spec: ProblemSpec, tol_res: float):
         res_norm = cand_norm
         if not halved and res_norm <= _tolerance(tol_res, energy):
             break
-    return (u, energy, state.comps, steps) if res_norm <= _tolerance(tol_res, energy) else None
+    if res_norm > _tolerance(tol_res, energy):
+        return None
+    return u, energy, state.comps, res_norm, steps
 
 
 def _on_peak_branch(values: np.ndarray, energy: float, comps: EnergyComponents,
@@ -444,16 +498,18 @@ def solve_mountain_pass(spec: ProblemSpec, ground_state: SolveReport,
     N- the gradient of phi o P is the plain weak residual, so the descent
     stops on _tolerance.  Then _newton runs once from the descent field.
     Its field is returned when _on_peak_branch accepts it, the descent
-    field otherwise; either is rechecked by _finish.
+    field otherwise, each with the energy, components and residual
+    max-norm of its own last evaluation.
 
     Raises:
-        InputError: ``max_iters`` is negative, or the supplied ground
+        InputError: ``tol_res`` is not positive, ``max_iters`` is negative
+            or not an integer, or the supplied ground
             state is unusable as the start (not converged, its energy is
             not negative, or it lives on another mesh).
         NumericalError: rounding leaves the ray through the ground state
             without a peak.
     """
-    if tol_res <= 0:
+    if not tol_res > 0:
         raise InputError("tol_res must be positive")
     if not ground_state.converged or ground_state.energy >= 0.0 or ground_state.is_zero():
         raise InputError("mountain-pass start must be a converged negative-energy "
@@ -463,14 +519,14 @@ def solve_mountain_pass(spec: ProblemSpec, ground_state: SolveReport,
     if start is None:
         raise NumericalError("the ray through the ground state has no energy peak")
     pre = InteriorSolver(spec.mesh, alpha=spec.epsilon, beta=1.0)
-    descent = _descend(start, spec, pre, tol_res, max_iters,
-                       project=lambda v: _peak_projection(v, spec))
+    descent, comps, kept = _descend(start, spec, pre, tol_res, max_iters,
+                                    project=lambda v: _peak_projection(v, spec))
     path_level = descent.trace[0][1]    # the energy of the start
-    values, newton_steps = descent.field, 0
-    found = _newton(values, spec, tol_res)
+    values, res_norm, newton_steps = descent.field, descent.trace[-1][2], 0
+    found = _newton(values, spec, tol_res, kept)
     if found is not None and _on_peak_branch(*found[:3], path_level, spec):
-        values, *_, newton_steps = found
-    field, energy, res_norm, tol_eff, _ = _finish(values, spec, tol_res)
+        values, _, comps, res_norm, newton_steps = found
+    field, energy, res_norm, tol_eff, _ = _result(values, comps, res_norm, spec, tol_res)
     return MountainPassReport(
         field=field, energy=energy, path_level=path_level,
         residual_norm=res_norm, iterations=descent.steps, newton_steps=newton_steps,

@@ -262,6 +262,59 @@ def test_sweep_evaluates_the_limit_energy_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_sweep_rows_reuse_the_seed_and_the_solve_and_equal_lone_solves(monkeypatch):
+    """A 3-row sweep evaluates the flat-limit seed once and no field twice
+    within a row: each row's metrics take the energy and components of its
+    solve.  Each row equals solve_ground_state plus asymptotic_metrics run
+    alone, bit for bit, also with a random restart per row."""
+    import hashlib
+
+    import pfiber.asymptotics
+    import pfiber.functionals
+    import pfiber.solver
+
+    def digest(values):
+        return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+
+    spec = model_spec(n=101)
+    eps_list, options = [1e-2, 5e-3, 2e-3], {"random_restarts": 1}
+    evaluated, rows = [], []
+    real_evaluate, real_row = pfiber.functionals._evaluate, pfiber.asymptotics._sweep_row
+
+    def recording(values, spec, *args):
+        evaluated.append(digest(values))
+        return real_evaluate(values, spec, *args)
+
+    def recording_row(*args):
+        first = len(evaluated)
+        row = real_row(*args)
+        rows.append(evaluated[first:])
+        return row
+
+    for module in (pfiber.functionals, pfiber.solver, pfiber.asymptotics):
+        monkeypatch.setattr(module, "_evaluate", recording)
+    monkeypatch.setattr(pfiber.asymptotics, "_sweep_row", recording_row)
+    report = epsilon_sweep(spec, eps_list, solver_options=options)
+    monkeypatch.undo()
+
+    seed = np.array(spec.flat_limit)
+    seed[spec.mesh.boundary_nodes] = 0.0
+    assert evaluated.count(digest(seed)) == 1
+    assert len(rows) == len(eps_list)
+    for row in rows:
+        assert len(row) == len(set(row)) > 0
+
+    profile = limit_profile(spec)
+    for i, (eps, row) in enumerate(zip(eps_list, report.rows)):
+        sub = spec.with_epsilon(eps)
+        alone = solve_ground_state(sub, seed=i, **options)
+        metrics = asymptotic_metrics(alone.field, profile, sub)
+        assert (row.eps, row.energy, row.converged, row.iterations, row.stop) == (
+            eps, alone.energy, alone.converged, alone.iterations, alone.stop)
+        assert (row.energy_gap, row.J_gap, row.measure_bad, row.lr_errors) == (
+            metrics.energy_gap, metrics.J_gap, metrics.measure_bad, metrics.lr_errors)
+
+
 def test_sweep_squeeze_inequality(small_sweep):
     # J(limit) <= J(u_eps) <= phi(u_eps) row by row.
     for row in small_sweep.rows:

@@ -717,12 +717,36 @@ def test_dump_json_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _plain(obj):
+    """``obj`` with every ndarray as its list, which json.dump can take."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_plain(v) for v in obj)
+    return obj
+
+
 def test_dump_json_writes_the_stdlib_bytes(tmp_path):
-    """_dump_json writes what json.dump(indent=2, sort_keys=True) writes,
-    plus a newline, on its fast float lists and on the general path."""
+    """_dump_json writes what json.dump(indent=2, sort_keys=True) writes of
+    the document with its arrays as lists, plus a newline, on its fast
+    float arrays and on the general path.  The arrays repeat values, put
+    -0.0 beside 0.0, which compare equal and print differently, hold the
+    least subnormal and values where repr switches to exponent form, and
+    a non-finite entry sends one down the general path."""
     problem = _resolve(json.loads(json.dumps(TINY)))[1]
     record = _ground_state_doc(solve_ground_state(problem), problem.epsilon)
+    assert isinstance(record["report"]["field"]["values"], np.ndarray)
     documents = [
+        {"repeated": np.array([0.25, 0.5, 0.25, 0.25, 0.5]), "single": np.array([3.0])},
+        {"signed_zeros": np.array([-0.0, 0.0, -0.0, 1.0, 0.0])},
+        {"subnormal": np.array([5e-324, -5e-324, 5e-324, 0.0])},
+        {"exponent_form": np.array([1e15, 9999999999999998.0, 1e16, 1.0000000000000002e16,
+                                    1e17, 1e-4, 0.00011, 1e-5, 9.9e-5, -1e16, 1e16])},
+        {"nan": np.array([1.0, np.nan, 1.0]), "inf": np.array([np.inf, 0.5]),
+         "minus_inf": np.array([-np.inf, -np.inf])},
+        {"empty": np.array([]), "nested": [np.array([]), {"x": np.array([2.0, 2.0])}]},
         {"nested": {"empty": {}, "list": [], "deeper": {"b": [[]], "a": [{}, ()]}},
          "tuple": (1, (2.5, "x"))},
         {"ints": [0, -3, 2**70], "flags": [True, False, None], "one": 1, "none": None},
@@ -737,7 +761,7 @@ def test_dump_json_writes_the_stdlib_bytes(tmp_path):
         path = tmp_path / f"{i}.json"
         _dump_json(doc, path)
         expected = io.StringIO()
-        json.dump(doc, expected, indent=2, sort_keys=True)
+        json.dump(_plain(doc), expected, indent=2, sort_keys=True)
         assert path.read_bytes() == (expected.getvalue() + "\n").encode()
 
 

@@ -321,8 +321,8 @@ def test_the_ground_state_descent_stops_on_tolerance_or_flat():
     spec = ProblemSpec(build_mesh((0.0, 1.0), 41), Exponents(2.0, 3.0, 4.0), 1e-2, one, one)
     pre = InteriorSolver(spec.mesh, alpha=spec.epsilon, beta=1.0)
     start = _default_seeds(spec, 0, 0)[0]
-    assert _descend(start, spec, pre, 1e-8, 3000).stop == "tolerance"
-    descent = _descend(start, spec, pre, 1e-17, 3000)
+    assert _descend(start, spec, pre, 1e-8, 3000)[0].stop == "tolerance"
+    descent, *_ = _descend(start, spec, pre, 1e-17, 3000)
     assert descent.stop == "flat" and descent.steps < 3000
     assert len({row[1] for row in descent.trace[-_FLAT_STEPS - 1:]}) == 1
 

@@ -188,11 +188,19 @@ def test_solver_input_validation():
     (lambda spec, gs: solve_mountain_pass(spec, gs, max_iters=-1), "max_iters"),
     (lambda spec, gs: estimate_thresholds(spec, max_iters=-1), "max_iters"),
     (lambda spec, gs: estimate_thresholds(spec, restarts=1, seed=-1), "seed"),
+    (lambda spec, gs: solve_ground_state(spec, tol_res=float("nan")), "tol_res"),
+    (lambda spec, gs: solve_mountain_pass(spec, gs, tol_res=float("nan")), "tol_res"),
+    (lambda spec, gs: solve_ground_state(spec, max_iters=2.5), "max_iters"),
+    (lambda spec, gs: solve_ground_state(spec, max_iters=True), "max_iters"),
+    (lambda spec, gs: solve_mountain_pass(spec, gs, max_iters=2.5), "max_iters"),
 ], ids=["gs_max_iters", "gs_restarts", "gs_seed", "mp_max_iters",
-        "thresholds_max_iters", "thresholds_seed"])
+        "thresholds_max_iters", "thresholds_seed", "gs_nan_tol_res", "mp_nan_tol_res",
+        "gs_fractional_max_iters", "gs_bool_max_iters", "mp_fractional_max_iters"])
 def test_negative_counts_and_seeds_are_input_errors(model_ground_state, call, match):
     """The config refuses a negative count or seed; so does the library,
-    rather than running no loop and failing on its missing result."""
+    rather than running no loop and failing on its missing result.  It
+    also refuses a NaN tolerance, which no residual meets, and a count
+    that is not an integer."""
     spec, gs = model_ground_state
     with pytest.raises(InputError, match=match):
         call(spec, gs)
@@ -392,7 +400,9 @@ def test_mountain_pass_keeps_the_descent_field_when_newton_is_refused(
     if newton == "above_level":
         assert energy > finished.path_level
     comps = energy_components(DiscreteField(mesh, values), spec)
-    monkeypatch.setattr(pfiber.solver, "_newton", lambda *args: (values, energy, comps, 3))
+    res_norm = float(np.max(np.abs(weak_residual(DiscreteField(mesh, values), spec).values)))
+    monkeypatch.setattr(pfiber.solver, "_newton",
+                        lambda *args: (values, energy, comps, res_norm, 3))
     mp = solve_mountain_pass(spec, gs, tol_res=1e-8)
     assert mp.newton_steps == 0
     np.testing.assert_array_equal(mp.field.values, descent.field.values)
@@ -473,7 +483,7 @@ def test_damped_newton_converges_from_a_perturbed_second_solution(
 
     found = _newton(start, spec, 1e-8)
     assert found is not None
-    values, energy, _, steps = found
+    values, energy, _, _, steps = found
     assert 1 < steps <= 10
     assert np.max(np.abs(residual(values))) <= mp.tol_effective
     assert abs(energy - mp.energy) <= 1e-12 * mp.energy
@@ -667,3 +677,120 @@ def test_report_nehari_numbers(model_ground_state):
     expected_second = ((EX.p - EX.q) * spec.epsilon * comps.dirichlet
                        + (EX.gamma - EX.q) * comps.loss)
     assert report.fiber_second_derivative == pytest.approx(expected_second, rel=1e-14)
+
+
+# -- one evaluation per field ---------------------------------------------------
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """sha256 of the values of every field _evaluate is called on, in call order."""
+    import hashlib
+
+    import pfiber.asymptotics
+    import pfiber.functionals
+    import pfiber.solver
+
+    digests = []
+    real = pfiber.functionals._evaluate
+
+    def recording(values, spec, *args):
+        digests.append(hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest())
+        return real(values, spec, *args)
+
+    for module in (pfiber.functionals, pfiber.solver, pfiber.asymptotics):
+        monkeypatch.setattr(module, "_evaluate", recording)
+    return digests
+
+
+def _ground_state_case(case, monkeypatch):
+    """(spec, report) of a ground-state solve whose winning descent stops as ``case`` says.
+
+    "line_search": one trial per line search, so a search fails once its
+    first trial does.  "abs": the descent runs from the negative of the
+    flat-limit seed, so its field is negative and the report holds |u|.
+    """
+    import pfiber.linalg
+    from pfiber.solver import _default_seeds
+
+    spec = model_spec(n=41, epsilon=1e-2)
+    if case == "max_iters":
+        return spec, solve_ground_state(spec, max_iters=3)
+    if case == "line_search":
+        monkeypatch.setattr(pfiber.linalg, "MAX_BACKTRACKS", 1)
+        return spec, solve_ground_state(spec, tol_res=1e-14)
+    if case == "abs":
+        start = DiscreteField(spec.mesh, -_default_seeds(spec, 0, 0)[0])
+        return spec, solve_ground_state(spec, init=start)
+    return spec, solve_ground_state(spec, random_restarts=2)
+
+
+GROUND_STATE_CASES = ["tolerance", "max_iters", "line_search", "abs"]
+
+
+@pytest.mark.parametrize("case", GROUND_STATE_CASES)
+def test_a_ground_state_solve_evaluates_no_field_twice(case, evaluated, monkeypatch):
+    """Each descent's accepted field is reported with the energy and
+    components of its own evaluation, not evaluated again; only the
+    nodal |u| of a negative winner is a new field."""
+    spec, report = _ground_state_case(case, monkeypatch)
+    assert report.field.values.min() >= 0.0
+    assert len(evaluated) == len(set(evaluated)) > 0
+
+
+def _assert_fresh(report, spec, tol_res=1e-8):
+    """The report's numbers are those of a fresh evaluation of its field, bit for bit."""
+    from pfiber.functionals import _evaluate, _residual
+
+    energy, state = _evaluate(report.field.values, spec)
+    comps = state.comps
+    assert report.energy == energy
+    assert report.residual_norm == float(np.max(np.abs(_residual(state, spec))))
+    assert report.tol_effective == tol_res * (1.0 + abs(energy))
+    assert report.converged == (report.residual_norm <= report.tol_effective)
+    if hasattr(report, "components"):
+        eps, dirichlet, gain, loss = spec.epsilon, comps.dirichlet, comps.gain, comps.loss
+        assert report.components == comps
+        assert report.nehari_residual == (abs(eps * dirichlet - gain + loss)
+                                          / (eps * dirichlet + gain + loss))
+        assert report.fiber_second_derivative == ((EX.p - EX.q) * eps * dirichlet
+                                                  + (EX.gamma - EX.q) * loss)
+
+
+@pytest.mark.parametrize("case", GROUND_STATE_CASES)
+def test_ground_state_reports_the_numbers_of_a_fresh_evaluation(case, monkeypatch):
+    """tolerance, max_iters and line_search are the winning descent's stop;
+    "abs" reports the nodal |u| of a negative descent field."""
+    spec, report = _ground_state_case(case, monkeypatch)
+    if case == "abs":
+        assert report.field.values.max() > 0.0 and report.energy < 0.0
+    else:
+        assert report.stop == case
+    _assert_fresh(report, spec, 1e-14 if case == "line_search" else 1e-8)
+
+
+@pytest.mark.parametrize("newton", ["kept", "refused"])
+def test_mountain_pass_evaluates_no_field_twice_and_reports_fresh_numbers(
+        model_ground_state, evaluated, monkeypatch, newton):
+    """Newton starts from the N- descent's field with the state the descent
+    made, and the report takes the numbers of whichever field it keeps from
+    that field's own evaluation.  "refused": Newton's field lies near 0,
+    where _on_peak_branch refuses it, so the descent's field is reported."""
+    import pfiber.solver
+
+    spec, gs = model_ground_state
+    real_newton = pfiber.solver._newton
+    if newton == "refused":
+        def near_zero(*args):
+            values, _, _, _, steps = real_newton(*args)
+            near = 1e-6 * values
+            energy, state = pfiber.solver._evaluate(near, spec)
+            residual = pfiber.solver._residual(state, spec)
+            return near, energy, state.comps, float(np.max(np.abs(residual))), steps
+
+        monkeypatch.setattr(pfiber.solver, "_newton", near_zero)
+    evaluated.clear()
+    mp = solve_mountain_pass(spec, gs)
+    assert mp.converged and (mp.newton_steps > 0) == (newton == "kept")
+    assert len(evaluated) == len(set(evaluated)) > 0
+    _assert_fresh(mp, spec)
